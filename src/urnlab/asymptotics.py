@@ -440,8 +440,7 @@ def limit_covariance_quadrature(Dh, Gamma, L, rho_tol=_DEFAULT_RHO_TOL):
     crit = profile.layer(0.5, max(rho_tol, 0.0))
     p = 2 * max(max(g.block_sizes) for g in crit) - 1 if crit else 0
     B = Dh - 0.5 * np.eye(Dh.shape[0])
-    raw = integral_exp_sandwich(B, Gamma, L, tol=1e-10 * max(1.0, L ** p))
-    return raw / L ** p
+    return integral_exp_sandwich(B, Gamma, L) / L ** p
 
 
 # ==== slow regime ====

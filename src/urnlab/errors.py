@@ -98,7 +98,7 @@ class IntegrationAbortError(UrnlabError):
 
 
 class RefinementError(UrnlabError):
-    """Quadrature tolerance unreachable on the given interval."""
+    """A grid interval is too wide: its increment covariance overflows."""
 
     code = "refinement"
 

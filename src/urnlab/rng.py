@@ -13,8 +13,9 @@ The block size and layout are frozen: results never depend on worker count,
 on how replicates are batched, or on which engine consumes the values. The
 Box-Muller cache does not carry across blocks.
 
-All transcendental evaluations go through numpy so the scalar reference and
-the vectorized path round identically (verified bitwise in tests).
+All transcendental evaluations go through numpy so that a scalar reference
+over python ints rounds identically to the vectorized path (the tests check
+this bitwise).
 """
 
 import numpy as np
@@ -104,51 +105,6 @@ def _next_u64(states):
 
 def _next_uniform(states):
     return (_next_u64(states) >> _C11) * _INV53
-
-
-class ScalarRng:
-    """Reference generator over python ints; one stream.
-
-    Matches the vectorized path bitwise (uniforms exactly; gaussians via the
-    same numpy-rounded log/sqrt).
-    """
-
-    def __init__(self, seed, stream=0):
-        self.s = stream_words(seed, stream)
-        self._cache = None
-
-    def next_u64(self):
-        s0, s1, s2, s3 = self.s
-        x = (s0 + s3) & MASK64
-        out = ((((x << 23) | (x >> 41)) & MASK64) + s0) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self.s = [s0, s1, s2, s3]
-        return out
-
-    def uniform(self):
-        return (self.next_u64() >> 11) * _INV53
-
-    def gaussian(self):
-        if self._cache is not None:
-            g, self._cache = self._cache, None
-            return g
-        while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                m = float(np.sqrt(-2.0 * float(np.log(np.float64(s))) / s))
-                self._cache = v * m
-                return u * m
-
-    def gaussians(self, count):
-        return [self.gaussian() for _ in range(count)]
 
 
 def bulk_uniforms(states, count):
@@ -280,17 +236,3 @@ class StreamRng:
 
     def uniform(self):
         return float(self.uniforms(1)[0])
-
-
-def scalar_block_values(seed, replicate, count, kind="gaussian"):
-    """Reference for BlockSource: one replicate's first `count` values."""
-    vals = []
-    block = 0
-    while len(vals) < count:
-        rng = ScalarRng(seed, (int(replicate) << REPL_SHIFT) | block)
-        if kind == "gaussian":
-            vals.extend(rng.gaussians(BLOCK))
-        else:
-            vals.extend(rng.uniform() for _ in range(BLOCK))
-        block += 1
-    return vals[:count]

@@ -1,13 +1,16 @@
 """Independent reference computations used to validate the package.
 
 Everything here is deliberately implemented by a different method than the
-code under test: plain Taylor series instead of Pade, scipy quadrature
-instead of hand-rolled Simpson, exact moment recursions instead of
-closed-form limits.
+code under test: plain Taylor series instead of scipy's expm, scipy
+``quad_vec`` quadrature instead of the closed-form (Van Loan) exp-sandwich
+integral, exact moment recursions instead of closed-form limits, and a
+generator over python ints instead of the vectorized one.
 """
 
 import numpy as np
 import scipy.integrate
+
+from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, stream_words
 
 
 def taylor_expm(A, terms=30):
@@ -73,3 +76,62 @@ def mean_recursion(A, r_fn, n, theta0):
     for k in range(n):
         m = m @ (eye - A / (k + 1.0)) + np.asarray(r_fn(k + 1), dtype=float) / (k + 1.0)
     return m
+
+
+class ScalarRng:
+    """Reference generator over python ints; one stream.
+
+    Matches the vectorized path bitwise (uniforms exactly; gaussians via the
+    same numpy-rounded log/sqrt).
+    """
+
+    def __init__(self, seed, stream=0):
+        self.s = stream_words(seed, stream)
+        self._cache = None
+
+    def next_u64(self):
+        s0, s1, s2, s3 = self.s
+        x = (s0 + s3) & MASK64
+        out = ((((x << 23) | (x >> 41)) & MASK64) + s0) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self.s = [s0, s1, s2, s3]
+        return out
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def gaussian(self):
+        if self._cache is not None:
+            g, self._cache = self._cache, None
+            return g
+        while True:
+            u = 2.0 * self.uniform() - 1.0
+            v = 2.0 * self.uniform() - 1.0
+            s = u * u + v * v
+            if 0.0 < s < 1.0:
+                m = float(np.sqrt(-2.0 * float(np.log(np.float64(s))) / s))
+                self._cache = v * m
+                return u * m
+
+    def gaussians(self, count):
+        return [self.gaussian() for _ in range(count)]
+
+
+def scalar_block_values(seed, replicate, count, kind="gaussian"):
+    """Reference for BlockSource: one replicate's first `count` values."""
+    vals = []
+    block = 0
+    while len(vals) < count:
+        rng = ScalarRng(seed, (int(replicate) << REPL_SHIFT) | block)
+        if kind == "gaussian":
+            vals.extend(rng.gaussians(BLOCK))
+        else:
+            vals.extend(rng.uniform() for _ in range(BLOCK))
+        block += 1
+    return vals[:count]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urnlab.errors import InvalidArgumentError, SpectrumError
+from urnlab.errors import InvalidArgumentError, NonConvergenceError, SpectrumError
 from urnlab.linalg import (
     eigen_left_right,
     integral_exp_sandwich,
@@ -186,18 +186,29 @@ def test_integral_sandwich_scalar_closed_form():
 
 def test_integral_sandwich_matches_scipy_quadrature():
     rng = np.random.default_rng(6)
+    half = 0.5 * np.eye(2)
+    cases = []
     for d in (2, 4):
         A = rand_matrix(rng, d, 0.4)
-        B = A + 1.0 * np.eye(d)
         R = rand_matrix(rng, d)
-        G = R @ R.T
-        got = integral_exp_sandwich(B, G, 12.0)
-        ref = quad_sandwich(B, G, 12.0)
-        assert np.max(np.abs(got - ref)) <= 1e-8
+        cases.append((A + 1.0 * np.eye(d), R @ R.T, 12.0))
+    # B = Dh - I/2 for a standard drift, a defective critical drift and a
+    # slow complex pair (Re lambda = 0.3 < 1/2, so the integrand grows)
+    standard = np.array([[1.0, 0.3], [0.0, 0.8]]) - half
+    cases += [(standard, np.eye(2), 5.0), (standard, np.eye(2), 40.0)]
+    cases.append((np.array([[0.0, -1.0], [0.0, 0.0]]), np.diag([1.0, 0.0]), 50.0))
+    cases.append((0.3 * np.array([[1.0, -1.0], [1.0, 1.0]]) - half, np.eye(2), 10.0))
+    A = rand_matrix(rng, 6, 0.3)
+    R = rand_matrix(rng, 6)
+    cases.append((A + 0.6 * np.eye(6), R @ R.T, 20.0))
+    for B, G, L in cases:
+        got = integral_exp_sandwich(B, G, L)
+        ref = quad_sandwich(B, G, L)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_integral_sandwich_polynomial_growth():
-    # nilpotent B: integrand entries are polynomials, Simpson handles exactly
+    # nilpotent B: integrand entries are polynomials in u
     B = np.array([[0.0, -1.0], [0.0, 0.0]])
     G = np.diag([1.0, 0.0])
     L = 50.0
@@ -210,3 +221,6 @@ def test_integral_sandwich_polynomial_growth():
 def test_integral_sandwich_rejects_bad_upper():
     with pytest.raises(InvalidArgumentError):
         integral_exp_sandwich(np.eye(2), np.eye(2), 0.0)
+    # e^{5 u} integrated to 150 exceeds the largest double
+    with pytest.raises(NonConvergenceError):
+        integral_exp_sandwich([[-2.5]], [[1.0]], 150.0)

@@ -5,14 +5,13 @@ from urnlab.rng import (
     BLOCK,
     REPL_SHIFT,
     BlockSource,
-    ScalarRng,
     bulk_gaussians,
     bulk_uniforms,
-    scalar_block_values,
     splitmix64,
     stream_states,
     stream_words,
 )
+from oracles import ScalarRng, scalar_block_values
 
 
 def test_splitmix64_known_sequence():
