@@ -282,6 +282,22 @@ def as_rate(profile):
     return min(0.5, profile.rho)
 
 
+def regime_scale(n, tag, nu, rho=None):
+    """Normalisation of theta_n - theta* at index n: sqrt(n) (Standard),
+    sqrt(n)/(log n)^{nu-1/2} (Critical), n^rho/(log n)^{nu-1} (Slow, rho
+    required). A log factor needs n >= 3, where log n exceeds one."""
+    if n < 1 or (n < 3 and (tag == "Critical" or (tag == "Slow" and nu != 1))):
+        raise InvalidArgumentError(f"n={n} is too small for the {tag} scaling")
+    ln = math.log(n)
+    if tag == "Standard":
+        return math.sqrt(n)
+    if tag == "Critical":
+        return math.sqrt(n) / ln ** (nu - 0.5)
+    if tag != "Slow" or rho is None:
+        raise InvalidArgumentError(f"no {tag!r} scaling with rho={rho!r}")
+    return n ** rho / ln ** (nu - 1)
+
+
 # ==== standard regime ====
 
 def clt_covariance(Dh, Gamma):

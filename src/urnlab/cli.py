@@ -8,7 +8,7 @@ configuration problem.
 
 Artifacts are byte-deterministic in (config, seed): reports embed the
 config digest and tool version but never timestamps or host data. The
---threads flag is a scheduling hint and cannot change results.
+--threads flag is accepted and has no effect.
 """
 
 import argparse
@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__
 from .asymptotics import analyze as analyze_drift
 from .config import load_config, validate_config
-from .errors import ConfigError, UrnlabError
+from .errors import ConfigError, DivergenceError, UrnlabError
 from .gauss import simulate_paths
 from .ode import flow_identity_residual, integrate_flow
 from .report import (emit_report, flow_csv, gauss_csv, matrix_csv,
                      provenance, trajectory_csv, urn_csv, write_text)
-from .sa import run_sa
-from .urn import run_urn, urn_asymptotics, urn_eigenstructure
-from .verify import MCConfig, golden_suite, make_mc_report, mc_sample
+from .sa import Trajectory, run_sa  # noqa: F401  (run_sa stays importable here)
+from .urn import UrnState, UrnTrajectory, urn_asymptotics, urn_eigenstructure
+from .verify import MCConfig, golden_suite, make_mc_report, mc_sample, simulate
 
 _FORMAT_FLAG = {"json": ["json"], "csv": ["csv"], "both": ["json", "csv"]}
 
@@ -104,11 +104,14 @@ def _write(path, text):
 
 # ==== analyze ====
 
+def _chain_basis(analysis):
+    basis = analysis["chain_basis"]
+    return None if basis is None else np.array(basis)
+
+
 def _drift_report(A, Gamma, analysis):
-    basis = (None if analysis["chain_basis"] is None
-             else np.array(analysis["chain_basis"]))
     rep = analyze_drift(A, Gamma, rho_tol=analysis["rho_tol"],
-                        chain_basis=basis)
+                        chain_basis=_chain_basis(analysis))
     return rep, {
         "regime": rep.regime.tag.lower(),
         "scaling": rep.regime.scaling,
@@ -178,71 +181,58 @@ def _cmd_analyze(args):
 
 # ==== trajectory commands ====
 
-def _cmd_simulate(args):
+def _cmd_trajectories(args):
+    """simulate and urn: every replicate's checkpointed path, from the engine
+    verify.simulate picks; they differ in model kind, CSV writer and file
+    prefix, and only simulate's manifest carries a model digest."""
+    sa = args.command == "simulate"
     cfg = _resolve(args)
-    _need_model(cfg, {"sa"}, "simulate")
+    _need_model(cfg, {"sa" if sa else "urn"}, args.command)
     n = _need_n(cfg)
     spec = cfg.build_model()
     plan = cfg.checkpoint_plan()
     seed = cfg.run["seed"]
     R = cfg.run["replicates"]
     out = _outdir(cfg)
-    trajs = [run_sa(spec, n, seed, plan, replicate=r) for r in range(R)]
+    paths, engine = simulate(spec, n, seed, plan, R,
+                             basis=_chain_basis(cfg.analysis))
+    if engine["dropped"]:
+        drop = engine["dropped"][0]
+        raise DivergenceError(f"replicate {drop['replicate']} became non-finite "
+                              f"at step {drop['first_bad_index']}",
+                              first_bad_index=drop["first_bad_index"])
+    if sa:
+        trajs = [Trajectory(tuple((k, x[r]) for k, x in paths), seed,
+                            spec.digest()) for r in range(R)]
+        prefix, to_csv = "trajectory", trajectory_csv
+        cp_json = lambda cp: [int(cp[0]), cp[1].tolist()]  # noqa: E731
+    else:
+        trajs = [UrnTrajectory(tuple(UrnState(Y[r], N[r], k)
+                                     for k, Y, N in paths), seed)
+                 for r in range(R)]
+        prefix, to_csv, cp_json = "urn", urn_csv, UrnState.to_dict
     files = []
     if "csv" in cfg.output["formats"]:
         for r, traj in enumerate(trajs):
-            name = f"trajectory-{r}.csv"
-            _write(os.path.join(out, name), trajectory_csv(traj))
+            name = f"{prefix}-{r}.csv"
+            _write(os.path.join(out, name), to_csv(traj))
             files.append(name)
     manifest = {
-        "command": "simulate",
-        "n": n,
-        "replicates": R,
-        "seed": seed,
-        "checkpoints": plan,
-        "model_digest": spec.digest(),
-        "files": files,
-        "provenance": provenance(cfg.digest(), seed),
-    }
-    if "json" in cfg.output["formats"]:
-        manifest["trajectories"] = [
-            {"replicate": r,
-             "checkpoints": [[int(k), th.tolist()]
-                             for k, th in traj.checkpoints]}
-            for r, traj in enumerate(trajs)]
-    _emit(manifest, os.path.join(out, "run.json"))
-    return 0
-
-
-def _cmd_urn(args):
-    cfg = _resolve(args)
-    _need_model(cfg, {"urn"}, "urn")
-    n = _need_n(cfg)
-    spec = cfg.build_model()
-    plan = cfg.checkpoint_plan()
-    seed = cfg.run["seed"]
-    R = cfg.run["replicates"]
-    out = _outdir(cfg)
-    trajs = [run_urn(spec, n, seed, plan, replicate=r) for r in range(R)]
-    files = []
-    if "csv" in cfg.output["formats"]:
-        for r, traj in enumerate(trajs):
-            name = f"urn-{r}.csv"
-            _write(os.path.join(out, name), urn_csv(traj))
-            files.append(name)
-    manifest = {
-        "command": "urn",
+        "command": args.command,
         "n": n,
         "replicates": R,
         "seed": seed,
         "checkpoints": plan,
         "files": files,
+        "engine": engine,
         "provenance": provenance(cfg.digest(), seed),
     }
+    if sa:
+        manifest["model_digest"] = spec.digest()
     if "json" in cfg.output["formats"]:
         manifest["trajectories"] = [
             {"replicate": r,
-             "checkpoints": [st.to_dict() for st in traj.checkpoints]}
+             "checkpoints": [cp_json(cp) for cp in traj.checkpoints]}
             for r, traj in enumerate(trajs)]
     _emit(manifest, os.path.join(out, "run.json"))
     return 0
@@ -318,10 +308,8 @@ def _cmd_verify(args):
     kind = _need_model(cfg, {"sa", "urn"}, "verify")
     n = _need_n(cfg)
     seed = cfg.run["seed"]
-    mc = MCConfig(replicates=cfg.run["replicates"], horizons=(n,),
-                  seed=seed, parallelism=max(1, args.threads))
+    mc = MCConfig(replicates=cfg.run["replicates"], horizons=(n,), seed=seed)
     spec = cfg.build_model()
-    basis = None
     if kind == "sa":
         m = cfg.model
         if isinstance(m["drift"], dict):
@@ -332,19 +320,18 @@ def _cmd_verify(args):
                  else np.array(m["noise"]))
         rep, _ = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
         predicted = rep.covariance
-        basis = (None if cfg.analysis["chain_basis"] is None
-                 else np.array(cfg.analysis["chain_basis"]))
     else:
         predicted = urn_asymptotics(spec).Sigma_tilde
     if predicted is None:
         raise ConfigError("the configured model is in the slow regime and "
                           "has no limit covariance to verify against",
                           path="/model")
-    sample = mc_sample(spec, n, mc, basis=basis)
+    sample = mc_sample(spec, n, mc, basis=_chain_basis(cfg.analysis))
     tol = cfg.analysis["tolerances"]
     report = make_mc_report(sample, predicted,
                             rel_tol=tol["rel_frobenius"], p_min=tol["p_min"])
     payload = report.to_dict()
+    payload["engine"] = sample.engine
     payload["provenance"] = provenance(cfg.digest(), seed)
     out = _outdir(cfg)
     _emit(payload, os.path.join(out, "verify.json"))
@@ -368,8 +355,7 @@ def _cmd_suite(args):
         horizons = (max(1, n // 10), n) if n >= 10 else (n,)
     else:
         horizons = (10 ** 4, 10 ** 5)
-    mc = MCConfig(replicates=R, horizons=horizons, seed=seed,
-                  parallelism=max(1, args.threads))
+    mc = MCConfig(replicates=R, horizons=horizons, seed=seed)
     report = golden_suite(mc)
     payload = report.to_dict()
     payload["replicates"] = R
@@ -389,9 +375,9 @@ def _cmd_suite(args):
 _COMMANDS = [
     ("analyze", _cmd_analyze, True,
      "limit analysis of the configured model"),
-    ("simulate", _cmd_simulate, True,
+    ("simulate", _cmd_trajectories, True,
      "run recursion trajectories to the configured horizon"),
-    ("urn", _cmd_urn, True, "run urn composition trajectories"),
+    ("urn", _cmd_trajectories, True, "run urn composition trajectories"),
     ("gauss", _cmd_gauss, True,
      "sample the limiting Gaussian process on its grid"),
     ("ode", _cmd_ode, True, "integrate the mean flow"),
@@ -418,7 +404,7 @@ def _parser():
         q.add_argument("--seed", type=int,
                        help="seed override (wins over config and URNLAB_SEED)")
         q.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker hint; results never depend on it")
+                       help="accepted for compatibility; has no effect")
         q.add_argument("--format", choices=["json", "csv", "both"],
                        help="artifact formats (overrides output.formats)")
         q.set_defaults(handler=handler)

@@ -17,6 +17,13 @@ class InvalidArgumentError(UrnlabError):
     code = "invalid-argument"
 
 
+class NearIntegerEigenvalueError(InvalidArgumentError):
+    """An eigenvalue is within 1e-9 of an integer step index but not on it:
+    the linear engine cannot divide through the tiny step factor."""
+
+    code = "near-integer-eigenvalue"
+
+
 class SpectrumError(UrnlabError):
     """An eigenvalue violates a stability/positivity requirement.
 

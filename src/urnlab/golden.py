@@ -80,8 +80,8 @@ class LogDampedDrift:
     f(x) = 1/loglog(1/min(x, x0)), x0 = DECAY_START.
 
     The derivative at zero equals rho exactly, yet f pushes the decay off
-    the clean power law by a slowly varying factor. Accepts either a length-
-    one row (engine calls) or a plain float (tight scalar loops)."""
+    the clean power law by a slowly varying factor. Call it on a length-one
+    row or a float; run_sa's plain-float loop calls `scalar` directly."""
 
     def __init__(self, rho):
         if not 0.0 < rho <= 0.5:
@@ -106,15 +106,15 @@ class LogDampedDrift:
         fr = u - i
         return th * (self._phi[i] * (1.0 - fr) + self._phi[i + 1] * fr)
 
-    def _h(self, th):
+    def scalar(self, th):
         if th <= 0.0:
             return self.rho * th  # the damping integral vanishes left of zero
         return self.rho * (th - self._correction(th))
 
     def __call__(self, theta):
         if isinstance(theta, np.ndarray):
-            return np.array([self._h(float(theta[0]))])
-        return self._h(float(theta))
+            return np.array([self.scalar(float(theta[0]))])
+        return self.scalar(float(theta))
 
     def digest_parts(self):
         return f"rho={self.rho!r};x0={self.x0!r}"
@@ -141,41 +141,6 @@ def decay_spec(rho=0.5, damped=False):
     return SAProcessSpec(dim=1, drift=drift, theta0=[DECAY_START],
                          theta_star=[0.0],
                          label=f"decay-{rho:g}-{'damped' if damped else 'pure'}")
-
-
-def scalar_decay_path(spec, n_max, checkpoints):
-    """Noise-free scalar recursion in plain float arithmetic.
-
-    Bit-identical to run_sa for dim-1 specs without noise or remainder
-    (the update is the same two IEEE operations per step), but an order of
-    magnitude faster, which matters at horizons around 1e7.
-    """
-    if spec.dim != 1 or spec.noise is not None or spec.remainder is not None:
-        raise InvalidArgumentError(
-            "scalar fast path needs a dim-1 spec without noise or remainder")
-    drift = spec.drift
-    if isinstance(drift, LinearDrift):
-        a = float(drift.matrix[0, 0])
-        h = lambda t: a * t
-    else:
-        h = drift  # must accept and return plain floats
-    n_max = int(n_max)
-    plan = sorted({int(c) for c in checkpoints})
-    if plan and (plan[0] < 0 or plan[-1] > n_max):
-        raise InvalidArgumentError(
-            f"checkpoints must lie in [0, {n_max}], got [{plan[0]}, {plan[-1]}]")
-    th = float(spec.theta0[0])
-    out = []
-    pi = 0
-    if pi < len(plan) and plan[pi] == 0:
-        out.append((0, th))
-        pi += 1
-    for k in range(n_max):
-        th = th - h(th) / (k + 1.0)
-        if pi < len(plan) and plan[pi] == k + 1:
-            out.append((k + 1, th))
-            pi += 1
-    return out
 
 
 class InverseSqrtLogRemainder:

@@ -3,26 +3,31 @@
     theta_{n+1} = theta_n - h(theta_n)/(n+1) + (dM_{n+1} + r_{n+1})/(n+1)
 
 with pluggable drift h, martingale-difference noise, and deterministic
-remainder schedule. Three engines share the same frozen noise blocks:
+remainder schedule. The engines share the same frozen noise streams:
 
-  run_sa                scalar reference loop, any drift, replay support;
+  run_sa                step reference loop, any drift, replay support; a
+                        dim-1 model without noise or remainder whose drift
+                        is linear or has a float entry point `scalar` runs
+                        in plain floats, with the same states bit for bit;
   linear_paths          closed-form batch solver for linear drift h = theta A
-                        (used for long horizons and Monte Carlo fan-out);
+                        (long horizons and Monte Carlo fan-out);
   exact_mean_recursion  noise-free mean iteration, with a chunked scalar
                         fast path that reaches n = 1e8 in seconds.
 
-run_sa and linear_paths agree on the same (seed, replicate) to near machine
-precision; bit-exactness is promised only for replaying a recorded
-trajectory through run_sa itself.
+verify.simulate picks between run_sa and linear_paths. They agree on the
+same (seed, replicate) to near machine precision; bit-exactness is promised
+only for replaying a recorded trajectory through run_sa itself.
 """
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
 from .asymptotics import _snap_block_form, spectral_profile
-from .errors import ChainBasisRequiredError, DivergenceError, InvalidArgumentError
+from .errors import (ChainBasisRequiredError, DivergenceError,
+                     InvalidArgumentError, NearIntegerEigenvalueError)
 from .linalg import _check_square, check_sym_psd
 from .rng import BlockSource, StreamRng
 
@@ -149,12 +154,6 @@ class Trajectory:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("checkpoint indices must be strictly increasing")
 
-    def values(self):
-        return np.array([th for _, th in self.checkpoints])
-
-    def indices(self):
-        return np.array([n for n, _ in self.checkpoints], dtype=np.int64)
-
 
 def _checkpoint_plan(plan, n_max):
     out = sorted({int(c) for c in plan})
@@ -162,6 +161,30 @@ def _checkpoint_plan(plan, n_max):
         raise InvalidArgumentError(
             f"checkpoints must lie in [0, {n_max}], got range [{out[0]}, {out[-1]}]")
     return out
+
+
+def _float_drift(spec):
+    """Float h for a dim-1 model without noise or remainder, else None."""
+    if spec.dim != 1 or spec.noise is not None or spec.remainder is not None:
+        return None
+    if isinstance(spec.drift, LinearDrift):
+        a = float(spec.drift.matrix[0, 0])
+        return lambda t: a * t
+    return getattr(spec.drift, "scalar", None)
+
+
+def _float_path(h, th, n_max, plan):
+    """run_sa's update in plain floats: the same two IEEE operations."""
+    inf, want = math.inf, set(plan)
+    cps = [(0, np.array([th]))] if 0 in want else []
+    for k in range(1, n_max + 1):
+        th = th - h(th) / k  # k converts to the double k exactly
+        if not -inf < th < inf:
+            raise DivergenceError(
+                f"state became non-finite at step {k}", first_bad_index=k)
+        if k in want:
+            cps.append((k, np.array([th])))
+    return tuple(cps)
 
 
 def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=False):
@@ -175,6 +198,11 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = _checkpoint_plan(checkpoint_plan, n_max)
+    h = None if record_increments else _float_drift(spec)
+    if h is not None:
+        return Trajectory(
+            checkpoints=_float_path(h, float(spec.theta0[0]), n_max, plan),
+            seed=int(seed), spec_digest=spec.digest())
     rng = StreamRng(seed, replicate, "gaussian") if spec.noise is not None else None
     theta = spec.theta0.copy()
     zero = np.zeros(spec.dim)
@@ -224,36 +252,6 @@ def replay(spec, traj):
         if want is not None and not np.array_equal(want, theta):
             raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
     return True
-
-
-def normalized_error(traj, theta_star, regime, nu, rho=None):
-    """Apply the regime's scaling to theta_n - theta* at each checkpoint.
-
-    Standard: sqrt(n); Critical: sqrt(n)/(log n)^{nu-1/2};
-    Slow: n^rho/(log n)^{nu-1} (rho must be given).
-    """
-    if not traj.checkpoints:
-        raise InvalidArgumentError("trajectory has no checkpoints")
-    ts = np.asarray(theta_star, dtype=float)
-    tag = regime.tag
-    needs_log = tag in ("Critical", "Slow") and not (tag == "Slow" and nu == 1)
-    out = []
-    for n, th in traj.checkpoints:
-        if n < 1 or (needs_log and n < 3):
-            raise InvalidArgumentError(
-                f"checkpoint n={n} is too small for the {tag} scaling")
-        if tag == "Standard":
-            f = np.sqrt(n)
-        elif tag == "Critical":
-            f = np.sqrt(n) / np.log(n) ** (nu - 0.5)
-        elif tag == "Slow":
-            if rho is None:
-                raise InvalidArgumentError("slow-regime scaling needs rho")
-            f = n ** rho / (np.log(n) ** (nu - 1) if nu > 1 else 1.0)
-        else:
-            raise InvalidArgumentError(f"unknown regime tag {tag!r}")
-        out.append((n, f * (th - ts)))
-    return out
 
 
 # ==== deterministic mean recursion ====
@@ -413,7 +411,7 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
         near = abs(lam[q].imag) < 1e-9 and abs(jr - rj) < 1e-9 and 1 <= rj <= n_max
         exact = lam[q].imag == 0.0 and jr == rj
         if near and not exact:
-            raise InvalidArgumentError(
+            raise NearIntegerEigenvalueError(
                 f"eigenvalue {lam[q]:.6g} is too close to the integer {rj} "
                 "(step factor nearly zero); use the step engine")
 

@@ -1,10 +1,11 @@
 """Monte Carlo and single-path verification harness.
 
-Empirical covariance of scaled errors against the predicted limit,
-Kolmogorov-Smirnov normality per coordinate, dyadic-checkpoint convergence
-with a fitted rate exponent, and phase fitting for complex-eigenvalue
-rotation. Everything is deterministic given a seed: replicate r always
-reads the same noise stream no matter how the work is scheduled.
+`simulate`, the one place that picks an engine for a model; empirical
+covariance of scaled errors against the predicted limit, Kolmogorov-Smirnov
+normality per coordinate, dyadic-checkpoint convergence with a fitted rate
+exponent, and phase fitting for complex-eigenvalue rotation. Everything
+is deterministic given a seed: replicate r always reads the same noise
+stream no matter how the work is scheduled.
 """
 
 import dataclasses
@@ -12,9 +13,11 @@ import math
 
 import numpy as np
 
-from .asymptotics import classify_regime, spectral_profile
-from .errors import InvalidArgumentError, NonConvergenceError
-from .sa import (GaussianNoise, LinearDrift, SAProcessSpec,
+from .asymptotics import classify_regime, regime_scale, spectral_profile
+from .errors import (ChainBasisRequiredError, DivergenceError,
+                     InvalidArgumentError, NearIntegerEigenvalueError,
+                     NonConvergenceError)
+from .sa import (GaussianNoise, LinearDrift, SAProcessSpec, _checkpoint_plan,
                  exact_mean_recursion, linear_paths, run_sa)
 from .urn import UrnSpec, DeterministicRule, run_urn, run_urn_batch, urn_asymptotics
 
@@ -24,7 +27,6 @@ class MCConfig:
     replicates: int
     horizons: tuple
     seed: int
-    parallelism: int = 1  # scheduling hint; never changes results
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -33,18 +35,17 @@ class MCConfig:
         if not hs or any(b <= a for a, b in zip(hs, hs[1:])) or hs[0] < 1:
             raise InvalidArgumentError("horizons must be increasing and >= 1")
         object.__setattr__(self, "horizons", hs)
-        if self.parallelism < 1:
-            raise InvalidArgumentError("parallelism must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
 class MCSample:
-    """Scaled errors at one horizon with divergence accounting."""
+    """Scaled errors at one horizon, divergence accounting, engine record."""
 
     horizon: int
     errors: np.ndarray  # (kept, d)
     excluded: int
     replicates: int
+    engine: object = None
 
     def __post_init__(self):
         if self.errors.shape[0] + self.excluded != self.replicates:
@@ -92,17 +93,6 @@ class RateFit:
         }
 
 
-def _scale_factor(n, regime_tag, nu, rho):
-    ln = math.log(n)
-    if regime_tag == "Standard":
-        return math.sqrt(n)
-    if regime_tag == "Critical":
-        return math.sqrt(n) / ln ** (nu - 0.5)
-    if rho is None:
-        raise InvalidArgumentError("slow regime scaling needs rho")
-    return n ** rho / ln ** (nu - 1)
-
-
 def _resolve_sa_regime(model, regime, nu, rho):
     if regime is None:
         if not isinstance(model.drift, LinearDrift):
@@ -115,15 +105,79 @@ def _resolve_sa_regime(model, regime, nu, rho):
     return tag, (1 if nu is None else nu), rho
 
 
+def simulate(model, n, seed, checkpoints, replicates, basis=None):
+    """States of replicates 0..R-1 at the checkpoints, and the engine record.
+
+    linear_paths runs a linear drift with Gaussian or no noise and no
+    remainder (basis is forwarded for defective drifts), run_sa any other
+    recursion, run_urn_batch an urn with a deterministic rule when R > 1,
+    run_urn any other urn. If the linear engine refuses (near-integer
+    eigenvalue, defective drift without basis, non-finite output), run_sa
+    runs instead and the record names the fallback. A replicate diverging
+    on run_sa keeps NaN rows and is listed under "dropped".
+
+    Returns (paths, record): [(k, theta)] for a recursion, [(k, Y, N)] for
+    an urn, arrays of shape (R, d); record = {name, fallback, dropped}.
+    """
+    n, R = int(n), int(replicates)
+    if n < 1 or R < 1:
+        raise InvalidArgumentError(f"n and replicates must be >= 1, got {n}, {R}")
+    plan = _checkpoint_plan(checkpoints, n)
+    origin = plan[:1] == [0]  # the batch engines report indices >= 1 only
+    record = {"name": "step", "fallback": None, "dropped": []}
+    if isinstance(model, UrnSpec):
+        if isinstance(model.adding_rule, DeterministicRule) and R > 1:
+            paths = run_urn_batch(model, n, seed, plan, R)
+            if origin:
+                paths.insert(0, (0, np.tile(model.Y0, (R, 1)),
+                                 np.zeros((R, model.d), dtype=np.int64)))
+            return paths, dict(record, name="lockstep-urn")
+        trajs = [run_urn(model, n, seed, plan, replicate=r).checkpoints
+                 for r in range(R)]
+        return [(k, np.array([t[i].Y for t in trajs]),
+                 np.array([t[i].N for t in trajs]))
+                for i, k in enumerate(plan)], dict(record, name="urn")
+    if not isinstance(model, SAProcessSpec):
+        raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
+
+    if (isinstance(model.drift, LinearDrift) and model.remainder is None
+            and (model.noise is None or isinstance(model.noise, GaussianNoise))):
+        root = None if model.noise is None else model.noise.root
+        try:
+            # overflow shows up as non-finite output, checked below
+            with np.errstate(all="ignore"):
+                paths = linear_paths(model.drift.matrix, model.theta0, n, seed,
+                                     plan, replicates=R, gamma_root=root,
+                                     basis=basis)
+        except (NearIntegerEigenvalueError, ChainBasisRequiredError) as exc:
+            record["fallback"] = {"from": "linear", "code": exc.code}
+        else:
+            if all(np.all(np.isfinite(x)) for _, x in paths):
+                if origin:
+                    paths.insert(0, (0, np.tile(model.theta0, (R, 1))))
+                return paths, dict(record, name="linear")
+            record["fallback"] = {"from": "linear", "code": "non-finite"}
+
+    paths = [(k, np.full((R, model.dim), np.nan)) for k in plan]
+    for r in range(R):
+        try:
+            traj = run_sa(model, n, seed, plan, replicate=r)
+        except DivergenceError as exc:  # the replicate's rows stay NaN
+            record["dropped"].append(
+                {"replicate": r, "first_bad_index": exc.first_bad_index})
+            continue
+        for (_, x), (_, th) in zip(paths, traj.checkpoints):
+            x[r] = th
+    return paths, record
+
+
 def mc_sample(model, horizon, config, regime=None, nu=None, rho=None,
               basis=None):
     """Scaled errors over config.replicates trajectories at one horizon.
 
-    Linear drifts with Gaussian noise run through the closed-form batch
-    engine (basis is forwarded there for defective drift matrices); urns
-    with fixed addition matrices run through the lockstep urn engine;
-    everything else steps replicates one by one. Divergent replicates are
-    dropped and counted; more than 1% of them is a failure.
+    The paths come from `simulate` (basis is forwarded there for defective
+    drift matrices). Divergent replicates are dropped and counted; more
+    than 1% of them is a failure.
     """
     horizon = int(horizon)
     R = config.replicates
@@ -133,16 +187,6 @@ def mc_sample(model, horizon, config, regime=None, nu=None, rho=None,
         tag = rep.regime.tag
         nu_ = rep.nu
         rho_ = None if rep.lambda_sec is None else 1.0 - rep.lambda_sec
-        if isinstance(model.adding_rule, DeterministicRule):
-            (_, Y, N), = run_urn_batch(model, horizon, config.seed,
-                                       [horizon], R)
-            theta = np.hstack([Y, N]) / horizon
-        else:
-            theta = np.empty((R, 2 * model.d))
-            for r in range(R):
-                st = run_urn(model, horizon, config.seed, [horizon],
-                             replicate=r).checkpoints[-1]
-                theta[r] = np.concatenate([st.Y, st.N]) / horizon
     elif isinstance(model, SAProcessSpec):
         tag, nu_, rho_ = _resolve_sa_regime(model, regime, nu, rho)
         star = model.theta_star
@@ -150,38 +194,22 @@ def mc_sample(model, horizon, config, regime=None, nu=None, rho=None,
             if not isinstance(model.drift, LinearDrift):
                 raise InvalidArgumentError("model needs theta_star")
             star = np.zeros(model.dim)
-        fast = (isinstance(model.drift, LinearDrift)
-                and model.remainder is None
-                and (model.noise is None or isinstance(model.noise, GaussianNoise)))
-        if fast:
-            root = None if model.noise is None else model.noise.root
-            try:
-                (_, theta), = linear_paths(model.drift.matrix, model.theta0,
-                                           horizon, config.seed, [horizon],
-                                           replicates=R, gamma_root=root,
-                                           basis=basis)
-            except InvalidArgumentError:
-                fast = False  # near-integer eigenvalue; step through instead
-        if not fast:
-            theta = np.empty((R, model.dim))
-            for r in range(R):
-                try:
-                    traj = run_sa(model, horizon, config.seed, [horizon],
-                                  replicate=r)
-                    theta[r] = traj.checkpoints[-1][1]
-                except Exception:
-                    theta[r] = np.nan
     else:
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
+    scale = regime_scale(horizon, tag, nu_, rho_)
 
+    paths, engine = simulate(model, horizon, config.seed, [horizon], R,
+                             basis=basis)
+    final = paths[-1][1:]  # (theta,) or (Y, N)
+    theta = np.hstack(final) / horizon if isinstance(model, UrnSpec) else final[0]
     good = np.all(np.isfinite(theta), axis=1)
     excluded = int(R - good.sum())
     if excluded > 0.01 * R:
         raise NonConvergenceError(
             f"{excluded} of {R} replicates diverged at horizon {horizon}")
-    errors = (theta[good] - star) * _scale_factor(horizon, tag, nu_, rho_)
+    errors = (theta[good] - star) * scale
     return MCSample(horizon=horizon, errors=errors, excluded=excluded,
-                    replicates=R)
+                    replicates=R, engine=engine)
 
 
 def compare_covariance(emp, pred):
@@ -366,8 +394,7 @@ def golden_suite(config):
     names every failing criterion.
     """
     from .golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
-                         remainder_drive_spec, rotation_spec,
-                         scalar_decay_path)
+                         remainder_drive_spec, rotation_spec)
 
     horizons = config.horizons
     h_last = horizons[-1]
@@ -401,19 +428,16 @@ def golden_suite(config):
     # same drift below the critical line: scaled path settles on a random
     # limit, so dyadic gaps shrink while independent streams disagree
     spec_slow = jordan_chain_spec(0.3)
+    # rows are independent: replicate 0's is the path, the 20 finals the spread
     n_path = 1 << 22
-    root = spec_slow.noise.root
-    dyadic = [1 << k for k in range(10, 23)]
-    pts = linear_paths(spec_slow.drift.matrix, spec_slow.theta0, n_path,
-                       config.seed, dyadic, replicates=[0], gamma_root=root,
-                       basis=JORDAN_CHAIN_BASIS)
+    pts, _ = simulate(spec_slow, n_path, config.seed,
+                      [1 << k for k in range(10, 23)], 20,
+                      basis=JORDAN_CHAIN_BASIS)
     fit_first = path_convergence(
         [(n, [n ** 0.3 * x[0, 0]]) for n, x in pts], tol=0.05)
     fit_second = path_convergence(
         [(n, [n ** 0.3 / math.log(n) * x[0, 1]]) for n, x in pts], tol=0.05)
-    (_, finals), = linear_paths(spec_slow.drift.matrix, spec_slow.theta0,
-                                n_path, config.seed, [n_path], replicates=20,
-                                gamma_root=root, basis=JORDAN_CHAIN_BASIS)
+    finals = pts[-1][1]
     spread = float(np.var(n_path ** 0.3 * finals[:, 0], ddof=1))
     grade("jordan-slow-path",
           fit_first.converged and fit_second.converged and spread > 0.0,
@@ -424,9 +448,8 @@ def golden_suite(config):
     # complex pair: no normalizing constant exists, so grade the phase fit
     # and boundedness of the scaled path instead of a limit value
     spec_rot = rotation_spec(0.3)
-    pts = linear_paths(spec_rot.drift.matrix, spec_rot.theta0, n_path,
-                       config.seed, [1 << k for k in range(7, 23)],
-                       replicates=[0], gamma_root=spec_rot.noise.root)
+    pts, _ = simulate(spec_rot, n_path, config.seed,
+                      [1 << k for k in range(7, 23)], 1)
     scaled = [(n, n ** 0.3 * x[0]) for n, x in pts]
     fit = rotation_fit([(n, v[0]) for n, v in scaled], 0.3)
     trend = fit["residual_trend"]
@@ -451,7 +474,9 @@ def golden_suite(config):
     # log-corrected series n^rho theta_n / log n grows
     rho = 0.5
     damped = decay_spec(rho, damped=True)
-    cps = scalar_decay_path(damped, 10 ** 7, [10 ** k for k in range(4, 8)])
+    pts, _ = simulate(damped, 10 ** 7, config.seed,
+                      [10 ** k for k in range(4, 8)], 1)
+    cps = [(n, float(x[0, 0])) for n, x in pts]
     rise_series = [n ** rho * th / math.log(n) for n, th in cps]
     rise_ok = all(b > a for a, b in zip(rise_series, rise_series[1:]))
     ths = [th for _, th in cps]

@@ -38,10 +38,9 @@ from urnlab.golden import (
     mixing_urn,
     remainder_drive_spec,
     rotation_spec,
-    scalar_decay_path,
 )
 from urnlab.ode import check_attraction, flow_identity_residual, integrate_flow
-from urnlab.sa import exact_mean_recursion, linear_paths
+from urnlab.sa import exact_mean_recursion, linear_paths, run_sa
 from urnlab.urn import run_urn, run_urn_batch, urn_asymptotics
 from urnlab.verify import (
     MCConfig,
@@ -180,7 +179,8 @@ def test_decay_rates_with_and_without_damping():
 
     rho = 0.5
     damped = decay_spec(rho, damped=True)
-    cps = scalar_decay_path(damped, 10 ** 7, [10 ** k for k in range(4, 8)])
+    traj = run_sa(damped, 10 ** 7, 0, [10 ** k for k in range(4, 8)])
+    cps = [(n, float(x[0])) for n, x in traj.checkpoints]
     drop = [n ** 0.45 * th for n, th in cps]
     rise = [n ** 0.5 * th / math.log(n) for n, th in cps]
     rise_ok = all(b > a for a, b in zip(rise, rise[1:]))

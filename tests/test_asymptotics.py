@@ -8,12 +8,14 @@ from urnlab.asymptotics import (
     clt_covariance,
     critical_covariance,
     limit_covariance_quadrature,
+    regime_scale,
     slow_regime_descriptor,
     spectral_profile,
 )
 from urnlab.errors import (
     AssumptionViolationError,
     ChainBasisRequiredError,
+    InvalidArgumentError,
     InvalidBasisError,
     RegimeError,
 )
@@ -119,6 +121,29 @@ def test_as_rate():
     assert as_rate(spectral_profile(np.diag([0.75]))) == 0.5
     assert as_rate(spectral_profile(np.diag([0.3]))) == pytest.approx(0.3)
     assert as_rate(spectral_profile(np.diag([0.5]))) == pytest.approx(0.5)
+
+
+def test_regime_scale_standard():
+    assert 0.1 * regime_scale(100, "Standard", 1) == pytest.approx(1.0)
+
+
+def test_regime_scale_critical():
+    n = 55
+    f = np.sqrt(n) / np.sqrt(np.log(n))
+    assert (2.0 / f) * regime_scale(n, "Critical", 1) == pytest.approx(2.0)
+
+
+def test_regime_scale_slow_nu2():
+    n = 1000
+    assert regime_scale(n, "Slow", 2, rho=0.3) == pytest.approx(
+        n ** 0.3 / np.log(n))
+    with pytest.raises(InvalidArgumentError):
+        regime_scale(n, "Slow", 2)  # rho missing
+
+
+def test_regime_scale_small_n_guard():
+    with pytest.raises(InvalidArgumentError):
+        regime_scale(2, "Critical", 1)
 
 
 # ==== standard-regime covariance ====

@@ -93,6 +93,8 @@ def test_simulate_deterministic_artifacts(tmp_path):
             != (c / "trajectory-0.csv").read_bytes())
     manifest = json.loads((a / "run.json").read_text())
     assert manifest["checkpoints"] == [1, 32, 64]
+    assert manifest["engine"] == {"name": "linear", "fallback": None,
+                                  "dropped": []}
     assert manifest["files"] == ["trajectory-0.csv", "trajectory-1.csv"]
     assert len(manifest["trajectories"]) == 2
 
@@ -143,11 +145,24 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
     assert "URNLAB_SEED" in capsys.readouterr().err
 
 
+def test_simulate_divergence_exits_two(tmp_path, capsys):
+    model = {k: v for k, v in SA_MODEL.items() if k != "noise"}
+    doc = {"model": dict(model, drift=[[-1e300]], theta0=[1.0]),
+           "run": {"n": 10}}
+    cfg = write_config(tmp_path, doc)
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[divergence]" in capsys.readouterr().err
+
+
 def test_urn_command_counts_draws(tmp_path):
     doc = {"model": FRIEDMAN_MODEL, "run": {"n": 20, "checkpoints": [5, 20]}}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert main(["urn", "--config", cfg, "--out", str(out)]) == 0
+    engine = json.loads((out / "run.json").read_text())["engine"]
+    assert engine == {"name": "urn", "fallback": None, "dropped": []}
     rows = (out / "urn-0.csv").read_text().splitlines()
     assert rows[0] == "n,Y_1,Y_2,N_1,N_2"
     for row in rows[1:]:
@@ -207,6 +222,7 @@ def test_verify_urn_against_lyapunov(tmp_path):
     out = tmp_path / "o"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "verify.json").read_text())
+    assert rep["engine"]["name"] == "lockstep-urn"
     assert np.array(rep["predicted_cov"]).shape == (4, 4)
     assert rep["verdict"]["passed"] is True
 

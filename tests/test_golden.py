@@ -1,5 +1,5 @@
-"""Showcase model constructors: wiring, the damped-drift integral, the
-scalar fast loop, and the remainder schedules."""
+"""Showcase model constructors: wiring, the damped-drift integral,
+run_sa's plain-float loop on the decay models, and the remainder schedules."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from urnlab.errors import InvalidArgumentError
+from urnlab.errors import DivergenceError, InvalidArgumentError
 from urnlab.golden import (
     DECAY_START,
     JORDAN_CHAIN_BASIS,
@@ -20,10 +20,9 @@ from urnlab.golden import (
     mixing_urn,
     remainder_drive_spec,
     rotation_spec,
-    scalar_decay_path,
 )
 from urnlab.asymptotics import classify_regime, spectral_profile
-from urnlab.sa import LinearDrift, run_sa
+from urnlab.sa import LinearDrift, SAProcessSpec, _float_drift, run_sa
 from urnlab.urn import urn_eigenstructure
 
 
@@ -104,11 +103,11 @@ def test_damped_integral_above_start():
 
 def test_damped_drift_values():
     d = LogDampedDrift(0.5)
-    assert d._h(0.0) == 0.0
-    assert d._h(-2.0) == -1.0  # linear left of zero
+    assert d.scalar(0.0) == 0.0
+    assert d.scalar(-2.0) == -1.0  # linear left of zero
     th = DECAY_START
     # damping sits in (0, 1/2], so h is between rho*theta/2 and rho*theta
-    assert 0.5 * 0.5 * th <= d._h(th) < 0.5 * th
+    assert 0.5 * 0.5 * th <= d.scalar(th) < 0.5 * th
     # array and scalar entry points agree
     assert d(np.array([th]))[0] == d(th)
     with pytest.raises(InvalidArgumentError):
@@ -122,36 +121,44 @@ def test_damped_integral_monotone():
     assert all(b > a for a, b in zip(gs, gs[1:]))
 
 
-# ==== scalar fast loop ====
+# ==== run_sa's plain-float loop ====
 
-def test_scalar_decay_path_matches_run_sa_bitwise():
-    spec = decay_spec(0.5, damped=True)
-    fast = scalar_decay_path(spec, 3000, [0, 1, 17, 3000])
-    traj = run_sa(spec, 3000, seed=0, checkpoint_plan=[0, 1, 17, 3000])
-    for (na, xa), (nb, xb) in zip(fast, traj.checkpoints):
-        assert na == nb
-        assert xa == xb[0]
-
-
-def test_scalar_decay_path_linear_drift():
-    spec = decay_spec(0.4)
-    fast = scalar_decay_path(spec, 500, [500])
-    traj = run_sa(spec, 500, seed=0, checkpoint_plan=[500])
-    assert fast[0][1] == traj.checkpoints[0][1][0]
+def test_float_loop_matches_generic_loop_bitwise():
+    # record_increments keeps run_sa on its array loop
+    plan = [0, 1, 17, 3000]
+    for spec in (decay_spec(0.5, damped=True), decay_spec(0.4)):
+        fast = run_sa(spec, 3000, seed=0, checkpoint_plan=plan)
+        ref = run_sa(spec, 3000, seed=0, checkpoint_plan=plan,
+                     record_increments=True)
+        assert len(fast.checkpoints) == len(plan)
+        for (na, xa), (nb, xb) in zip(fast.checkpoints, ref.checkpoints):
+            assert na == nb
+            assert xa.shape == (1,) and xa[0] == xb[0]
+        assert fast.spec_digest == ref.spec_digest
 
 
-def test_scalar_decay_path_validation():
+def test_float_loop_validation():
+    assert _float_drift(remainder_drive_spec("zero")) is None
+    assert _float_drift(decay_spec(0.5, damped=True)) is not None
     with pytest.raises(InvalidArgumentError):
-        scalar_decay_path(remainder_drive_spec("zero"), 100, [100])
-    with pytest.raises(InvalidArgumentError):
-        scalar_decay_path(decay_spec(0.5), 100, [200])
+        run_sa(decay_spec(0.5), 100, seed=0, checkpoint_plan=[200])
+    # same first_bad_index as the array loop: 1e300 after one step, then inf
+    spec = SAProcessSpec(dim=1, drift=LinearDrift([[-1e300]]), theta0=[1.0])
+    with np.errstate(over="ignore"):
+        for record in (False, True):
+            with pytest.raises(DivergenceError) as exc:
+                run_sa(spec, 10, seed=0, checkpoint_plan=[10],
+                       record_increments=record)
+            assert exc.value.first_bad_index == 2
 
 
 def test_damped_path_decade_trends():
     # the damping shows up as growth of n^rho theta_n / log n even at
     # small horizons, while the path itself keeps falling
     spec = decay_spec(0.5, damped=True)
-    cps = scalar_decay_path(spec, 10 ** 5, [10 ** 3, 10 ** 4, 10 ** 5])
+    traj = run_sa(spec, 10 ** 5, seed=0,
+                  checkpoint_plan=[10 ** 3, 10 ** 4, 10 ** 5])
+    cps = [(n, float(x[0])) for n, x in traj.checkpoints]
     assert all(th > 0 for _, th in cps)
     assert cps[0][1] > cps[1][1] > cps[2][1]
     scaled = [n ** 0.5 * th / math.log(n) for n, th in cps]

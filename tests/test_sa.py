@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from urnlab.errors import ChainBasisRequiredError, DivergenceError, InvalidArgumentError
-from urnlab.asymptotics import Regime
 from urnlab.sa import (
     GaussianNoise,
     SAProcessSpec,
     Trajectory,
     exact_mean_recursion,
     linear_paths,
-    normalized_error,
     replay,
     run_sa,
 )
@@ -100,36 +98,6 @@ def test_gaussian_noise_from_cov_rank_deficient():
     assert np.allclose(gn.gamma, np.diag([1.0, 0.0]), atol=1e-14)
     z = GaussianNoise.from_cov(np.zeros((2, 2)))
     assert z.values_per_step == 0
-
-
-def test_normalized_error_standard():
-    cps = ((100, np.array([1.0 / 10.0, 0.0])),)
-    traj = Trajectory(checkpoints=cps, seed=0, spec_digest="")
-    out = normalized_error(traj, [0.0, 0.0], Regime("Standard", "x"), nu=1)
-    assert np.allclose(out[0][1], [1.0, 0.0])
-
-
-def test_normalized_error_critical():
-    n = 55
-    f = np.sqrt(n) / np.sqrt(np.log(n))
-    traj = Trajectory(checkpoints=((n, np.array([2.0 / f, 0.0])),), seed=0, spec_digest="")
-    out = normalized_error(traj, [0.0, 0.0], Regime("Critical", "x"), nu=1)
-    assert np.allclose(out[0][1], [2.0, 0.0])
-
-
-def test_normalized_error_slow_nu2():
-    n = 1000
-    traj = Trajectory(checkpoints=((n, np.array([1.0])),), seed=0, spec_digest="")
-    out = normalized_error(traj, [0.0], Regime("Slow", "x"), nu=2, rho=0.3)
-    assert out[0][1][0] == pytest.approx(n ** 0.3 / np.log(n))
-    with pytest.raises(InvalidArgumentError):
-        normalized_error(traj, [0.0], Regime("Slow", "x"), nu=2)  # rho missing
-
-
-def test_normalized_error_small_n_guard():
-    traj = Trajectory(checkpoints=((2, np.array([1.0])),), seed=0, spec_digest="")
-    with pytest.raises(InvalidArgumentError):
-        normalized_error(traj, [0.0], Regime("Critical", "x"), nu=1)
 
 
 def test_exact_mean_zero_remainder():

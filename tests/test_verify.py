@@ -6,9 +6,11 @@ import pytest
 import scipy.stats
 
 from urnlab.errors import InvalidArgumentError, NonConvergenceError
-from urnlab.golden import JORDAN_CHAIN_BASIS, jordan_chain_spec
-from urnlab.sa import GaussianNoise, LinearDrift, SAProcessSpec
-from urnlab.urn import DeterministicRule, UrnSpec, urn_asymptotics
+from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
+                           jordan_chain_spec, remainder_drive_spec)
+from urnlab.sa import GaussianNoise, LinearDrift, SAProcessSpec, run_sa
+from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
+                        run_urn, urn_asymptotics)
 from urnlab.verify import (
     MCConfig,
     golden_suite,
@@ -18,6 +20,7 @@ from urnlab.verify import (
     mc_sample,
     path_convergence,
     rotation_fit,
+    simulate,
 )
 
 
@@ -35,8 +38,6 @@ def test_config_validation():
         MCConfig(replicates=0, horizons=(10,), seed=1)
     with pytest.raises(InvalidArgumentError):
         MCConfig(replicates=5, horizons=(10, 10), seed=1)
-    with pytest.raises(InvalidArgumentError):
-        MCConfig(replicates=5, horizons=(10,), seed=1, parallelism=0)
 
 
 def test_zero_noise_rows_identical():
@@ -93,6 +94,124 @@ def test_urn_sample_dimensions():
     s = mc_sample(spec, 256, cfg)
     assert s.errors.shape == (64, 4)
     assert s.excluded == 0
+
+
+def test_mc_sample_propagates_drift_errors():
+    # only divergence drops a replicate; a bug in the drift surfaces
+    def drift(th):
+        if th[0] != 0.0:
+            raise TypeError("drift bug")
+        return th
+
+    spec = SAProcessSpec(dim=1, drift=drift, theta0=np.array([1.0]),
+                         theta_star=np.array([0.0]))
+    cfg = MCConfig(replicates=5, horizons=(10,), seed=1)
+    with pytest.raises(TypeError):
+        mc_sample(spec, 10, cfg, regime="Standard")
+
+
+def test_linear_refusal_is_a_fallback_not_divergence():
+    # the prefix products of (1 - 400.5/j) overflow before j reaches 400,
+    # so the linear engine's output is non-finite; the recursion is stable
+    spec = SAProcessSpec(dim=1, drift=LinearDrift([[400.5]]),
+                         theta0=np.array([1.0]),
+                         noise=GaussianNoise(np.array([[1.0]])),
+                         theta_star=np.array([0.0]))
+    s = mc_sample(spec, 2000, MCConfig(replicates=20, horizons=(2000,), seed=0))
+    assert s.excluded == 0
+    assert s.engine == {"name": "step", "dropped": [],
+                        "fallback": {"from": "linear", "code": "non-finite"}}
+    for r in range(20):
+        th = run_sa(spec, 2000, 0, [2000], replicate=r).checkpoints[-1][1]
+        assert np.array_equal(s.errors[r], (th - 0.0) * math.sqrt(2000.0))
+
+
+# ==== engine choice ====
+
+SIM_PLAN = [0, 1, 17, 2000]
+
+
+def _linear_model(A):
+    d = len(A)
+    return SAProcessSpec(dim=d, drift=LinearDrift(np.array(A)),
+                         theta0=np.ones(d), noise=GaussianNoise(np.eye(d)))
+
+
+# route -> (model, replicates, basis, engine name, fallback code)
+SA_ROUTES = {
+    "linear": (lambda: _linear_model([[1.0, 0.3], [0.0, 0.8]]), 3, None,
+               "linear", None),
+    "linear-with-basis": (lambda: jordan_chain_spec(0.5), 2,
+                          JORDAN_CHAIN_BASIS, "linear", None),
+    "step": (lambda: remainder_drive_spec("inv-sqrt-log"), 3, None,
+             "step", None),
+    "float-loop": (lambda: decay_spec(0.5, damped=True), 2, None,
+                   "step", None),
+    "fallback-non-finite": (lambda: _linear_model([[400.5]]), 3, None,
+                            "step", "non-finite"),
+    "fallback-needs-basis": (lambda: jordan_chain_spec(0.5), 2, None,
+                             "step", "needs-chain-basis"),
+    "fallback-near-integer": (lambda: _linear_model([[1.0 + 1e-10]]), 2,
+                              None, "step", "near-integer-eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("route", list(SA_ROUTES))
+def test_simulate_recursion_routes_match_step_reference(route):
+    make, R, basis, name, code = SA_ROUTES[route]
+    spec = make()
+    paths, record = simulate(spec, 2000, 3, SIM_PLAN, R, basis=basis)
+    assert record == {"name": name, "dropped": [], "fallback": (
+        None if code is None else {"from": "linear", "code": code})}
+    assert [k for k, _ in paths] == SIM_PLAN
+    for r in range(R):
+        # record_increments keeps run_sa on its generic array loop
+        ref = run_sa(spec, 2000, 3, SIM_PLAN, replicate=r,
+                     record_increments=True).checkpoints
+        for (k, x), (k_ref, th) in zip(paths, ref):
+            assert k == k_ref
+            if name == "linear":
+                np.testing.assert_allclose(x[r], th, rtol=1e-9, atol=1e-12)
+            else:
+                assert np.array_equal(x[r], th)
+
+
+def _bernoulli_urn():
+    return UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
+                   adding_rule=BernoulliDiagonalRule(2),
+                   generating_matrix=np.eye(2))
+
+
+# route -> (model, replicates, engine name)
+URN_ROUTES = {
+    "lockstep": (friedman_urn, 3, "lockstep-urn"),
+    "scalar": (friedman_urn, 1, "urn"),
+    "random-rule": (_bernoulli_urn, 2, "urn"),
+}
+
+
+@pytest.mark.parametrize("route", list(URN_ROUTES))
+def test_simulate_urn_routes_match_run_urn(route):
+    make, R, name = URN_ROUTES[route]
+    spec = make()
+    paths, record = simulate(spec, 2000, 3, SIM_PLAN, R)
+    assert record == {"name": name, "dropped": [], "fallback": None}
+    assert [k for k, _, _ in paths] == SIM_PLAN
+    for r in range(R):
+        ref = run_urn(spec, 2000, 3, SIM_PLAN, replicate=r).checkpoints
+        for (k, Y, N), st in zip(paths, ref):
+            assert k == st.n
+            assert np.array_equal(Y[r], st.Y) and np.array_equal(N[r], st.N)
+
+
+def test_simulate_records_dropped_replicates():
+    spec = SAProcessSpec(dim=1, drift=lambda t: -t * 1e160,
+                         theta0=np.array([1.0]))
+    with np.errstate(over="ignore"):
+        paths, record = simulate(spec, 10, 1, [5, 10], 2)
+    assert record["dropped"] == [{"replicate": 0, "first_bad_index": 2},
+                                 {"replicate": 1, "first_bad_index": 2}]
+    assert all(np.isnan(x).all() for _, x in paths)
 
 
 # ==== covariance comparison ====
@@ -271,14 +390,6 @@ def test_mc_sample_defective_drift_needs_basis():
     ln = math.log(400.0)
     scaled = math.sqrt(400.0) / ln ** 1.5 * traj.checkpoints[0][1]
     assert np.allclose(s.errors[7], scaled, rtol=1e-9, atol=1e-12)
-
-
-def test_mc_sample_parallelism_is_inert():
-    spec = linear_spec()
-    a = mc_sample(spec, 300, MCConfig(replicates=30, horizons=(300,), seed=5))
-    b = mc_sample(spec, 300, MCConfig(replicates=30, horizons=(300,), seed=5,
-                                      parallelism=8))
-    assert np.array_equal(a.errors, b.errors)
 
 
 def test_golden_suite_report():
