@@ -123,18 +123,25 @@ def test_damped_integral_monotone():
 
 # ==== run_sa's plain-float loop ====
 
-def test_float_loop_matches_generic_loop_bitwise():
+def _assert_float_loop_matches_generic_loop(spec):
     # record_increments keeps run_sa on its array loop
     plan = [0, 1, 17, 3000]
-    for spec in (decay_spec(0.5, damped=True), decay_spec(0.4)):
-        fast = run_sa(spec, 3000, seed=0, checkpoint_plan=plan)
-        ref = run_sa(spec, 3000, seed=0, checkpoint_plan=plan,
-                     record_increments=True)
-        assert len(fast.checkpoints) == len(plan)
-        for (na, xa), (nb, xb) in zip(fast.checkpoints, ref.checkpoints):
-            assert na == nb
-            assert xa.shape == (1,) and xa[0] == xb[0]
-        assert fast.spec_digest == ref.spec_digest
+    fast = run_sa(spec, 3000, seed=0, checkpoint_plan=plan)
+    ref = run_sa(spec, 3000, seed=0, checkpoint_plan=plan,
+                 record_increments=True)
+    assert len(fast.checkpoints) == len(plan)
+    for (na, xa), (nb, xb) in zip(fast.checkpoints, ref.checkpoints):
+        assert na == nb
+        assert xa.shape == (1,) and xa[0] == xb[0]
+    assert fast.spec_digest == ref.spec_digest
+
+
+def test_float_loop_matches_generic_loop_bitwise():
+    _assert_float_loop_matches_generic_loop(decay_spec(0.5, damped=True))
+
+
+def test_float_loop_linear_drift_matches_generic_loop_bitwise():
+    _assert_float_loop_matches_generic_loop(decay_spec(0.4))
 
 
 def test_float_loop_validation():
