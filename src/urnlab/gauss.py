@@ -107,7 +107,7 @@ def simulate_paths(spec, seed, replicates):
     Gamma = spec.gamma()
     out = np.empty((R, grid.size, d))
     out[:, 0, :] = spec.G1
-    src = BlockSource(seed, repl, "gaussian")
+    src = BlockSource(seed, repl, "gaussian", (grid.size - 1) * d)
     G = np.tile(spec.G1, (R, 1))
     for k in range(grid.size - 1):
         ta, tb = grid[k], grid[k + 1]

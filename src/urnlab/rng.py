@@ -13,6 +13,12 @@ The block size and layout are frozen: results never depend on worker count,
 on how replicates are batched, or on which engine consumes the values. The
 Box-Muller cache does not carry across blocks.
 
+Up to ``GROUP`` streams advance side by side as contiguous uint64 state
+rows, stepped by in-place ufuncs. Polar rejection is vectorised: a stream
+draws a superset of attempts in one pass and keeps its first accepted pairs
+in order; one the superset leaves short continues from its own state.
+``BlockSource`` sizes each refill to the draw its caller knows, under a cap.
+
 All transcendental evaluations go through numpy so that a scalar reference
 over python ints rounds identically to the vectorized path (the tests check
 this bitwise).
@@ -29,13 +35,16 @@ _MIX2 = 0x94D049BB133111EB
 BLOCK = 4096
 # blocks reserved per replicate in the stream index space
 REPL_SHIFT = 20
+# streams advanced together; bounds the temporaries of one pass
+GROUP = 1024
+# generator steps between two output passes of _fill
+TILE = 128
+# values one BlockSource refill may generate beyond one block per replicate
+REFILL_VALUES = 1 << 20
 
 _U64 = np.uint64
-_C23 = _U64(23)
-_C17 = _U64(17)
-_C45 = _U64(45)
-_C11 = _U64(11)
-_INV53 = 2.0 ** -53
+_C11, _C17, _C19, _C23, _C41, _C45 = (
+    np.array(k, dtype=np.uint64) for k in (11, 17, 19, 23, 41, 45))
 
 
 def splitmix64(state):
@@ -78,103 +87,131 @@ def stream_states(seed, streams):
     return words
 
 
-def _rotl(x, k):
-    return (x << k) | (x >> (_U64(64) - k))
-
-
-def _next_u64(states):
-    """Advance every row of an (S, 4) state array; returns (S,) outputs."""
-    s0 = states[:, 0]
-    s1 = states[:, 1]
-    s2 = states[:, 2]
-    s3 = states[:, 3]
-    out = _rotl(s0 + s3, _C23) + s0
-    t = s1 << _C17
-    s2 = s2 ^ s0
-    s3 = s3 ^ s1
-    s1 = s1 ^ s2
-    s0 = s0 ^ s3
-    s2 = s2 ^ t
-    s3 = _rotl(s3, _C45)
-    states[:, 0] = s0
-    states[:, 1] = s1
-    states[:, 2] = s2
-    states[:, 3] = s3
-    return out
-
-
-def _next_uniform(states):
-    return (_next_u64(states) >> _C11) * _INV53
+def _fill(rows, dest, scale, shift):
+    """Fill dest (S, count) with (u64 >> 11) * scale - shift, one xoshiro256++
+    step per column, advancing the state words s0..s3 in rows (5, S; the last
+    row is work space). Output mixing and the transpose run once per TILE steps."""
+    s0, s1, s2, s3, w = rows
+    t, z = np.empty((2, TILE, rows.shape[1]), dtype=np.uint64)
+    for j in range(0, dest.shape[1], TILE):
+        k = min(TILE, dest.shape[1] - j)
+        for i in range(k):
+            np.add(s0, s3, out=t[i])
+            z[i] = s0
+            np.left_shift(s1, _C17, out=w)
+            np.bitwise_xor(rows[2:4], rows[0:2], out=rows[2:4])  # s2 ^= s0, s3 ^= s1
+            np.bitwise_xor(s1, s2, out=s1)
+            np.bitwise_xor(rows[0:3:2], rows[3:5], out=rows[0:3:2])  # s0 ^= s3, s2 ^= w
+            np.left_shift(s3, _C45, out=w)
+            np.right_shift(s3, _C19, out=s3)
+            np.bitwise_or(s3, w, out=s3)
+        # rotl(s0 + s3, 23) + s0; the rotation's halves share no bits, so + is |
+        tk, zk = t[:k], z[:k]
+        np.add(zk, np.left_shift(tk, _C23), out=zk)
+        np.right_shift(tk, _C41, out=tk)
+        np.add(zk, tk, out=zk)
+        np.right_shift(zk, _C11, out=zk)
+        dest[:, j:j + k] = (zk * scale - shift).T
 
 
 def bulk_uniforms(states, count):
     """(S, count) uniforms in [0,1), advancing the given (S, 4) states."""
-    S = states.shape[0]
-    out = np.empty((S, count))
-    for j in range(count):
-        out[:, j] = _next_uniform(states)
+    rows = np.concatenate([states, states[:, :1]], 1).T.copy()  # s0..s3, work row
+    out = np.empty((states.shape[0], count))
+    for lo in range(0, out.shape[0], GROUP):
+        _fill(rows[:, lo:lo + GROUP], out[lo:lo + GROUP], 2.0 ** -53, 0.0)
+    states[:] = rows[:4].T
     return out
 
 
-def bulk_gaussians(states, count):
-    """(S, count) standard normals, advancing the given (S, 4) states.
+def _attempts(pairs):
+    """Polar attempts drawn for `pairs` acceptances: mean plus ~4 sd."""
+    return int(pairs * 4 / np.pi + 2.4 * np.sqrt(pairs)) + 4
 
-    Per stream: accepted polar pairs are produced sequentially; each
-    rejection consumes exactly its own stream's two uniforms and nothing
-    from other streams. An odd trailing value discards its pair partner.
+
+def _polar(rows, pairs, dest):
+    """Write every stream's first `pairs` accepted polar attempts, in order,
+    as u + iv into dest (S, pairs) complex, advancing the (5, S) rows."""
+    # 2u - 1 with u = k 2**-53 is k 2**-52 - 1, bit for bit
+    U = np.empty((rows.shape[1], 2 * _attempts(pairs)))
+    _fill(rows, U, 2.0 ** -52, 1.0)
+    uu, vv = U[:, 0::2], U[:, 1::2]
+    ss = uu * uu
+    for j in range(0, ss.shape[1], TILE):  # uu^2 + vv^2 without a full temporary
+        ss[:, j:j + TILE] += vv[:, j:j + TILE] * vv[:, j:j + TILE]
+    ok = (ss > 0.0) & (ss < 1.0)
+    del ss
+    rank = np.cumsum(ok, axis=1, dtype=np.int32)
+    have = np.minimum(rank[:, -1], pairs)
+    ok &= rank <= pairs
+    del rank
+    # (u, v) pairs move as one complex value: a copy, no arithmetic
+    if have.min() == pairs:
+        np.take(U.view(np.complex128).ravel(), np.flatnonzero(ok),
+                out=dest.ravel(), mode="clip")
+        return
+    slot = np.arange(pairs) < have[:, None]
+    dest[slot] = U.view(np.complex128)[ok]
+    # short streams used every attempt: their states are the scalar ones
+    short = np.flatnonzero(have < pairs)
+    lack = pairs - have[short]
+    more = np.empty((short.size, lack.max()), dtype=np.complex128)
+    _polar(rows[:, short], int(lack.max()), more)
+    dest[~slot] = more[np.arange(lack.max()) < lack[:, None]]
+
+
+def bulk_gaussians(states, count):
+    """(S, count) standard normals drawn from the given (S, 4) states.
+
+    Per stream, accepted polar pairs come in order; a rejection consumes its
+    own stream's two uniforms only. An odd trailing value discards its pair
+    partner. The states end at an unspecified point: do not continue them.
     """
     S = states.shape[0]
     pairs = (count + 1) // 2
-    out = np.empty((S, 2 * pairs))
-    u = np.empty(S)
-    v = np.empty(S)
-    s = np.empty(S)
-    for p in range(pairs):
-        idx = np.arange(S)
-        while idx.size:
-            sub = states[idx]
-            a = _next_uniform(sub)
-            b = _next_uniform(sub)
-            states[idx] = sub
-            uu = 2.0 * a - 1.0
-            vv = 2.0 * b - 1.0
-            ss = uu * uu + vv * vv
-            ok = (ss > 0.0) & (ss < 1.0)
-            hit = idx[ok]
-            u[hit] = uu[ok]
-            v[hit] = vv[ok]
-            s[hit] = ss[ok]
-            idx = idx[~ok]
+    out = np.empty((S, pairs), dtype=np.complex128)
+    rows = np.concatenate([states, states[:, :1]], 1).T.copy()  # s0..s3, work row
+    for lo in range(0, S, GROUP):
+        _polar(rows[:, lo:lo + GROUP], pairs, out[lo:lo + GROUP])
+        uv = out[lo:lo + GROUP].view(np.float64)
+        u, v = uv[:, 0::2], uv[:, 1::2]
+        s = u * u + v * v
         m = np.sqrt(-2.0 * np.log(s) / s)
-        out[:, 2 * p] = u * m
-        out[:, 2 * p + 1] = v * m
-    return out[:, :count]
+        u *= m
+        v *= m
+    return out.view(np.float64)[:, :count]
 
 
 class BlockSource:
     """Sequential per-replicate noise from frozen (replicate, block) streams.
 
     Hands out (R, k) slabs of uniforms or gaussians in consumption order;
-    each replicate's sequence depends only on (seed, its own index). Several
-    blocks are generated per refill (they are independent streams, so they
-    vectorize); the batch size adapts to demand and never changes the values.
+    each replicate's sequence depends only on (seed, its own index).
+    `total` is the known draw per replicate (0 if unknown; a lower bound is
+    fine). A refill makes the blocks the take lacks or, if more, the known
+    draw's remaining blocks, capped at REFILL_VALUES values but at least one
+    block per replicate. The refill size never changes a value.
     """
 
-    def __init__(self, seed, replicate_indices, kind="gaussian"):
+    def __init__(self, seed, replicate_indices, kind="gaussian", total=0):
         self.seed = seed
         self.repl = np.asarray(replicate_indices, dtype=np.uint64)
         if kind not in ("gaussian", "uniform"):
             raise ValueError("kind must be gaussian or uniform")
         self.kind = kind
+        self.total = int(total)
         self._block = 0
-        self._batch = 1
-        self._buf = None
+        self._buf = np.empty((self.repl.size, 0))
         self._pos = 0
 
-    def _refill(self):
+    def _refill(self, need):
+        """Replace the spent buffer; `need` values per replicate are due."""
+        self._buf = None
         R = self.repl.size
-        B = min(self._batch, max(1, 8192 // max(R, 1)))
-        if self._block + B > (1 << REPL_SHIFT):
+        B = max(-(-need // BLOCK), -(-self.total // BLOCK) - self._block)
+        B = max(1, min(B, REFILL_VALUES // (BLOCK * max(R, 1))))
+        B = min(B, (1 << REPL_SHIFT) - self._block)
+        if B < 1:
             raise ValueError("replicate exhausted its block budget")
         blocks = np.arange(self._block, self._block + B, dtype=np.uint64)
         streams = ((self.repl[:, None] << _U64(REPL_SHIFT)) | blocks[None, :]).ravel()
@@ -184,19 +221,22 @@ class BlockSource:
         else:
             flat = bulk_uniforms(states, BLOCK)
         # (R*B, BLOCK) -> (R, B*BLOCK), consecutive blocks per replicate
-        self._buf = flat.reshape(R, B, BLOCK).reshape(R, B * BLOCK)
+        self._buf = flat.reshape(R, B * BLOCK)
         self._block += B
         self._pos = 0
-        self._batch = min(2 * self._batch, 4096)
 
     def take(self, k):
-        """Next (R, k) values for every replicate."""
-        R = self.repl.size
-        out = np.empty((R, k))
+        """Next (R, k) values per replicate; a view unless a refill splits it."""
+        if k and self._pos == self._buf.shape[1]:
+            self._refill(k)
+        if self._pos + k <= self._buf.shape[1]:
+            self._pos += k
+            return self._buf[:, self._pos - k:self._pos]
+        out = np.empty((self.repl.size, k))
         filled = 0
         while filled < k:
-            if self._buf is None or self._pos == self._buf.shape[1]:
-                self._refill()
+            if self._pos == self._buf.shape[1]:
+                self._refill(k - filled)
             step = min(k - filled, self._buf.shape[1] - self._pos)
             out[:, filled:filled + step] = self._buf[:, self._pos:self._pos + step]
             self._pos += step
@@ -209,14 +249,14 @@ class StreamRng:
 
     This is the object handed to noise samplers: values come out in a frozen
     order set by (seed, replicate) alone, so a trajectory's noise does not
-    depend on how it is batched with others.
+    depend on how it is batched with others. `total`: as for BlockSource.
     """
 
-    def __init__(self, seed, replicate=0, kind="gaussian"):
+    def __init__(self, seed, replicate=0, kind="gaussian", total=0):
         self.seed = seed
         self.replicate = int(replicate)
         self.kind = kind
-        self._src = BlockSource(seed, [self.replicate], kind)
+        self._src = BlockSource(seed, [self.replicate], kind, total)
 
     def values(self, k):
         return self._src.take(k)[0]

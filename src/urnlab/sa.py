@@ -203,7 +203,8 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
         return Trajectory(
             checkpoints=_float_path(h, float(spec.theta0[0]), n_max, plan),
             seed=int(seed), spec_digest=spec.digest())
-    rng = StreamRng(seed, replicate, "gaussian") if spec.noise is not None else None
+    draw = n_max * getattr(spec.noise, "values_per_step", 0)
+    rng = StreamRng(seed, replicate, "gaussian", draw) if spec.noise is not None else None
     theta = spec.theta0.copy()
     zero = np.zeros(spec.dim)
     cps = []
@@ -423,7 +424,7 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
             raise InvalidArgumentError(
                 f"gamma_root must have {d} columns, got {root.shape[1]}")
         m = root.shape[0]
-        src = BlockSource(seed, repl, "gaussian")
+        src = BlockSource(seed, repl, "gaussian", n_max * m)
         rootT = root.astype(complex) @ T  # (m, d) into transformed coords
 
     x = np.tile(x0.astype(complex) @ T, (R, 1))  # (R, d)

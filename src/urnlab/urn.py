@@ -33,7 +33,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .linalg import _check_square, check_sym_psd, eigen_left_right
-from .rng import BlockSource, StreamRng
+from .rng import BLOCK, BlockSource, StreamRng
 from .sa import _checkpoint_plan
 
 
@@ -147,7 +147,7 @@ def draw_probabilities(Y):
 
 def _run_urn_fast(spec, n_max, seed, plan, replicate):
     """Pure-python loop for deterministic rules; one uniform per step."""
-    rng = StreamRng(seed, replicate, "uniform")
+    rng = StreamRng(seed, replicate, "uniform", n_max)
     D = [tuple(row) for row in spec.adding_rule.matrix]
     d = spec.d
     Y = [float(y) for y in spec.Y0]
@@ -157,15 +157,10 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
     if pi < len(plan) and plan[pi] == 0:
         cps.append(UrnState(np.array(Y), np.array(N, dtype=np.int64), 0))
         pi += 1
-    buf = []
-    bpos = 0
-    inv_d = 1.0 / d
     for n in range(1, n_max + 1):
-        if bpos == len(buf):
-            buf = rng.values(min(1 << 16, max(4096, n_max - n + 1))).tolist()
-            bpos = 0
-        u = buf[bpos]
-        bpos += 1
+        if (n - 1) % BLOCK == 0:
+            buf = rng.values(min(BLOCK, n_max - n + 1)).tolist()
+        u = buf[(n - 1) % BLOCK]
         s = 0.0
         for y in Y:
             if y > 0.0:
@@ -210,7 +205,8 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0, record_draws=False):
     if isinstance(spec.adding_rule, DeterministicRule) and not record_draws:
         return _run_urn_fast(spec, n_max, seed, plan, replicate)
 
-    rng = StreamRng(seed, replicate, "uniform")
+    # n_max is a lower bound: the rule may draw uniforms of its own
+    rng = StreamRng(seed, replicate, "uniform", n_max)
     Y = spec.Y0.copy()
     N = np.zeros(spec.d, dtype=np.int64)
     cps = []
@@ -276,7 +272,7 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     else:
         repl = np.asarray(list(replicates), dtype=np.int64)
     R = repl.size
-    src = BlockSource(seed, repl, "uniform")
+    src = BlockSource(seed, repl, "uniform", n_max)
     D = spec.adding_rule.matrix
     d = spec.d
     Y = np.tile(spec.Y0, (R, 1))
@@ -285,7 +281,10 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     out = []
     pi = 0
     for n in range(1, n_max + 1):
-        u = src.take(1)[:, 0]
+        if (n - 1) % BLOCK == 0:  # the uniforms of the next BLOCK steps
+            slab = None  # a view of the spent buffer: free it before the refill
+            slab = src.take(min(BLOCK, n_max - n + 1))
+        u = slab[:, (n - 1) % BLOCK]
         pos = np.maximum(Y, 0.0)
         s = pos.sum(axis=1)
         dead = s <= 0.0

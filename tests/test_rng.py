@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from urnlab import rng as rng_module
 from urnlab.rng import (
     BLOCK,
+    GROUP,
     REPL_SHIFT,
     BlockSource,
+    _attempts,
     bulk_gaussians,
     bulk_uniforms,
     splitmix64,
@@ -147,3 +152,74 @@ def test_stream_rng_kind_guard():
     assert 0.0 <= rng.uniform() < 1.0
     with pytest.raises(ValueError):
         rng.gaussians(2)
+
+
+def _blocks(values):
+    return -(-values // BLOCK)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       repl=st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True),
+       kind=st.sampled_from(["gaussian", "uniform"]),
+       takes=st.lists(st.integers(1, BLOCK + 300), min_size=1, max_size=3),
+       known=st.sampled_from(["none", "below", "exact", "above"]))
+def test_known_draw_never_changes_values(seed, repl, kind, takes, known):
+    draw = sum(takes)
+    total = {"none": 0, "below": draw // 2, "exact": draw,
+             "above": draw + BLOCK + 1}[known]
+    src = BlockSource(seed, repl, kind, total)
+    got = np.concatenate([src.take(k) for k in takes], axis=1)
+    for row, r in zip(got, repl):
+        assert row.tolist() == scalar_block_values(seed, r, draw, kind)
+    # refills cover the takes and the known draw, and nothing beyond
+    assert src._block == max(_blocks(draw), _blocks(total))
+
+
+def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
+    # a cap below one block per replicate still makes one block per refill
+    monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)
+    src = BlockSource(4, [0, 6], "uniform", total=3 * BLOCK)
+    first = src.take(1)
+    assert src._block == 1
+    rest = src.take(2 * BLOCK)
+    assert src._block == 3
+    got = np.concatenate([first, rest], axis=1)
+    for row, r in zip(got, (0, 6)):
+        assert row.tolist() == scalar_block_values(4, r, 2 * BLOCK + 1, "uniform")
+
+
+def _accepted(seed, stream, attempts):
+    """Polar acceptances among a scalar stream's first `attempts` tries."""
+    rng = ScalarRng(seed, stream)
+    hits = 0
+    for _ in range(attempts):
+        u = 2.0 * rng.uniform() - 1.0
+        v = 2.0 * rng.uniform() - 1.0
+        hits += 0.0 < u * u + v * v < 1.0
+    return hits
+
+
+@pytest.mark.parametrize("stream, count", [(114993, 1), (114993, 2),
+                                           (28974, BLOCK)])
+def test_polar_continuation_matches_scalar(stream, count):
+    # found by search over seed 0: the first superset of attempts leaves
+    # this stream short of its pairs, so it continues from its own state
+    # while its neighbours finish in one pass
+    pairs = (count + 1) // 2
+    assert _accepted(0, stream, _attempts(pairs)) < pairs
+    streams = [stream - 1, stream, stream + 1]
+    vec = bulk_gaussians(stream_states(0, streams), count)
+    for row, s in zip(vec, streams):
+        assert row.tolist() == ScalarRng(0, s).gaussians(count)
+
+
+def test_vector_group_boundaries_match_scalar():
+    S = GROUP + GROUP // 2
+    checked = [0, GROUP - 1, GROUP, S - 1]
+    uni = bulk_uniforms(stream_states(8, np.arange(S)), BLOCK)
+    gau = bulk_gaussians(stream_states(8, np.arange(S)), BLOCK)
+    for s in checked:
+        rng = ScalarRng(8, s)
+        assert uni[s].tolist() == [rng.uniform() for _ in range(BLOCK)]
+        assert gau[s].tolist() == ScalarRng(8, s).gaussians(BLOCK)
