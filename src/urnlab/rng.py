@@ -14,10 +14,11 @@ on how replicates are batched, or on which engine consumes the values. The
 Box-Muller cache does not carry across blocks.
 
 Up to ``GROUP`` streams advance side by side as contiguous uint64 state
-rows, stepped by in-place ufuncs. Polar rejection is vectorised: a stream
-draws a superset of attempts in one pass and keeps its first accepted pairs
-in order; one the superset leaves short continues from its own state.
-``BlockSource`` sizes each refill to the draw its caller knows, under a cap.
+rows, stepped by in-place ufuncs. Polar rejection is vectorised in rounds
+of ``TILE`` attempts per stream: a round keeps each stream's accepted pairs
+in order, up to its count, so temporaries stay at ``GROUP * TILE`` values.
+``BlockSource`` sizes each refill to the draw its caller knows, under a cap;
+past that draw, refills grow with the blocks already made.
 
 All transcendental evaluations go through numpy so that a scalar reference
 over python ints rounds identically to the vectorized path (the tests check
@@ -37,7 +38,7 @@ BLOCK = 4096
 REPL_SHIFT = 20
 # streams advanced together; bounds the temporaries of one pass
 GROUP = 1024
-# generator steps between two output passes of _fill
+# generator steps between two output passes of _fill; polar attempts per round
 TILE = 128
 # values one BlockSource refill may generate beyond one block per replicate
 REFILL_VALUES = 1 << 20
@@ -124,40 +125,33 @@ def bulk_uniforms(states, count):
     return out
 
 
-def _attempts(pairs):
-    """Polar attempts drawn for `pairs` acceptances: mean plus ~4 sd."""
-    return int(pairs * 4 / np.pi + 2.4 * np.sqrt(pairs)) + 4
-
-
 def _polar(rows, pairs, dest):
-    """Write every stream's first `pairs` accepted polar attempts, in order,
-    as u + iv into dest (S, pairs) complex, advancing the (5, S) rows."""
+    """Write every stream's first `pairs` accepted polar pairs, transformed
+    to normals, in order into dest (S, pairs, 2), advancing the (5, S) rows.
+
+    All streams draw TILE attempts per round until the last one is full;
+    a full stream's surplus attempts are dropped."""
+    S = rows.shape[1]
+    flat = dest.reshape(-1, 2)
+    base = np.arange(S) * pairs - 1  # flat slot of a row's rank-0 pair
+    filled = np.zeros(S, dtype=np.int64)
     # 2u - 1 with u = k 2**-53 is k 2**-52 - 1, bit for bit
-    U = np.empty((rows.shape[1], 2 * _attempts(pairs)))
-    _fill(rows, U, 2.0 ** -52, 1.0)
-    uu, vv = U[:, 0::2], U[:, 1::2]
-    ss = uu * uu
-    for j in range(0, ss.shape[1], TILE):  # uu^2 + vv^2 without a full temporary
-        ss[:, j:j + TILE] += vv[:, j:j + TILE] * vv[:, j:j + TILE]
-    ok = (ss > 0.0) & (ss < 1.0)
-    del ss
-    rank = np.cumsum(ok, axis=1, dtype=np.int32)
-    have = np.minimum(rank[:, -1], pairs)
-    ok &= rank <= pairs
-    del rank
-    # (u, v) pairs move as one complex value: a copy, no arithmetic
-    if have.min() == pairs:
-        np.take(U.view(np.complex128).ravel(), np.flatnonzero(ok),
-                out=dest.ravel(), mode="clip")
-        return
-    slot = np.arange(pairs) < have[:, None]
-    dest[slot] = U.view(np.complex128)[ok]
-    # short streams used every attempt: their states are the scalar ones
-    short = np.flatnonzero(have < pairs)
-    lack = pairs - have[short]
-    more = np.empty((short.size, lack.max()), dtype=np.complex128)
-    _polar(rows[:, short], int(lack.max()), more)
-    dest[~slot] = more[np.arange(lack.max()) < lack[:, None]]
+    U = np.empty((S, TILE, 2))
+    while filled.min() < pairs:
+        _fill(rows, U.reshape(S, 2 * TILE), 2.0 ** -52, 1.0)
+        uu, vv = U[..., 0], U[..., 1]
+        ss = uu * uu + vv * vv
+        ok = (ss > 0.0) & (ss < 1.0)
+        rank = np.cumsum(ok, axis=1)
+        rank += filled[:, None]
+        ok &= rank <= pairs
+        idx = np.flatnonzero(ok)
+        s = ss.take(idx)
+        uv = U.reshape(-1, 2).take(idx, axis=0)
+        uv *= np.sqrt(-2.0 * np.log(s) / s)[:, None]
+        np.minimum(rank[:, -1], pairs, out=filled)
+        rank += base[:, None]
+        flat[rank.take(idx)] = uv
 
 
 def bulk_gaussians(states, count):
@@ -169,17 +163,11 @@ def bulk_gaussians(states, count):
     """
     S = states.shape[0]
     pairs = (count + 1) // 2
-    out = np.empty((S, pairs), dtype=np.complex128)
+    out = np.empty((S, pairs, 2))
     rows = np.concatenate([states, states[:, :1]], 1).T.copy()  # s0..s3, work row
     for lo in range(0, S, GROUP):
         _polar(rows[:, lo:lo + GROUP], pairs, out[lo:lo + GROUP])
-        uv = out[lo:lo + GROUP].view(np.float64)
-        u, v = uv[:, 0::2], uv[:, 1::2]
-        s = u * u + v * v
-        m = np.sqrt(-2.0 * np.log(s) / s)
-        u *= m
-        v *= m
-    return out.view(np.float64)[:, :count]
+    return out.reshape(S, 2 * pairs)[:, :count]
 
 
 class BlockSource:
@@ -187,10 +175,11 @@ class BlockSource:
 
     Hands out (R, k) slabs of uniforms or gaussians in consumption order;
     each replicate's sequence depends only on (seed, its own index).
-    `total` is the known draw per replicate (0 if unknown; a lower bound is
-    fine). A refill makes the blocks the take lacks or, if more, the known
-    draw's remaining blocks, capped at REFILL_VALUES values but at least one
-    block per replicate. The refill size never changes a value.
+    `total` is the known draw per replicate (0 if unknown). A refill makes
+    the blocks the take lacks or, if more, the known draw's remaining blocks;
+    past the known draw, as many blocks as made so far. Each refill is capped
+    at REFILL_VALUES values but makes at least one block per replicate. The
+    refill size never changes a value.
     """
 
     def __init__(self, seed, replicate_indices, kind="gaussian", total=0):
@@ -208,7 +197,9 @@ class BlockSource:
         """Replace the spent buffer; `need` values per replicate are due."""
         self._buf = None
         R = self.repl.size
-        B = max(-(-need // BLOCK), -(-self.total // BLOCK) - self._block)
+        left = -(-self.total // BLOCK) - self._block
+        # past the known draw, grow with the blocks made so far
+        B = max(-(-need // BLOCK), left if left > 0 else self._block)
         B = max(1, min(B, REFILL_VALUES // (BLOCK * max(R, 1))))
         B = min(B, (1 << REPL_SHIFT) - self._block)
         if B < 1:
@@ -226,12 +217,7 @@ class BlockSource:
         self._pos = 0
 
     def take(self, k):
-        """Next (R, k) values per replicate; a view unless a refill splits it."""
-        if k and self._pos == self._buf.shape[1]:
-            self._refill(k)
-        if self._pos + k <= self._buf.shape[1]:
-            self._pos += k
-            return self._buf[:, self._pos - k:self._pos]
+        """Next (R, k) values per replicate, as a fresh array."""
         out = np.empty((self.repl.size, k))
         filled = 0
         while filled < k:

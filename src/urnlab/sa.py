@@ -101,9 +101,9 @@ class LinearDrift:
 @dataclasses.dataclass(frozen=True)
 class SAProcessSpec:
     """Problem statement for one recursion: dimension, drift, noise sampler
-    (callable (rng, step, theta) -> row, or None for no noise), remainder
-    schedule (callable n -> row, or None), start point, and optionally the
-    known equilibrium."""
+    (callable (rng, step, theta) -> row, or None; its `values_per_step`,
+    if set, sizes the stream's refills), remainder schedule (callable
+    n -> row, or None), start point, and the optional known equilibrium."""
 
     dim: int
     drift: object
@@ -273,11 +273,16 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan, chunk=1 << 22):
     while done < n_max:
         hi = min(done + chunk, n_max)
         j = np.arange(done + 1, hi + 1, dtype=float)
-        cl = logP + np.cumsum(np.log1p(-a / j))
+        # in place: a chunk holds 2^22 values, so each temporary is 32 MiB
+        cl = np.log1p(-a / j)
+        np.cumsum(cl, out=cl)
+        cl += logP
         if remainder is not None:
-            rk = np.asarray(remainder(j), dtype=float)
-            terms = rk / (j * np.exp(cl))
-            tcum = S + np.cumsum(terms)
+            tcum = np.exp(cl)
+            tcum *= j
+            np.divide(np.asarray(remainder(j), dtype=float), tcum, out=tcum)
+            np.cumsum(tcum, out=tcum)
+            tcum += S
         else:
             tcum = None
         while pi < len(plan) and plan[pi] <= hi:

@@ -36,9 +36,14 @@ from .linalg import _check_square, check_sym_psd, eigen_left_right
 from .rng import BLOCK, BlockSource, StreamRng
 from .sa import _checkpoint_plan
 
+# lockstep steps per noise take; bounds the (replicates, SLAB) copy
+SLAB = 256
+
 
 class DeterministicRule:
     """Addition rule that always returns the same matrix (consumes no noise)."""
+
+    values_per_step = 0
 
     def __init__(self, D):
         self.matrix = np.asarray(D, dtype=float)
@@ -57,6 +62,7 @@ class BernoulliDiagonalRule:
 
     def __init__(self, d, p=0.5, scale=2.0):
         self.d = int(d)
+        self.values_per_step = self.d
         self.p = float(p)
         self.scale = float(scale)
         self.matrix_mean = self.p * self.scale * np.eye(self.d)
@@ -68,7 +74,8 @@ class BernoulliDiagonalRule:
 
 @dataclasses.dataclass(frozen=True)
 class UrnSpec:
-    """Urn model: dimension, start composition, addition sampler, the limit
+    """Urn model: dimension, start composition, addition sampler (its
+    `values_per_step`, if set, sizes the stream's refills), the limit
     generating matrix H, and per-row addition covariances V_q (list of d
     PSD matrices, or the string "estimate")."""
 
@@ -205,8 +212,9 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0, record_draws=False):
     if isinstance(spec.adding_rule, DeterministicRule) and not record_draws:
         return _run_urn_fast(spec, n_max, seed, plan, replicate)
 
-    # n_max is a lower bound: the rule may draw uniforms of its own
-    rng = StreamRng(seed, replicate, "uniform", n_max)
+    # one uniform picks the type; the rule may draw uniforms of its own
+    draw = n_max * (1 + getattr(spec.adding_rule, "values_per_step", 0))
+    rng = StreamRng(seed, replicate, "uniform", draw)
     Y = spec.Y0.copy()
     N = np.zeros(spec.d, dtype=np.int64)
     cps = []
@@ -281,10 +289,9 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     out = []
     pi = 0
     for n in range(1, n_max + 1):
-        if (n - 1) % BLOCK == 0:  # the uniforms of the next BLOCK steps
-            slab = None  # a view of the spent buffer: free it before the refill
-            slab = src.take(min(BLOCK, n_max - n + 1))
-        u = slab[:, (n - 1) % BLOCK]
+        if (n - 1) % SLAB == 0:  # the uniforms of the next SLAB steps
+            slab = src.take(min(SLAB, n_max - n + 1))
+        u = slab[:, (n - 1) % SLAB]
         pos = np.maximum(Y, 0.0)
         s = pos.sum(axis=1)
         dead = s <= 0.0
@@ -443,9 +450,10 @@ def estimate_Vq(spec, samples, seed):
         raise InvalidArgumentError(f"need at least 2 samples, got {samples}")
     d = spec.d
     state = UrnState(spec.Y0.copy(), np.zeros(d, dtype=np.int64), 0)
+    draw = samples * getattr(spec.adding_rule, "values_per_step", 0)
     out = []
     for q in range(d):
-        rng = StreamRng(seed, replicate=q, kind="uniform")
+        rng = StreamRng(seed, replicate=q, kind="uniform", total=draw)
         rows = np.empty((samples, d))
         for m in range(samples):
             D = np.asarray(spec.adding_rule(rng, m + 1, state), dtype=float)

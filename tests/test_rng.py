@@ -8,8 +8,8 @@ from urnlab.rng import (
     BLOCK,
     GROUP,
     REPL_SHIFT,
+    TILE,
     BlockSource,
-    _attempts,
     bulk_gaussians,
     bulk_uniforms,
     splitmix64,
@@ -172,8 +172,17 @@ def test_known_draw_never_changes_values(seed, repl, kind, takes, known):
     got = np.concatenate([src.take(k) for k in takes], axis=1)
     for row, r in zip(got, repl):
         assert row.tolist() == scalar_block_values(seed, r, draw, kind)
-    # refills cover the takes and the known draw, and nothing beyond
-    assert src._block == max(_blocks(draw), _blocks(total))
+    if total >= draw:  # refills cover the known draw, and nothing beyond
+        assert src._block == _blocks(total)
+    else:  # past the known draw refills grow at most geometrically
+        assert _blocks(draw) <= src._block <= 2 * _blocks(draw)
+
+
+def test_refills_grow_past_the_known_draw():
+    src = BlockSource(3, [2], "uniform", total=0)
+    got = np.concatenate([src.take(BLOCK) for _ in range(5)], axis=1)
+    assert src._block == 8  # refills of 1, 1, 2 and 4 blocks
+    assert got[0].tolist() == scalar_block_values(3, 2, 5 * BLOCK, "uniform")
 
 
 def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
@@ -200,18 +209,18 @@ def _accepted(seed, stream, attempts):
     return hits
 
 
-@pytest.mark.parametrize("stream, count", [(114993, 1), (114993, 2),
-                                           (28974, BLOCK)])
-def test_polar_continuation_matches_scalar(stream, count):
-    # found by search over seed 0: the first superset of attempts leaves
-    # this stream short of its pairs, so it continues from its own state
-    # while its neighbours finish in one pass
-    pairs = (count + 1) // 2
-    assert _accepted(0, stream, _attempts(pairs)) < pairs
-    streams = [stream - 1, stream, stream + 1]
-    vec = bulk_gaussians(stream_states(0, streams), count)
+def test_polar_rounds_match_scalar():
+    # found by search over seed 0: stream 30 has its 2048 pairs after 20
+    # rounds of TILE attempts and drops the rest of its 21st round, while
+    # its neighbours need the 21st round and continue from their own state
+    pairs = BLOCK // 2
+    assert _accepted(0, 30, 20 * TILE) >= pairs
+    assert _accepted(0, 29, 20 * TILE) < pairs
+    assert _accepted(0, 31, 20 * TILE) < pairs
+    streams = [29, 30, 31]
+    vec = bulk_gaussians(stream_states(0, streams), BLOCK)
     for row, s in zip(vec, streams):
-        assert row.tolist() == ScalarRng(0, s).gaussians(count)
+        assert row.tolist() == ScalarRng(0, s).gaussians(BLOCK)
 
 
 def test_vector_group_boundaries_match_scalar():
