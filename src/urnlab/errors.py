@@ -17,11 +17,11 @@ class InvalidArgumentError(UrnlabError):
     code = "invalid-argument"
 
 
-class NearIntegerEigenvalueError(InvalidArgumentError):
-    """An eigenvalue is within 1e-9 of an integer step index but not on it:
-    the linear engine cannot divide through the tiny step factor."""
+class JordanIntegerEigenvalueError(InvalidArgumentError):
+    """A Jordan block's eigenvalue is an integer step index: the step factor
+    there is nilpotent, which the linear engine's weights cannot express."""
 
-    code = "near-integer-eigenvalue"
+    code = "jordan-integer-eigenvalue"
 
 
 class SpectrumError(UrnlabError):

@@ -5,17 +5,20 @@
 with pluggable drift h, martingale-difference noise, and deterministic
 remainder schedule. The engines share the same frozen noise streams:
 
-  run_sa                step reference loop, any drift, replay support; a
-                        dim-1 model without noise or remainder whose drift
-                        is linear or has a float entry point `scalar` runs
-                        in plain floats, with the same states bit for bit;
-  linear_paths          closed-form batch solver for linear drift h = theta A
-                        (long horizons and Monte Carlo fan-out);
+  run_sa                step reference loop, any drift, optionally recording
+                        every increment; a dim-1 model without noise or
+                        remainder whose drift is linear or has a float entry
+                        point `scalar` runs in plain floats, with the same
+                        states bit for bit;
+  linear_paths          closed form for linear drift h = theta A,
+                        theta_n = theta_0 Phi(0, n) + sum_k dM_k Phi(k, n)/k
+                        with Phi(k, n) = prod_{j=k+1..n} (I - A/j): one
+                        weighted sum of the noise per segment;
   exact_mean_recursion  noise-free mean iteration, with a chunked scalar
                         fast path that reaches n = 1e8 in seconds.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
-same (seed, replicate) to near machine precision; bit-exactness is promised
+same (seed, replicate) to float-summation error; bit-exactness is promised
 only for replaying a recorded trajectory through run_sa itself.
 """
 
@@ -27,9 +30,9 @@ import numpy as np
 
 from .asymptotics import _snap_block_form, spectral_profile
 from .errors import (ChainBasisRequiredError, DivergenceError,
-                     InvalidArgumentError, NearIntegerEigenvalueError)
+                     InvalidArgumentError, JordanIntegerEigenvalueError)
 from .linalg import _check_square, check_sym_psd
-from .rng import BlockSource, StreamRng
+from .rng import BLOCK, BlockSource, StreamRng
 
 
 def _as_row(x, dim, name):
@@ -232,29 +235,6 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
                       spec_digest=spec.digest(), increments=incs)
 
 
-def replay(spec, traj):
-    """Re-apply the recursion from theta_0 using the recorded increments.
-
-    Returns True when every checkpoint is reproduced bit-exactly; raises
-    otherwise. The arithmetic mirrors run_sa operation for operation.
-    """
-    if traj.increments is None:
-        raise InvalidArgumentError("trajectory was recorded without increments")
-    theta = spec.theta0.copy()
-    by_n = dict((n, th) for n, th in traj.checkpoints)
-    if 0 in by_n and not np.array_equal(by_n[0], theta):
-        raise InvalidArgumentError("checkpoint 0 does not match theta0")
-    for k, (dm, r) in enumerate(traj.increments):
-        np1 = k + 1.0
-        hv = np.asarray(spec.drift(theta), dtype=float)
-        inc = dm + r
-        theta = theta - hv / np1 + inc / np1
-        want = by_n.get(k + 1)
-        if want is not None and not np.array_equal(want, theta):
-            raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
-    return True
-
-
 # ==== deterministic mean recursion ====
 
 def _mean_recursion_scalar(a, remainder, x0, n_max, plan, chunk=1 << 22):
@@ -338,56 +318,63 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
 
 def _slot_structure(A, basis):
     """Transform basis for the linear engine: A = T J T^{-1} with J
-    block-canonical. Returns (T, Tinv, lam per slot, link per slot)."""
+    block-canonical. Returns (T, Tinv, blocks), blocks = [(lam, start, size)]."""
     if basis is not None:
         blocks, Tinv = _snap_block_form(A, basis)
-        T = np.asarray(basis, dtype=complex)
-        d = A.shape[0]
-        lam = np.empty(d, dtype=complex)
-        link = np.zeros(d, dtype=bool)
-        for b_lam, start, size in blocks:
-            lam[start:start + size] = b_lam
-            link[start + 1:start + size] = True
-        return T, Tinv, lam, link
+        return np.asarray(basis, dtype=complex), Tinv, blocks
     profile = spectral_profile(A)
     if any(max(g.block_sizes) > 1 for g in profile.groups):
         raise ChainBasisRequiredError(
             "drift matrix is defective; supply a basis realizing its block form")
     w, V = np.linalg.eig(A.astype(float))
     T = V.astype(complex)
-    return T, np.linalg.inv(T), w.astype(complex), np.zeros(A.shape[0], dtype=bool)
+    return T, np.linalg.inv(T), [(complex(lam), q, 1) for q, lam in enumerate(w)]
 
 
-def _slot_chunk_path(lam_q, x_in, j, s):
-    """x_t = x_{t-1} (1 - lam/j_t) + s_t in closed form over one chunk.
+def _tail_sums(v):
+    """s[t] = sum(v[t:]) for t = 0..len(v), so s[-1] = 0."""
+    s = np.zeros(v.size + 1, dtype=complex)
+    s[:-1] = np.cumsum(v[::-1])[::-1]
+    return s
 
-    An exact zero step factor (integer eigenvalue) makes the prefix
-    products singular; the recursion restarts from s_t there, so the
-    chunk splits at that index and each piece solves independently."""
-    mfac = 1.0 - lam_q / j
-    zeros = np.flatnonzero(mfac == 0.0)
-    if zeros.size == 0:
-        Pl = np.cumprod(mfac)
-        return Pl[None, :] * (x_in[:, None] + np.cumsum(s / Pl[None, :], axis=1))
-    t0 = int(zeros[0])
-    path = np.empty_like(s)
-    if t0 > 0:
-        path[:, :t0] = _slot_chunk_path(lam_q, x_in, j[:t0], s[:, :t0])
-    path[:, t0] = s[:, t0]
-    if t0 + 1 < j.size:
-        path[:, t0 + 1:] = _slot_chunk_path(
-            lam_q, path[:, t0], j[t0 + 1:], s[:, t0 + 1:])
-    return path
+
+def _block_weights(lam, size, j):
+    """u[r, t] = coefficient of N^r in prod_{i >= t} ((1 - lam/j_i) I - N/j_i),
+    the product over the segment's steps j from the t-th on, t = 0..width.
+
+    The factors commute: (1 - lam/j) I - N/j = (1 - lam/j)(I - a_j N) with
+    a_j = 1/(j - lam), so u_r = (-1)^r w e_r. w is the product of the scalar
+    factors, taken as exp of the tail sums of their complex logs (an exact
+    zero factor gives -inf and zeroes every weight before it); e_r is the
+    r-th elementary symmetric sum of the a_i, e_r(t) = sum_{i >= t} a_i e_{r-1}(i + 1).
+    """
+    with np.errstate(divide="ignore"):
+        w = np.exp(_tail_sums(np.log(1.0 - lam / j.astype(complex))))
+    u = np.empty((size, j.size + 1), dtype=complex)
+    u[0] = w
+    e = np.ones(j.size + 1)
+    for r in range(1, size):
+        e = _tail_sums(e[1:] / (j - lam))
+        u[r] = (-1) ** r * w * e
+    return u
 
 
 def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
-                 gamma_root=None, basis=None, chunk=1 << 16):
+                 gamma_root=None, basis=None):
     """Exact paths of theta_{k+1} = theta_k (I - A/(k+1)) + dM_{k+1}/(k+1)
     for a batch of replicates, without stepping through every state.
 
-    In the coordinates phi = theta T the recursion decouples into scalar
-    chains solved by prefix products and sums, one chunk at a time; each
-    replicate consumes exactly the noise values the step engine would.
+    In the coordinates phi = theta T (A = T J T^{-1}, J block-canonical) the
+    state after a segment of steps is phi_hi = phi_lo Phi(lo, hi)
+    + sum_k (dM_k T / k) Phi(k, hi), with Phi(k, hi) = prod_{j=k+1..hi} (I - J/j):
+    one contraction of the segment's noise with per-step weights that are
+    built from the segment's end, so nothing is divided and nothing overflows
+    unless the true value does. Segments end at the checkpoints and after at
+    most one noise block (rng.BLOCK values) per replicate; each replicate
+    consumes exactly the noise values the step engine would. A Jordan block
+    (size > 1) whose eigenvalue is an exact integer in 1..n_max has a nilpotent
+    step factor there, which these weights cannot express: it raises
+    JordanIntegerEigenvalueError.
     Returns [(n, array of shape (R, d))] at the requested checkpoints.
     """
     A = _check_square(A, "A").astype(float)
@@ -403,68 +390,47 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
         repl = np.asarray(list(replicates), dtype=np.int64)
     R = repl.size
 
-    # keep per-chunk working set near 256 MB; chunking is a deterministic
-    # function of the call signature, so results stay reproducible
-    chunk = min(int(chunk), max(1024, (1 << 28) // max(1, R * d * 16 * 4)))
+    T, Tinv, blocks = _slot_structure(A, basis)
+    for lam, _, size in blocks:
+        if size > 1 and lam.imag == 0.0 and lam.real == round(lam.real) \
+                and 1 <= lam.real <= n_max:
+            raise JordanIntegerEigenvalueError(
+                f"Jordan block of size {size} at the integer eigenvalue "
+                f"{lam.real:g}: its step factor is nilpotent; use the step engine")
 
-    T, Tinv, lam, link = _slot_structure(A, basis)
-    # an exact integer eigenvalue zeroes one step factor, which the solver
-    # handles by restarting there; one that is merely close leaves a tiny
-    # factor the prefix products cannot divide through
-    for q in range(d):
-        jr = lam[q].real
-        rj = round(jr)
-        near = abs(lam[q].imag) < 1e-9 and abs(jr - rj) < 1e-9 and 1 <= rj <= n_max
-        exact = lam[q].imag == 0.0 and jr == rj
-        if near and not exact:
-            raise NearIntegerEigenvalueError(
-                f"eigenvalue {lam[q]:.6g} is too close to the integer {rj} "
-                "(step factor nearly zero); use the step engine")
-
-    root = None
-    m = 0
+    m, rootT = 0, np.zeros((0, d))
     if gamma_root is not None:
         root = np.atleast_2d(np.asarray(gamma_root, dtype=float))
         if root.shape[1] != d:
             raise InvalidArgumentError(
                 f"gamma_root must have {d} columns, got {root.shape[1]}")
         m = root.shape[0]
-        src = BlockSource(seed, repl, "gaussian", n_max * m)
-        rootT = root.astype(complex) @ T  # (m, d) into transformed coords
+        src = BlockSource(seed, repl, "gaussian", plan[-1] * m if plan else 0)
+        rootT = root @ T  # (m, d) into transformed coords
 
-    x = np.tile(x0.astype(complex) @ T, (R, 1))  # (R, d)
+    seg = max(1, BLOCK // max(m, 1))
+    x = np.tile(x0 @ T, (R, 1))  # (R, d) complex
     out = []
-    pi = 0
     done = 0
-    while done < n_max:
-        hi = min(done + chunk, n_max)
-        width = hi - done
-        j = np.arange(done + 1, hi + 1, dtype=float)
-        if root is not None and m > 0:
-            z = src.take(width * m).reshape(R, width, m)
-            phi_src = (z.astype(complex) @ rootT) / j[None, :, None]
-        else:
-            phi_src = None
-
-        x_new = np.empty_like(x)
-        prev_path = None
-        for q in range(d):
-            s = phi_src[:, :, q].copy() if phi_src is not None else np.zeros((R, width), dtype=complex)
-            if link[q]:
-                prev_states = np.concatenate([x[:, q - 1][:, None], prev_path[:, :-1]], axis=1)
-                s -= prev_states / j[None, :]
-            path = _slot_chunk_path(lam[q], x[:, q], j, s)
-            prev_path = path
-            x_new[:, q] = path[:, -1]
-            if q == 0:
-                paths = [path]
-            else:
-                paths.append(path)
-        while pi < len(plan) and plan[pi] <= hi:
-            col = plan[pi] - done - 1
-            phi = np.stack([p[:, col] for p in paths], axis=1)
-            out.append((plan[pi], np.ascontiguousarray((phi @ Tinv).real)))
-            pi += 1
-        x = x_new
-        done = hi
+    for stop in plan:
+        while done < stop:
+            hi = min(done + seg, stop)
+            width = hi - done
+            j = np.arange(done + 1, hi + 1, dtype=float)
+            x_new = np.zeros_like(x)
+            G = np.zeros((width, m, d), dtype=complex)
+            for lam, b, size in blocks:
+                u = _block_weights(lam, size, j)
+                for r in range(size):
+                    # N^r moves slot b + q - r into slot b + q
+                    x_new[:, b + r:b + size] += u[r, 0] * x[:, b:b + size - r]
+                    G[:, :, b + r:b + size] += ((u[r, 1:] / j)[:, None, None]
+                                                * rootT[None, :, b:b + size - r])
+            if m:
+                z = src.take(width * m)
+                G = G.reshape(width * m, d)
+                x_new += z @ G.real + 1j * (z @ G.imag)
+            x = x_new
+            done = hi
+        out.append((stop, np.ascontiguousarray((x @ Tinv).real)))
     return out

@@ -10,6 +10,7 @@ generator over python ints instead of the vectorized one.
 import numpy as np
 import scipy.integrate
 
+from urnlab.errors import InvalidArgumentError
 from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, stream_words
 
 
@@ -135,3 +136,26 @@ def scalar_block_values(seed, replicate, count, kind="gaussian"):
             vals.extend(rng.uniform() for _ in range(BLOCK))
         block += 1
     return vals[:count]
+
+
+def replay(spec, traj):
+    """Re-apply the recursion from theta_0 using the recorded increments.
+
+    Returns True when every checkpoint is reproduced bit-exactly; raises
+    otherwise. The arithmetic mirrors run_sa operation for operation.
+    """
+    if traj.increments is None:
+        raise InvalidArgumentError("trajectory was recorded without increments")
+    theta = spec.theta0.copy()
+    by_n = dict((n, th) for n, th in traj.checkpoints)
+    if 0 in by_n and not np.array_equal(by_n[0], theta):
+        raise InvalidArgumentError("checkpoint 0 does not match theta0")
+    for k, (dm, r) in enumerate(traj.increments):
+        np1 = k + 1.0
+        hv = np.asarray(spec.drift(theta), dtype=float)
+        inc = dm + r
+        theta = theta - hv / np1 + inc / np1
+        want = by_n.get(k + 1)
+        if want is not None and not np.array_equal(want, theta):
+            raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
+    return True

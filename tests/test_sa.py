@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from urnlab.errors import ChainBasisRequiredError, DivergenceError, InvalidArgumentError
+from urnlab.errors import (ChainBasisRequiredError, DivergenceError,
+                           InvalidArgumentError, JordanIntegerEigenvalueError)
+from urnlab.rng import BLOCK
 from urnlab.sa import (
     GaussianNoise,
+    LinearDrift,
     SAProcessSpec,
     Trajectory,
     exact_mean_recursion,
     linear_paths,
-    replay,
     run_sa,
 )
-from oracles import mean_recursion
+from oracles import mean_recursion, replay
 
 
 def linear_drift(A):
@@ -169,13 +173,17 @@ def test_linear_paths_batching_invariance():
         assert np.allclose(batch[0][1][r], solo[0][1][0], rtol=1e-12)
 
 
-def test_linear_paths_chunk_insensitive():
+def test_linear_paths_checkpoint_insensitive():
+    # intermediate checkpoints end segments early; the value at n is the
+    # same whichever of them split the run
     A = np.array([[0.6, 0.1], [0.0, 0.8]])
     a = linear_paths(A, [1.0, 1.0], 5000, seed=3, checkpoints=[5000],
-                     replicates=2, gamma_root=np.eye(2), chunk=611)
-    b = linear_paths(A, [1.0, 1.0], 5000, seed=3, checkpoints=[5000],
-                     replicates=2, gamma_root=np.eye(2), chunk=1 << 16)
-    assert np.allclose(a[0][1], b[0][1], rtol=1e-10)
+                     replicates=2, gamma_root=np.eye(2))
+    b = linear_paths(A, [1.0, 1.0], 5000, seed=3,
+                     checkpoints=[1, 611, 2047, 2048, 2049, 4999, 5000],
+                     replicates=2, gamma_root=np.eye(2))
+    assert [k for k, _ in b] == [1, 611, 2047, 2048, 2049, 4999, 5000]
+    assert np.allclose(a[0][1], b[-1][1], rtol=1e-10)
 
 
 def test_linear_paths_defective_needs_basis():
@@ -185,8 +193,8 @@ def test_linear_paths_defective_needs_basis():
 
 
 def test_linear_paths_integer_eigenvalue_matches_step_engine():
-    # eigenvalue 1 zeroes the first step factor; the restart keeps the
-    # closed form in lockstep with the generic loop
+    # eigenvalue 1 zeroes the first step factor, whose log -inf zeroes the
+    # weight of theta_0
     A = np.array([[1.0]])
     root = np.array([[1.0]])
     n = 2000
@@ -211,10 +219,85 @@ def test_linear_paths_integer_eigenvalue_pair():
     assert np.allclose(traj.checkpoints[0][1], got[0][1][0], rtol=1e-9, atol=1e-12)
 
 
-def test_linear_paths_near_integer_eigenvalue_rejected():
-    with pytest.raises(InvalidArgumentError):
-        linear_paths(np.array([[1.0 + 1e-10]]), [1.0], 100, seed=0,
-                     checkpoints=[100])
+def test_linear_paths_near_integer_eigenvalue_matches_step_engine():
+    # the first step factor is -1e-10: tiny, and nothing divides by it
+    A = np.array([[1.0 + 1e-10]])
+    spec = SAProcessSpec(dim=1, drift=LinearDrift(A), theta0=[1.0],
+                         noise=GaussianNoise([[1.0]]))
+    got = linear_paths(A, [1.0], 100, seed=0, checkpoints=[1, 2, 100],
+                       replicates=2, gamma_root=[[1.0]])
+    for r in range(2):
+        ref = run_sa(spec, 100, 0, [1, 2, 100], replicate=r,
+                     record_increments=True).checkpoints
+        for (na, xa), (nb, xb) in zip(ref, got):
+            assert na == nb
+            np.testing.assert_allclose(xb[r], xa, rtol=1e-9, atol=1e-12)
+
+
+def test_linear_paths_jordan_integer_eigenvalue_refused():
+    # at j = 2 the Jordan step factor is the nilpotent -N/2
+    A = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(JordanIntegerEigenvalueError):
+        linear_paths(A, [1.0, 1.0], 100, seed=0, checkpoints=[100],
+                     basis=np.eye(2))
+    # beyond the horizon the factor never occurs
+    got = linear_paths(A, [1.0, 1.0], 1, seed=0, checkpoints=[1],
+                       basis=np.eye(2))
+    want = exact_mean_recursion(A, None, [1.0, 1.0], 1)
+    np.testing.assert_allclose(got[0][1][0], want[0][1], rtol=1e-12)
+
+
+def _jordan_form(draw, lam, size):
+    """A = T J T^{-1} for one Jordan block J, with T unit upper triangular."""
+    upper = draw(st.lists(st.floats(-0.5, 0.5), min_size=size * size,
+                          max_size=size * size))
+    T = np.eye(size) + np.triu(np.reshape(upper, (size, size)), 1)
+    J = lam * np.eye(size) + np.eye(size, k=1)
+    return T @ J @ np.linalg.inv(T), T
+
+
+@st.composite
+def linear_models(draw):
+    """(A, basis, gamma root); every eigenvalue has positive real part."""
+    kind = draw(st.sampled_from(["real", "integer", "complex", "jordan"]))
+    if kind == "real":
+        lam = draw(st.lists(st.sampled_from([0.3, 0.5, 2.7, 37.25, 400.5])
+                            | st.floats(0.05, 450.0), min_size=1, max_size=3))
+        A, basis = np.diag(lam), None
+    elif kind == "integer":
+        base = draw(st.integers(1, 4))
+        eps = draw(st.sampled_from([0.0, 1e-13, -1e-10, 1e-7]))
+        A, basis = np.diag([base + eps, draw(st.floats(0.1, 2.0))]), None
+    elif kind == "complex":
+        a, b = draw(st.floats(0.1, 30.0)), draw(st.floats(0.05, 3.0))
+        A, basis = np.array([[a, -b], [b, a]]), None
+    else:
+        lam = draw(st.sampled_from([0.3, 0.5, 1.5, 2.0 + 1e-9, 7.25]))
+        A, basis = _jordan_form(draw, lam, draw(st.integers(2, 3)))
+    d = A.shape[0]
+    m = draw(st.integers(1, d))
+    root = np.eye(d)[:m] + 0.3 * np.triu(np.ones((m, d)), 1)
+    return A, basis, root
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=linear_models(), R=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+       cuts=st.lists(st.integers(1, BLOCK + 50), max_size=3))
+def test_linear_paths_match_run_sa_property(model, R, seed, cuts):
+    A, basis, root = model
+    d = A.shape[0]
+    n = BLOCK + 50  # past the segment ends at multiples of BLOCK // m
+    plan = sorted({*cuts, BLOCK // root.shape[0] + 1, n})
+    spec = SAProcessSpec(dim=d, drift=LinearDrift(A), theta0=np.linspace(1.0, -0.5, d),
+                         noise=GaussianNoise(root))
+    got = linear_paths(A, spec.theta0, n, seed, plan, replicates=R,
+                       gamma_root=root, basis=basis)
+    for r in range(R):
+        ref = run_sa(spec, n, seed, plan, replicate=r,
+                     record_increments=True).checkpoints
+        for (na, xa), (nb, xb) in zip(ref, got):
+            assert na == nb
+            np.testing.assert_allclose(xb[r], xa, rtol=1e-9, atol=1e-12)
 
 
 def test_spec_digest_distinguishes_content():

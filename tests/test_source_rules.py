@@ -1,9 +1,12 @@
-"""Rules the package source keeps: no handler that swallows every error.
+"""Rules the package source keeps: no handler that swallows every error,
+and no parameter that is accepted and then ignored.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
-src/ may catch only the errors a handler can act on.
+src/ may catch only the errors a handler can act on. A parameter nothing
+reads lets a caller believe it changed the result.
 """
 
+import ast
 import pathlib
 import re
 
@@ -19,3 +22,61 @@ def test_no_catch_all_handlers_in_src():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if CATCH_ALL.match(line)]
     assert found == []
+
+
+# a sampler is called with the protocol's arguments whether it needs them or
+# not: noise samplers as (rng, step, theta), adding rules as (rng, n, state)
+SAMPLER_PROTOCOLS = {("rng", "k", "theta"), ("rng", "n", "state")}
+
+
+def _unread_parameters(tree):
+    """(qualified name, parameter) for every function parameter never read;
+    a method's first parameter is not counted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + child.name + ".")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope)
+                continue
+            a = child.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            if isinstance(node, ast.ClassDef) and not static:
+                params = params[1:]
+            exempt = child.name == "__call__" and tuple(params) in SAMPLER_PROTOCOLS
+            read = {n.id for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend((scope + child.name, p) for p in params
+                         if p not in read and not exempt)
+            visit(child, scope + child.name + ".")
+
+    visit(tree, "")
+    return found
+
+
+def test_no_ignored_parameters_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(SRC)}:{name}({param})"
+             for path in files
+             for name, param in _unread_parameters(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_ignored_parameter_rule_catches_one():
+    tree = ast.parse(
+        "def f(a, b=1):\n    return a\n"
+        "class C:\n"
+        "    def g(self, x, *, chunk=2):\n        return x\n"
+        "    def __call__(self, rng, k, theta):\n        return rng\n"
+        "    def __call__(self, rng, k, theta, extra):\n        return rng\n")
+    # the second __call__ is not a protocol signature, so nothing is exempt
+    assert _unread_parameters(tree) == [
+        ("f", "b"), ("C.g", "chunk"), ("C.__call__", "k"),
+        ("C.__call__", "theta"), ("C.__call__", "extra")]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from urnlab.errors import InvalidArgumentError, NonConvergenceError
+from urnlab.errors import (DivergenceError, InvalidArgumentError,
+                           NonConvergenceError)
 from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
                            jordan_chain_spec, remainder_drive_spec)
 from urnlab.sa import GaussianNoise, LinearDrift, SAProcessSpec, run_sa
@@ -111,19 +112,33 @@ def test_mc_sample_propagates_drift_errors():
 
 
 def test_linear_refusal_is_a_fallback_not_divergence():
-    # the prefix products of (1 - 400.5/j) overflow before j reaches 400,
-    # so the linear engine's output is non-finite; the recursion is stable
+    # the weights of (1 - 400.5/j) are built from each segment's end, so
+    # nothing overflows on this stable drift and the linear engine keeps it
     spec = SAProcessSpec(dim=1, drift=LinearDrift([[400.5]]),
                          theta0=np.array([1.0]),
                          noise=GaussianNoise(np.array([[1.0]])),
                          theta_star=np.array([0.0]))
     s = mc_sample(spec, 2000, MCConfig(replicates=20, horizons=(2000,), seed=0))
     assert s.excluded == 0
-    assert s.engine == {"name": "step", "dropped": [],
-                        "fallback": {"from": "linear", "code": "non-finite"}}
+    assert s.engine == {"name": "linear", "dropped": [], "fallback": None}
     for r in range(20):
-        th = run_sa(spec, 2000, 0, [2000], replicate=r).checkpoints[-1][1]
-        assert np.array_equal(s.errors[r], (th - 0.0) * math.sqrt(2000.0))
+        th = run_sa(spec, 2000, 0, [2000], replicate=r,
+                    record_increments=True).checkpoints[-1][1]
+        np.testing.assert_allclose(s.errors[r] / math.sqrt(2000.0), th,
+                                   rtol=1e-9, atol=1e-12)
+    # a Jordan block at the integer eigenvalue 2 is refused: the step
+    # engine runs every replicate and none is counted as diverged
+    spec = SAProcessSpec(dim=2, drift=LinearDrift([[2.0, 1.0], [0.0, 2.0]]),
+                         theta0=np.ones(2), noise=GaussianNoise(np.eye(2)),
+                         theta_star=np.zeros(2))
+    s = mc_sample(spec, 500, MCConfig(replicates=4, horizons=(500,), seed=0),
+                  basis=np.eye(2))
+    assert s.excluded == 0
+    assert s.engine == {"name": "step", "dropped": [], "fallback": {
+        "from": "linear", "code": "jordan-integer-eigenvalue"}}
+    for r in range(4):
+        th = run_sa(spec, 500, 0, [500], replicate=r).checkpoints[-1][1]
+        assert np.array_equal(s.errors[r], th * math.sqrt(500.0))
 
 
 # ==== engine choice ====
@@ -147,12 +162,17 @@ SA_ROUTES = {
              "step", None),
     "float-loop": (lambda: decay_spec(0.5, damped=True), 2, None,
                    "step", None),
-    "fallback-non-finite": (lambda: _linear_model([[400.5]]), 3, None,
+    "linear-large-eigenvalue": (lambda: _linear_model([[400.5]]), 3, None,
+                                "linear", None),
+    "linear-near-integer": (lambda: _linear_model([[1.0 + 1e-10]]), 2, None,
+                            "linear", None),
+    # the true path overflows at step 671: every replicate diverges
+    "fallback-non-finite": (lambda: _linear_model([[-400.5]]), 2, None,
                             "step", "non-finite"),
     "fallback-needs-basis": (lambda: jordan_chain_spec(0.5), 2, None,
                              "step", "needs-chain-basis"),
-    "fallback-near-integer": (lambda: _linear_model([[1.0 + 1e-10]]), 2,
-                              None, "step", "near-integer-eigenvalue"),
+    "fallback-jordan-integer": (lambda: _linear_model([[1.0, 1.0], [0.0, 1.0]]),
+                                2, np.eye(2), "step", "jordan-integer-eigenvalue"),
 }
 
 
@@ -160,20 +180,29 @@ SA_ROUTES = {
 def test_simulate_recursion_routes_match_step_reference(route):
     make, R, basis, name, code = SA_ROUTES[route]
     spec = make()
-    paths, record = simulate(spec, 2000, 3, SIM_PLAN, R, basis=basis)
-    assert record == {"name": name, "dropped": [], "fallback": (
-        None if code is None else {"from": "linear", "code": code})}
-    assert [k for k, _ in paths] == SIM_PLAN
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths, record = simulate(spec, 2000, 3, SIM_PLAN, R, basis=basis)
+    refs, dropped = [], []
     for r in range(R):
         # record_increments keeps run_sa on its generic array loop
-        ref = run_sa(spec, 2000, 3, SIM_PLAN, replicate=r,
-                     record_increments=True).checkpoints
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                refs.append(run_sa(spec, 2000, 3, SIM_PLAN, replicate=r,
+                                   record_increments=True).checkpoints)
+        except DivergenceError as exc:
+            refs.append([(k, np.full(spec.dim, np.nan)) for k in SIM_PLAN])
+            dropped.append({"replicate": r, "first_bad_index": exc.first_bad_index})
+    assert record == {"name": name, "dropped": dropped, "fallback": (
+        None if code is None else {"from": "linear", "code": code})}
+    assert (code == "non-finite") == (len(dropped) == R)
+    assert [k for k, _ in paths] == SIM_PLAN
+    for r, ref in enumerate(refs):
         for (k, x), (k_ref, th) in zip(paths, ref):
             assert k == k_ref
             if name == "linear":
                 np.testing.assert_allclose(x[r], th, rtol=1e-9, atol=1e-12)
             else:
-                assert np.array_equal(x[r], th)
+                assert np.array_equal(x[r], th, equal_nan=True)
 
 
 def _bernoulli_urn():
