@@ -39,6 +39,7 @@ from .linalg import (
 )
 
 _CLUSTER_RTOL = 1e-7
+_RANK_TOL = 1e-8
 _DEFAULT_RHO_TOL = 1e-9
 
 
@@ -145,6 +146,10 @@ class AsymptoticReport:
             "as_rate_exponent": self.as_rate_exponent,
         }
 
+    def scale(self, n):
+        """Normalisation of theta_n - theta* under this report's regime."""
+        return regime_scale(n, self.regime.tag, self.profile.nu, self.profile.rho)
+
 
 # ==== spectral profile ====
 
@@ -174,9 +179,13 @@ def _cluster_indices(vals, tol):
 
 
 def _block_sizes(H, lam, mult):
-    """Jordan block orders for eigenvalue lam via the rank staircase.
+    """Jordan block orders for eigenvalue lam via the rank staircase, or None
+    when the staircase does not account for the multiplicity.
 
     count of blocks of size >= k is rank((H-lam I)^{k-1}) - rank((H-lam I)^k).
+    Every power of M = (H-lam I)/|H-lam I|_2 is ranked on M's unit scale: a
+    power's own largest singular value shrinks with the power, and judged
+    against it a vanishing power keeps a spurious full rank.
     """
     d = H.shape[0]
     M = H.astype(complex) - lam * np.eye(d)
@@ -189,7 +198,8 @@ def _block_sizes(H, lam, mult):
     floor = d - mult
     for _ in range(mult):
         P = P @ M
-        r = max(numerical_rank(P), floor)
+        r = max(int(np.sum(np.linalg.svd(P, compute_uv=False) > _RANK_TOL)),
+                floor)
         ranks.append(r)
         if r == floor:
             break
@@ -199,10 +209,7 @@ def _block_sizes(H, lam, mult):
         exactly = counts_ge[k - 1] - (counts_ge[k] if k < len(counts_ge) else 0)
         sizes.extend([k] * exactly)
     sizes.sort(reverse=True)
-    # rank staircase can be defeated by ill conditioning; keep accounting exact
-    if sum(sizes) != mult:
-        sizes = [1] * mult
-    return tuple(sizes)
+    return tuple(sizes) if sum(sizes) == mult else None
 
 
 def spectral_profile(H):
@@ -235,10 +242,16 @@ def spectral_profile(H):
 
     groups = []
     for lam, mult in reps:
+        sizes = _block_sizes(H, lam, mult)
+        if sizes is None:
+            # ill conditioning defeated the rank staircase; all-ones blocks
+            # keep the multiplicity accounting exact but may understate nu
+            sizes = tuple([1] * mult)
+            warnings.append(
+                f"rank staircase for eigenvalue {lam:.6g} (multiplicity {mult}) "
+                "is inconsistent; block sizes fall back to all ones")
         groups.append(EigenvalueGroup(
-            value=lam,
-            algebraic_multiplicity=mult,
-            block_sizes=_block_sizes(H, lam, mult)))
+            value=lam, algebraic_multiplicity=mult, block_sizes=sizes))
     groups.sort(key=lambda g: (-g.value.real, -g.value.imag))
 
     rho = min(g.value.real for g in groups)
@@ -305,8 +318,7 @@ def clt_covariance(Dh, Gamma):
     (Dh - I/2)^T S + S (Dh - I/2) = Gamma."""
     Dh = _check_square(Dh, "Dh").astype(float)
     profile = spectral_profile(Dh)
-    regime = classify_regime(profile)
-    if regime.tag != "Standard":
+    if classify_regime(profile).tag != "Standard":
         raise RegimeError(
             f"min Re(lambda) = {profile.rho:.6g} is not above 1/2; "
             "use the critical or slow path")
@@ -378,10 +390,10 @@ def _semisimple_projector(Dh, lam, tol):
 def critical_covariance(Dh, Gamma, chain_basis=None, rho_tol=_DEFAULT_RHO_TOL):
     """Limit covariance on the critical layer (rho = 1/2).
 
-    With nu the largest block order among eigenvalues at Re(lambda) = 1/2,
+    With nu the largest block order among eigenvalues at Re(lambda) = rho,
 
       S = 1/(((nu-1)!)^2 (2 nu - 1)) * sum over block pairs (a, b) with
-          lambda_a = lambda_b, Re = 1/2, nu_a = nu_b = nu of
+          lambda_a = lambda_b, Re = rho, nu_a = nu_b = nu of
           (t_a1^* Gamma t_b1) * conj(r_a nu)^T r_b nu,
 
     where t_a1 is the first basis column of block a and r_a nu the last row
@@ -390,24 +402,29 @@ def critical_covariance(Dh, Gamma, chain_basis=None, rho_tol=_DEFAULT_RHO_TOL):
     chain basis must be supplied.
     """
     Dh = _check_square(Dh, "Dh").astype(float)
-    Gs = check_sym_psd(Gamma, "Gamma")
     profile = spectral_profile(Dh)
     regime = classify_regime(profile, rho_tol)
     if regime.tag != "Critical":
         raise RegimeError(
             f"min Re(lambda) = {profile.rho:.6g} is not 1/2 within {rho_tol:g}; "
             f"regime is {regime.tag}")
+    return _layer_covariance(profile, Dh, Gamma, chain_basis)
+
+
+def _layer_covariance(profile, Dh, Gamma, chain_basis):
+    """The critical sum over profile.layer(), the rho layer that set the
+    regime and nu (see critical_covariance)."""
+    Gs = check_sym_psd(Gamma, "Gamma")
     nu = profile.nu
     d = Dh.shape[0]
-    scale = profile._scale()
-    tol = _CLUSTER_RTOL * scale
+    tol = _CLUSTER_RTOL * profile._scale()
     coeff = 1.0 / (math.factorial(nu - 1) ** 2 * (2 * nu - 1))
 
     if chain_basis is not None:
         T = np.asarray(chain_basis)
         blocks, Tinv = _snap_block_form(Dh, T)
         contrib = [(lam, s, k) for (lam, s, k) in blocks
-                   if abs(lam.real - 0.5) <= tol and k == nu]
+                   if abs(lam.real - profile.rho) <= tol and k == nu]
         S = np.zeros((d, d), dtype=complex)
         Tc = T.astype(complex)
         for lam_a, sa, ka in contrib:
@@ -423,7 +440,7 @@ def critical_covariance(Dh, Gamma, chain_basis=None, rho_tol=_DEFAULT_RHO_TOL):
         S *= coeff
     elif nu == 1:
         S = np.zeros((d, d), dtype=complex)
-        for g in profile.layer(0.5, tol):
+        for g in profile.layer():
             P = _semisimple_projector(Dh, g.value, tol)
             S += P.conj().T @ Gs @ P
         S *= coeff
@@ -491,11 +508,11 @@ def slow_regime_descriptor(profile, H):
     take.
     """
     H = _check_square(H, "H").astype(float)
-    regime = classify_regime(profile)
-    if regime.tag != "Slow":
-        raise RegimeError(f"regime is {regime.tag}, not Slow")
+    if not 0.0 < profile.rho < 0.5:
+        raise RegimeError(
+            f"min Re(lambda) = {profile.rho:.6g} is not in (0, 1/2); "
+            "the regime is not Slow")
     nu = profile.nu
-    tol = _CLUSTER_RTOL * profile._scale()
     comps = []
     for g in profile.layer():
         n_contrib = sum(1 for k in g.block_sizes if k == nu)
@@ -521,19 +538,24 @@ def slow_regime_descriptor(profile, H):
 
 # ==== assembled report ====
 
+def _limit_object(profile, regime, Dh, Gamma, chain_basis=None, slow=None):
+    """(covariance, None) or (None, slow descriptor) for a profile of Dh
+    already classified as regime. slow, if given, builds the descriptor in
+    place of Dh's left eigenvectors (the urn reads its directions off H)."""
+    if regime.tag == "Standard":
+        return solve_lyapunov(Dh - 0.5 * np.eye(Dh.shape[0]), Gamma), None
+    if regime.tag == "Critical":
+        return _layer_covariance(profile, Dh, Gamma, chain_basis), None
+    return None, slow() if slow else slow_regime_descriptor(profile, Dh)
+
+
 def analyze(Dh, Gamma, rho_tol=_DEFAULT_RHO_TOL, chain_basis=None):
-    """Full pipeline: profile, regime, and the regime's limit object."""
+    """Full pipeline: profile and regime, decided once, and the regime's
+    limit object."""
     Dh = _check_square(Dh, "Dh").astype(float)
     profile = spectral_profile(Dh)
     regime = classify_regime(profile, rho_tol)
-    cov = None
-    slow = None
-    if regime.tag == "Standard":
-        cov = clt_covariance(Dh, Gamma)
-    elif regime.tag == "Critical":
-        cov = critical_covariance(Dh, Gamma, chain_basis=chain_basis, rho_tol=rho_tol)
-    else:
-        slow = slow_regime_descriptor(profile, H=Dh)
+    cov, slow = _limit_object(profile, regime, Dh, Gamma, chain_basis)
     return AsymptoticReport(profile=profile, regime=regime, covariance=cov,
                             slow_descriptor=slow,
                             as_rate_exponent=as_rate(profile))

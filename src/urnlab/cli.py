@@ -146,7 +146,8 @@ def _cmd_analyze(args):
         payload["kind"] = "gauss"
         matrix = rep.covariance
     elif kind == "urn":
-        rep = urn_asymptotics(cfg.build_model())
+        rep = urn_asymptotics(cfg.build_model(),
+                              rho_tol=cfg.analysis["rho_tol"])
         payload = {
             "kind": "urn",
             "alpha": rep.alpha,
@@ -321,12 +322,15 @@ def _cmd_verify(args):
         rep, _ = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
         predicted = rep.covariance
     else:
-        predicted = urn_asymptotics(spec).Sigma_tilde
+        rep = urn_asymptotics(spec, rho_tol=cfg.analysis["rho_tol"])
+        predicted = rep.Sigma_tilde
     if predicted is None:
         raise ConfigError("the configured model is in the slow regime and "
                           "has no limit covariance to verify against",
                           path="/model")
-    sample = mc_sample(spec, n, mc, basis=_chain_basis(cfg.analysis))
+    # the sample is scaled with the regime the prediction came from
+    sample = mc_sample(spec, n, mc, analysis=rep,
+                       basis=_chain_basis(cfg.analysis))
     tol = cfg.analysis["tolerances"]
     report = make_mc_report(sample, predicted,
                             rel_tol=tol["rel_frobenius"], p_min=tol["p_min"])

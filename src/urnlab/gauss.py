@@ -126,13 +126,6 @@ def simulate_paths(spec, seed, replicates):
     return out
 
 
-def simulate_gaussian_process(spec, seed, replicate=0):
-    """One path as a list of (t_k, G(t_k)) pairs; deterministic given
-    (spec, seed, replicate)."""
-    path = simulate_paths(spec, seed, [replicate])[0]
-    return [(float(t), path[k].copy()) for k, t in enumerate(spec.grid)]
-
-
 def gaussian_variance(H, Gamma, t):
     """Var G(t) for the process started at G(1) = 0:
     (1/t) integral_0^{log t} e^{-(H-I/2)^T u} Gamma e^{-(H-I/2) u} du,

@@ -117,20 +117,3 @@ def flow_identity_residual(states, theta0, H):
         worst = max(worst, abs(float(st.theta @ u) / want - 1.0))
     return worst
 
-
-def check_attraction(starts, H, s_max, eps, tol=1e-9):
-    """True per start iff the flow lands within eps (sup norm) of the
-    attractor alpha v. Starts outside {theta u^T > 0} are rejected."""
-    H = _check_square(H, "H").astype(float)
-    alpha, v, u, _, _ = urn_eigenstructure(H)
-    starts = [np.asarray(t, dtype=float).reshape(-1) for t in starts]
-    for t in starts:
-        if t @ u <= 0.0:
-            raise InvalidArgumentError(
-                f"start {t.tolist()} has theta u^T <= 0")
-    target = alpha * v
-    out = []
-    for t in starts:
-        final = integrate_flow(t, H, s_max, tol)[-1].theta
-        out.append(bool(np.abs(final - target).max() <= eps))
-    return out

@@ -18,8 +18,8 @@ remainder schedule. The engines share the same frozen noise streams:
                         fast path that reaches n = 1e8 in seconds.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
-same (seed, replicate) to float-summation error; bit-exactness is promised
-only for replaying a recorded trajectory through run_sa itself.
+same (seed, replicate) to float-summation error. run_sa can record every
+increment; tests/oracles.py replays such a trajectory bit for bit.
 """
 
 import dataclasses
@@ -237,7 +237,10 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
 
 # ==== deterministic mean recursion ====
 
-def _mean_recursion_scalar(a, remainder, x0, n_max, plan, chunk=1 << 22):
+_MEAN_CHUNK = 1 << 22  # steps per chunk of the scalar closed form
+
+
+def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
     """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k), chunked.
 
     Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
@@ -251,7 +254,7 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan, chunk=1 << 22):
     S = 0.0  # sum of r_k / (k P_k)
     done = 0
     while done < n_max:
-        hi = min(done + chunk, n_max)
+        hi = min(done + _MEAN_CHUNK, n_max)
         j = np.arange(done + 1, hi + 1, dtype=float)
         # in place: a chunk holds 2^22 values, so each temporary is 32 MiB
         cl = np.log1p(-a / j)

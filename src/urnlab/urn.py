@@ -19,12 +19,13 @@ import dataclasses
 import numpy as np
 
 from .asymptotics import (
+    _DEFAULT_RHO_TOL,
     SlowComponent,
     SlowDescriptor,
     _fix_phase,
+    _limit_object,
     classify_regime,
-    clt_covariance,
-    critical_covariance,
+    regime_scale,
     spectral_profile,
 )
 from .errors import (
@@ -120,10 +121,6 @@ class UrnState:
 class UrnTrajectory:
     checkpoints: tuple  # of UrnState
     seed: int
-    draws: object = None  # optional [(k, D_n)] per step for replay
-
-    def indices(self):
-        return np.array([s.n for s in self.checkpoints], dtype=np.int64)
 
 
 def draw_probabilities(Y):
@@ -199,17 +196,17 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
     return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
 
 
-def run_urn(spec, n_max, seed, checkpoints, replicate=0, record_draws=False):
+def run_urn(spec, n_max, seed, checkpoints, replicate=0):
     """Simulate one urn path; deterministic given (spec, seed, replicate).
 
-    Deterministic addition rules without draw recording run on a fast
-    scalar loop; anything else goes through the generic engine.
+    Deterministic addition rules run on a fast scalar loop; anything else
+    goes through the generic engine.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = _checkpoint_plan(checkpoints, n_max)
-    if isinstance(spec.adding_rule, DeterministicRule) and not record_draws:
+    if isinstance(spec.adding_rule, DeterministicRule):
         return _run_urn_fast(spec, n_max, seed, plan, replicate)
 
     # one uniform picks the type; the rule may draw uniforms of its own
@@ -218,7 +215,6 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0, record_draws=False):
     Y = spec.Y0.copy()
     N = np.zeros(spec.d, dtype=np.int64)
     cps = []
-    draws = [] if record_draws else None
     pi = 0
     if pi < len(plan) and plan[pi] == 0:
         cps.append(UrnState(Y.copy(), N.copy(), 0))
@@ -238,31 +234,10 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0, record_draws=False):
         if not np.all(np.isfinite(Y)):
             raise DivergenceError(f"composition non-finite at step {n}",
                                   first_bad_index=n)
-        if record_draws:
-            draws.append((k, D.copy()))
         if pi < len(plan) and plan[pi] == n:
             cps.append(UrnState(Y.copy(), N.copy(), n))
             pi += 1
-    return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed), draws=draws)
-
-
-def replay_urn(spec, traj):
-    """Check Y_n = Y_0 + sum of drawn rows bit-exactly from recorded draws."""
-    if traj.draws is None:
-        raise InvalidArgumentError("trajectory was recorded without draws")
-    Y = spec.Y0.copy()
-    N = np.zeros(spec.d, dtype=np.int64)
-    by_n = {s.n: s for s in traj.checkpoints}
-    for step, (k, D) in enumerate(traj.draws, start=1):
-        Y = Y + D[k]
-        N[k] += 1
-        want = by_n.get(step)
-        if want is not None:
-            if not (np.array_equal(want.Y, Y) and np.array_equal(want.N, N)):
-                raise InvalidArgumentError(f"replay diverged at n={step}")
-            if int(want.N.sum()) != step:
-                raise InvalidArgumentError(f"draw counts do not sum to n at n={step}")
-    return True
+    return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
 
 
 def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
@@ -322,6 +297,12 @@ def urn_eigenstructure(H):
     second-largest real part of spec(H/alpha) and the largest block order
     on that layer).
     """
+    return _eigenstructure(H)[:5]
+
+
+def _eigenstructure(H):
+    """urn_eigenstructure and, last, the spectral profile of H/alpha (None
+    for d = 1) that lambda_sec and nu were read from."""
     H = _check_square(H, "H").astype(float)
     d = H.shape[0]
     off = H - np.diag(np.diag(H))
@@ -332,7 +313,7 @@ def urn_eigenstructure(H):
         alpha = float(H[0, 0])
         if alpha <= 0.0:
             raise AssumptionViolationError(f"largest eigenvalue {alpha:.6g} is not positive")
-        return alpha, np.array([1.0]), np.array([1.0]), None, 1
+        return alpha, np.array([1.0]), np.array([1.0]), None, 1, None
 
     es = eigen_left_right(H)
     w = es.values
@@ -372,7 +353,7 @@ def urn_eigenstructure(H):
     layer_tol = 1e-7 * profile._scale()
     nu = max(max(g.block_sizes) for g in rest
              if abs(g.value.real - lambda_sec) <= layer_tol)
-    return alpha, v, u, float(lambda_sec), int(nu)
+    return alpha, v, u, float(lambda_sec), int(nu), profile
 
 
 def urn_embedding(H, v, V_q=None):
@@ -423,6 +404,12 @@ class UrnAsymptotics:
     Sigma_tilde: object = None
     slow_descriptor: object = None
 
+    def scale(self, n):
+        """Normalisation of the scaled (Y_n/n, N_n/n) error under this
+        analysis's regime."""
+        rho = None if self.lambda_sec is None else 1.0 - self.lambda_sec
+        return regime_scale(n, self.regime.tag, self.nu, rho)
+
     def to_dict(self):
         return {
             "alpha": self.alpha,
@@ -464,14 +451,13 @@ def estimate_Vq(spec, samples, seed):
     return out
 
 
-def _slow_urn_descriptor(H, v, lambda_sec, nu, tol=1e-8):
+def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
     """Slow-regime limit components: for each eigenvalue on the lambda_sec
-    layer with a block of order nu, direction l_a (I - 1^T v) from the left
-    eigenvector l_a of H."""
+    layer of profile (the spectral profile of H) with a block of order nu,
+    direction l_a (I - 1^T v) from the left eigenvector l_a of H."""
     d = H.shape[0]
     es = eigen_left_right(H)
     proj = np.eye(d) - np.outer(np.ones(d), v)
-    profile = spectral_profile(H)
     layer_tol = 1e-7 * profile._scale()
     comps = []
     seen = set()
@@ -499,11 +485,13 @@ def _slow_urn_descriptor(H, v, lambda_sec, nu, tol=1e-8):
     return SlowDescriptor(components=tuple(comps), rho=1.0 - lambda_sec, nu=nu)
 
 
-def urn_asymptotics(spec, estimate_samples=2000, estimate_seed=0):
-    """Full limit analysis of an urn: eigenstructure, SA embedding, regime,
-    and the regime's limit object (covariance or slow components)."""
+def urn_asymptotics(spec, estimate_samples=2000, estimate_seed=0,
+                    rho_tol=_DEFAULT_RHO_TOL):
+    """Full limit analysis of an urn: eigenstructure, SA embedding, regime
+    (Dh_star's profile against 1/2 within rho_tol), and the regime's limit
+    object (covariance or slow components)."""
     H = spec.generating_matrix
-    alpha, v, u, lambda_sec, nu = urn_eigenstructure(H)
+    alpha, v, u, lambda_sec, nu, h_profile = _eigenstructure(H)
     if lambda_sec is not None and lambda_sec >= 1.0:
         raise AssumptionViolationError(
             f"second eigenvalue real part {lambda_sec:.6g} >= 1 violates the "
@@ -519,15 +507,11 @@ def urn_asymptotics(spec, estimate_samples=2000, estimate_seed=0):
         Vq = [V / alpha ** 2 for V in Vq]
     Dh_star, Gamma = urn_embedding(Hn, v, Vq)
 
-    regime = classify_regime(spectral_profile(Dh_star))
-    Sigma = None
-    slow = None
-    if regime.tag == "Standard":
-        Sigma = clt_covariance(Dh_star, Gamma)
-    elif regime.tag == "Critical":
-        Sigma = critical_covariance(Dh_star, Gamma)
-    else:
-        slow = _slow_urn_descriptor(Hn, v, lambda_sec, nu)
+    profile = spectral_profile(Dh_star)
+    regime = classify_regime(profile, rho_tol)
+    Sigma, slow = _limit_object(
+        profile, regime, Dh_star, Gamma,
+        slow=lambda: _slow_urn_descriptor(Hn, v, h_profile, lambda_sec, nu))
     return UrnAsymptotics(alpha=alpha, v=v, u=u, lambda_sec=lambda_sec, nu=nu,
                           regime=regime, Dh_star=Dh_star, Gamma=Gamma,
                           Sigma_tilde=Sigma, slow_descriptor=slow)

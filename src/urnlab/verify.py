@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .asymptotics import classify_regime, regime_scale, spectral_profile
+from .asymptotics import analyze
 from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError,
                      NonConvergenceError)
@@ -93,18 +93,6 @@ class RateFit:
         }
 
 
-def _resolve_sa_regime(model, regime, nu, rho):
-    if regime is None:
-        if not isinstance(model.drift, LinearDrift):
-            raise InvalidArgumentError(
-                "regime must be supplied for non-linear drifts")
-        profile = spectral_profile(model.drift.matrix)
-        regime = classify_regime(profile)
-        return regime.tag, profile.nu, profile.rho
-    tag = getattr(regime, "tag", regime)
-    return tag, (1 if nu is None else nu), rho
-
-
 def simulate(model, n, seed, checkpoints, replicates, basis=None):
     """States of replicates 0..R-1 at the checkpoints, and the engine record.
 
@@ -172,32 +160,39 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
     return paths, record
 
 
-def mc_sample(model, horizon, config, regime=None, nu=None, rho=None,
-              basis=None):
+def mc_sample(model, horizon, config, analysis=None, basis=None):
     """Scaled errors over config.replicates trajectories at one horizon.
 
-    The paths come from `simulate` (basis is forwarded there for defective
-    drift matrices). Divergent replicates are dropped and counted; more
-    than 1% of them is a failure.
+    The errors are scaled with the regime of the caller's analysis (an
+    AsymptoticReport or UrnAsymptotics). Without one, urn_asymptotics or,
+    for a linear drift, analyze at Gamma = 0 (the regime depends on the
+    drift alone) is made here. The paths come from `simulate` (basis is
+    forwarded there and to analyze for defective drift matrices). Divergent
+    replicates are dropped and counted; more than 1% of them is a failure.
     """
     horizon = int(horizon)
     R = config.replicates
     if isinstance(model, UrnSpec):
-        rep = urn_asymptotics(model)
-        star = np.concatenate([rep.v, rep.v])
-        tag = rep.regime.tag
-        nu_ = rep.nu
-        rho_ = None if rep.lambda_sec is None else 1.0 - rep.lambda_sec
+        if analysis is None:
+            analysis = urn_asymptotics(model)
+        star = np.concatenate([analysis.v, analysis.v])
     elif isinstance(model, SAProcessSpec):
-        tag, nu_, rho_ = _resolve_sa_regime(model, regime, nu, rho)
+        linear = isinstance(model.drift, LinearDrift)
+        if analysis is None:
+            if not linear:
+                raise InvalidArgumentError(
+                    "a non-linear drift needs the caller's analysis")
+            analysis = analyze(model.drift.matrix,
+                               np.zeros((model.dim, model.dim)),
+                               chain_basis=basis)
         star = model.theta_star
         if star is None:
-            if not isinstance(model.drift, LinearDrift):
+            if not linear:
                 raise InvalidArgumentError("model needs theta_star")
             star = np.zeros(model.dim)
     else:
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
-    scale = regime_scale(horizon, tag, nu_, rho_)
+    scale = analysis.scale(horizon)
 
     paths, engine = simulate(model, horizon, config.seed, [horizon], R,
                              basis=basis)

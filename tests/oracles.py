@@ -11,7 +11,9 @@ import numpy as np
 import scipy.integrate
 
 from urnlab.errors import InvalidArgumentError
+from urnlab.ode import integrate_flow
 from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, stream_words
+from urnlab.urn import urn_eigenstructure
 
 
 def taylor_expm(A, terms=30):
@@ -159,3 +161,21 @@ def replay(spec, traj):
         if want is not None and not np.array_equal(want, theta):
             raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
     return True
+
+
+def check_attraction(starts, H, s_max, eps, tol=1e-9):
+    """True per start iff the flow lands within eps (sup norm) of the
+    attractor alpha v. Starts outside {theta u^T > 0} are rejected."""
+    H = np.asarray(H, dtype=float)
+    alpha, v, u, _, _ = urn_eigenstructure(H)
+    starts = [np.asarray(t, dtype=float).reshape(-1) for t in starts]
+    for t in starts:
+        if t @ u <= 0.0:
+            raise InvalidArgumentError(
+                f"start {t.tolist()} has theta u^T <= 0")
+    target = alpha * v
+    out = []
+    for t in starts:
+        final = integrate_flow(t, H, s_max, tol)[-1].theta
+        out.append(bool(np.abs(final - target).max() <= eps))
+    return out

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from oracles import quad_sandwich
+from oracles import check_attraction, quad_sandwich
 from urnlab.asymptotics import (
     clt_covariance,
     critical_covariance,
@@ -39,7 +39,7 @@ from urnlab.golden import (
     remainder_drive_spec,
     rotation_spec,
 )
-from urnlab.ode import check_attraction, flow_identity_residual, integrate_flow
+from urnlab.ode import flow_identity_residual, integrate_flow
 from urnlab.sa import exact_mean_recursion, linear_paths, run_sa
 from urnlab.urn import run_urn, run_urn_batch, urn_asymptotics
 from urnlab.verify import (

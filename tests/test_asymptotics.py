@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from urnlab.errors import (
     InvalidBasisError,
     RegimeError,
 )
+from urnlab.golden import friedman_urn, mixing_urn
+from urnlab.urn import urn_asymptotics
 from oracles import quad_sandwich
 
 
@@ -84,6 +88,32 @@ def test_profile_multiplicity_accounting():
 def test_profile_warns_on_near_clusters():
     p = spectral_profile(np.diag([0.5, 0.5 + 3e-7]))
     assert p.warnings
+
+
+def test_profile_exact_jordan_blocks():
+    # the cluster centre of lam I + N is lam only to rounding, so the powers
+    # of the shifted matrix must be ranked on one scale to see the block
+    for lam in np.round(np.arange(0.05, 0.951, 0.05), 2):
+        for k in range(2, 6):
+            p = spectral_profile(lam * np.eye(k) + np.eye(k, k=1))
+            assert p.groups[0].block_sizes == (k,), (lam, k)
+            assert p.nu == k
+
+
+def test_profile_warns_on_block_size_fallback():
+    # the fourth matrix of a search over 0.7 I + N conjugated by
+    # T = I + c triu(randn, 1), c = 10^U(0, 6): its rank staircase fails
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        k = int(rng.integers(2, 5))
+        c = 10 ** rng.uniform(0, 6)
+        T = np.eye(k) + c * np.triu(rng.standard_normal((k, k)), 1)
+    H = T @ (0.7 * np.eye(k) + np.eye(k, k=1)) @ np.linalg.inv(T)
+    p = spectral_profile(H)
+    assert any("fall back to all ones" in w for w in p.warnings)
+    assert p.to_dict()["warnings"] == list(p.warnings)
+    for g in p.groups:
+        assert sum(g.block_sizes) == g.algebraic_multiplicity
 
 
 # ==== regime classification ====
@@ -345,6 +375,15 @@ def test_slow_descriptor_wrong_regime():
         slow_regime_descriptor(spectral_profile(H), H)
 
 
+def test_slow_descriptor_follows_the_callers_tolerance():
+    # rho = 1/2 - 5e-10 is Critical at the default rho_tol but Slow at 0
+    H = np.diag([0.5 - 5e-10, 1.0])
+    rep = analyze(H, np.eye(2), rho_tol=0.0)
+    assert rep.regime.tag == "Slow"
+    assert len(rep.slow_descriptor.components) == 1
+    assert np.allclose(rep.slow_descriptor.components[0].direction, [1.0, 0.0])
+
+
 # ==== assembled report ====
 
 def test_analyze_standard():
@@ -368,6 +407,52 @@ def test_analyze_slow():
     assert rep.regime.tag == "Slow"
     assert rep.covariance is None and rep.slow_descriptor is not None
     assert rep.as_rate_exponent == pytest.approx(0.3)
+
+
+def test_analyze_limit_object_follows_its_tolerance():
+    # just above 1/2: Standard at rho_tol = 0, with the Lyapunov covariance
+    rep = analyze(np.diag([0.5 + 5e-10, 1.0]), np.eye(2), rho_tol=0.0)
+    assert rep.regime.tag == "Standard"
+    assert rep.covariance[0, 0] == pytest.approx(1e9, rel=1e-6)
+    # a wide band: the covariance sits on the rho = 0.55 layer that set it
+    rep = analyze(np.diag([0.55, 1.0]), np.eye(2), rho_tol=0.1)
+    assert rep.regime.tag == "Critical"
+    assert np.allclose(rep.covariance, np.diag([1.0, 0.0]), atol=1e-12)
+    assert rep.scale(100) == pytest.approx(10.0 / np.sqrt(np.log(100.0)))
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Counts spectral_profile calls through every urnlab module binding."""
+    calls = []
+
+    def counted(H):
+        calls.append(np.shape(H))
+        return spectral_profile(H)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("urnlab")
+                and getattr(mod, "spectral_profile", None) is spectral_profile):
+            monkeypatch.setattr(mod, "spectral_profile", counted)
+    return calls
+
+
+def test_one_spectral_profile_per_matrix(profile_calls):
+    entries = [
+        (lambda: analyze(np.diag([0.75, 1.0]), np.eye(2)), 1),
+        (lambda: analyze(0.3 * np.array([[1.0, -1.0], [1.0, 1.0]]), np.eye(2)), 1),
+        (lambda: clt_covariance(np.diag([0.75, 1.0]), np.eye(2)), 1),
+        (lambda: critical_covariance([[0.5, -1.0], [0.0, 0.5]], np.eye(2),
+                                     chain_basis=np.diag([1.0, -1.0])), 1),
+        # H/alpha and the embedding Dh*, in each regime
+        (lambda: urn_asymptotics(friedman_urn()), 2),
+        (lambda: urn_asymptotics(mixing_urn(0.25)), 2),
+        (lambda: urn_asymptotics(mixing_urn(0.125)), 2),
+    ]
+    for call, want in entries:
+        profile_calls.clear()
+        call()
+        assert len(profile_calls) == want
 
 
 def test_report_round_trips_to_dict():

@@ -7,12 +7,14 @@ processes.
 """
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from urnlab.asymptotics import classify_regime
 from urnlab.cli import main
 
 SA_MODEL = {"kind": "sa", "d": 1, "drift": [[1.0]], "theta0": [0.0],
@@ -245,6 +247,81 @@ def test_verify_slow_regime_is_config_error(tmp_path, capsys):
     assert main(["verify", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
     assert "slow regime" in capsys.readouterr().err
+
+
+def diag_model(a):
+    return {"kind": "sa", "d": 2, "drift": [[a, 0.0], [0.0, 1.0]],
+            "theta0": [0.0, 0.0], "noise": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def test_analyze_zero_rho_tol_just_above_half(tmp_path):
+    doc = {"model": diag_model(0.5000000005), "analysis": {"rho_tol": 0}}
+    out = tmp_path / "art"
+    assert main(["analyze", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "analyze.json").read_text())
+    assert rep["regime"] == "standard"
+    S = np.array(rep["covariance"])
+    assert S[0, 0] == pytest.approx(1.0 / (2 * 0.5000000005 - 1.0), rel=1e-6)
+    assert S[1, 1] == pytest.approx(1.0)
+
+
+def test_wide_rho_tol_critical_layer_and_its_scaling(tmp_path):
+    # rho = 0.55 is Critical within rho_tol 0.1: the covariance lives on the
+    # 0.55 layer, and verify scales the sample by sqrt(n / log n) to match
+    doc = {"model": diag_model(0.55), "analysis": {"rho_tol": 0.1},
+           "run": {"n": 10000, "replicates": 400}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "art"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "analyze.json").read_text())
+    assert rep["regime"] == "critical"
+    assert np.allclose(rep["covariance"], [[1.0, 0.0], [0.0, 0.0]])
+    main(["verify", "--config", cfg, "--out", str(out)])
+    rep = json.loads((out / "verify.json").read_text())
+    assert rep["rel_frobenius"] < 1.0
+    # the drift-1 coordinate has Var sqrt(n) theta_n -> 1
+    assert rep["empirical_cov"][1][1] * math.log(10000) == pytest.approx(
+        1.0, rel=0.2)
+
+
+def test_urn_honours_rho_tol(tmp_path):
+    # lambda_sec = 0.45 puts rho = 0.55: Standard by default, Critical in a
+    # band of 0.1
+    model = {"kind": "urn", "d": 2, "Y0": [1.0, 1.0],
+             "adding_rule": {"name": "deterministic",
+                             "matrix": [[0.725, 0.275], [0.275, 0.725]]}}
+    reps = {}
+    for tol in (1e-9, 0.1):
+        doc = {"model": model, "analysis": {"rho_tol": tol}}
+        out = tmp_path / f"art-{tol}"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        reps[tol] = json.loads((out / "analyze.json").read_text())
+    assert reps[1e-9]["regime"] == "standard"
+    assert reps[0.1]["regime"] == "critical"
+    assert reps[0.1]["scaling"] == "√n/(log n)^{1/2}"
+    assert np.abs(np.array(reps[0.1]["sigma_tilde"])).max() > 0.0
+    assert reps[0.1]["sigma_tilde"] != reps[1e-9]["sigma_tilde"]
+
+
+@pytest.mark.parametrize("model", [SA_MODEL, FRIEDMAN_MODEL])
+def test_verify_decides_the_regime_once(tmp_path, monkeypatch, model):
+    # one analysis, whose regime both the prediction and the scaling use
+    decisions = []
+
+    def counted(*args, **kwargs):
+        decisions.append(args)
+        return classify_regime(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("urnlab")
+                and getattr(mod, "classify_regime", None) is classify_regime):
+            monkeypatch.setattr(mod, "classify_regime", counted)
+    doc = {"model": model, "run": {"n": 200, "replicates": 20}}
+    main(["verify", "--config", write_config(tmp_path, doc),
+          "--out", str(tmp_path / "o")])
+    assert len(decisions) == 1
 
 
 def test_config_error_exit_codes(tmp_path, capsys):

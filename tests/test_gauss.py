@@ -8,7 +8,6 @@ from urnlab.gauss import (
     GaussProcessSpec,
     gaussian_variance,
     interval_covariance,
-    simulate_gaussian_process,
     simulate_paths,
 )
 from urnlab.linalg import mat_power
@@ -131,19 +130,19 @@ def test_noiseless_flow_is_matrix_power():
     spec = GaussProcessSpec(H=H, gamma_root=np.zeros((1, 2)),
                             G1=np.array([1.0, -2.0]),
                             grid=np.array([1.0, 2.0, 5.0]))
-    path = simulate_gaussian_process(spec, seed=0)
-    for t, G in path:
+    path = simulate_paths(spec, 0, 1)[0]
+    for t, G in zip(spec.grid, path):
         want = spec.G1 @ mat_power(H, 1.0 / t)
         assert np.allclose(G, want, atol=1e-12)
 
 
 def test_seed_determinism_and_replicates():
     spec = scalar_spec([1.0, 2.0, 4.0])
-    a = simulate_gaussian_process(spec, seed=5)
-    b = simulate_gaussian_process(spec, seed=5)
-    c = simulate_gaussian_process(spec, seed=5, replicate=1)
-    assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
-    assert not np.array_equal(a[-1][1], c[-1][1])
+    a = simulate_paths(spec, 5, [0])[0]
+    b = simulate_paths(spec, 5, [0])[0]
+    c = simulate_paths(spec, 5, [1])[0]
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[-1], c[-1])
 
 
 def test_batch_rows_match_single_paths():

@@ -4,11 +4,11 @@ import pytest
 from urnlab.errors import InvalidArgumentError, SingularityError
 from urnlab.ode import (
     FlowState,
-    check_attraction,
     flow_identity_residual,
     flow_rhs,
     integrate_flow,
 )
+from oracles import check_attraction
 
 FRIEDMAN = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -13,7 +13,6 @@ from urnlab.urn import (
     UrnSpec,
     draw_probabilities,
     estimate_Vq,
-    replay_urn,
     run_urn,
     run_urn_batch,
     urn_asymptotics,
@@ -28,6 +27,25 @@ def friedman_spec():
     return UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
                    adding_rule=DeterministicRule(FRIEDMAN),
                    generating_matrix=FRIEDMAN)
+
+
+class FixedRule:
+    """A fixed addition matrix that is not a DeterministicRule, so run_urn
+    takes its generic engine."""
+
+    values_per_step = 0
+
+    def __init__(self, D):
+        self.matrix = np.asarray(D, dtype=float)
+
+    def __call__(self, rng, n, state):
+        return self.matrix
+
+
+def generic(spec):
+    return UrnSpec(d=spec.d, Y0=spec.Y0,
+                   adding_rule=FixedRule(spec.adding_rule.matrix),
+                   generating_matrix=spec.generating_matrix)
 
 
 # ==== draw probabilities ====
@@ -63,7 +81,7 @@ def test_run_urn_counts_sum_to_n():
         assert int(st.N.sum()) == st.n
     assert traj.checkpoints[0].n == 0
     assert np.array_equal(traj.checkpoints[0].Y, [1.0, 1.0])
-    assert list(traj.indices()) == [0, 1, 100, 500]
+    assert [st.n for st in traj.checkpoints] == [0, 1, 100, 500]
 
 
 def test_run_urn_total_mass_friedman():
@@ -73,21 +91,18 @@ def test_run_urn_total_mass_friedman():
 
 
 def test_replay_matches_recorded_draws():
-    spec = friedman_spec()
-    traj = run_urn(spec, 200, seed=11, checkpoints=[50, 200], record_draws=True)
-    assert replay_urn(spec, traj) is True
-    bad = traj.checkpoints[-1].Y.copy()
-    bad[0] += 1.0
-    tampered = traj.checkpoints[:-1] + (
-        type(traj.checkpoints[-1])(bad, traj.checkpoints[-1].N, 200),)
-    with pytest.raises(InvalidArgumentError):
-        replay_urn(spec, type(traj)(tampered, traj.seed, traj.draws))
+    # a deterministic rule adds row k on every draw of k: Y_n = Y_0 + N_n D
+    for spec in (friedman_spec(), generic(friedman_spec())):
+        traj = run_urn(spec, 200, seed=11, checkpoints=[0, 50, 200])
+        for st in traj.checkpoints:
+            assert np.array_equal(st.Y, spec.Y0 + st.N @ FRIEDMAN)
+            assert int(st.N.sum()) == st.n
 
 
 def test_fast_and_generic_engines_agree():
     spec = friedman_spec()
     fast = run_urn(spec, 2000, seed=21, checkpoints=[2000])
-    slow = run_urn(spec, 2000, seed=21, checkpoints=[2000], record_draws=True)
+    slow = run_urn(generic(spec), 2000, seed=21, checkpoints=[2000])
     assert np.array_equal(fast.checkpoints[-1].Y, slow.checkpoints[-1].Y)
     assert np.array_equal(fast.checkpoints[-1].N, slow.checkpoints[-1].N)
 
@@ -109,8 +124,8 @@ def test_batch_engine_three_colors():
                    adding_rule=DeterministicRule(H), generating_matrix=H)
     out = run_urn_batch(spec, 300, seed=13, checkpoints=[300], replicates=2)
     for r in range(2):
-        solo = run_urn(spec, 300, seed=13, checkpoints=[300], replicate=r,
-                       record_draws=True)
+        solo = run_urn(generic(spec), 300, seed=13, checkpoints=[300],
+                       replicate=r)
         assert np.array_equal(out[0][2][r], solo.checkpoints[-1].N)
 
 
@@ -128,9 +143,9 @@ def test_random_rule_runs_and_counts():
 def test_removal_rule_survives_nonpositive_composition():
     # pure removal drives Y negative; draws then fall back to uniform
     spec = UrnSpec(d=1, Y0=np.array([0.5]),
-                   adding_rule=DeterministicRule([[-1.0]]),
+                   adding_rule=FixedRule([[-1.0]]),
                    generating_matrix=np.array([[1.0]]))
-    traj = run_urn(spec, 50, seed=1, checkpoints=[50], record_draws=True)
+    traj = run_urn(spec, 50, seed=1, checkpoints=[50])
     st = traj.checkpoints[-1]
     assert st.Y[0] == pytest.approx(0.5 - 50.0)
     assert int(st.N.sum()) == 50
@@ -138,11 +153,11 @@ def test_removal_rule_survives_nonpositive_composition():
 
 def test_divergence_reports_first_bad_step():
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=DeterministicRule([[1e308]]),
+                   adding_rule=FixedRule([[1e308]]),
                    generating_matrix=np.array([[1.0]]))
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError) as exc:
-            run_urn(spec, 10, seed=0, checkpoints=[10], record_draws=True)
+            run_urn(spec, 10, seed=0, checkpoints=[10])
     assert exc.value.first_bad_index == 2
 
 

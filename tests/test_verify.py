@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from urnlab.asymptotics import analyze
 from urnlab.errors import (DivergenceError, InvalidArgumentError,
                            NonConvergenceError)
 from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
@@ -23,6 +24,10 @@ from urnlab.verify import (
     rotation_fit,
     simulate,
 )
+
+
+# a Standard analysis for the non-linear drifts, which mc_sample cannot analyse
+STANDARD = analyze([[1.0]], [[0.0]])
 
 
 def linear_spec(a=1.0, noise=True):
@@ -76,7 +81,7 @@ def test_divergent_replicates_fail_hard():
     cfg = MCConfig(replicates=10, horizons=(10,), seed=1)
     with np.errstate(over="ignore"):
         with pytest.raises(NonConvergenceError):
-            mc_sample(spec, 10, cfg, regime="Standard")
+            mc_sample(spec, 10, cfg, analysis=STANDARD)
 
 
 def test_nonlinear_needs_regime():
@@ -108,7 +113,7 @@ def test_mc_sample_propagates_drift_errors():
                          theta_star=np.array([0.0]))
     cfg = MCConfig(replicates=5, horizons=(10,), seed=1)
     with pytest.raises(TypeError):
-        mc_sample(spec, 10, cfg, regime="Standard")
+        mc_sample(spec, 10, cfg, analysis=STANDARD)
 
 
 def test_linear_refusal_is_a_fallback_not_divergence():
@@ -312,8 +317,9 @@ def test_mc_report_friedman_cov():
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
                    adding_rule=DeterministicRule(H), generating_matrix=H)
     cfg = MCConfig(replicates=600, horizons=(4000,), seed=29)
-    s = mc_sample(spec, 4000, cfg)
-    pred = urn_asymptotics(spec).Sigma_tilde
+    analysis = urn_asymptotics(spec)
+    s = mc_sample(spec, 4000, cfg, analysis=analysis)
+    pred = analysis.Sigma_tilde
     rep = make_mc_report(s, pred, rel_tol=0.3, p_min=0.002)
     assert rep.rel_frobenius <= 0.3
     assert rep.verdict["passed"]
