@@ -278,10 +278,21 @@ def _validate_run(r, explicit):
     return out
 
 
-def _validate_analysis(a, d):
+# analysis keys some command reads, per model kind; none for an ode flow
+_ANALYSIS_READ = {"sa": {"rho_tol", "tolerances", "chain_basis"},
+                  "urn": {"rho_tol", "tolerances"},
+                  "gauss": {"rho_tol", "chain_basis"}, "ode": set()}
+
+
+def _validate_analysis(a, model):
     path = "/analysis"
     _object(a, path)
     _reject_unknown(a, path, {"rho_tol", "tolerances", "chain_basis"})
+    d, kind = (None, None) if model is None else (model["d"], model["kind"])
+    for key in a:
+        if kind is not None and key not in _ANALYSIS_READ[kind]:
+            raise ConfigError(f'"{path}/{key}" is read by no command for a '
+                              f'model of kind "{kind}"', path=f"{path}/{key}")
     out = {"rho_tol": 1e-9,
            "tolerances": {"rel_frobenius": 0.15, "p_min": 0.005},
            "chain_basis": None}
@@ -466,8 +477,7 @@ def validate_config(raw):
            if raw.get("run") is not None
            else {"n": None, "replicates": 1, "seed": 0,
                  "checkpoints": {"dyadic_from": 1}})
-    analysis = (_validate_analysis(raw["analysis"],
-                                   None if model is None else model["d"])
+    analysis = (_validate_analysis(raw["analysis"], model)
                 if raw.get("analysis") is not None
                 else {"rho_tol": 1e-9,
                       "tolerances": {"rel_frobenius": 0.15, "p_min": 0.005},

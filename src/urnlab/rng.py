@@ -42,6 +42,8 @@ GROUP = 1024
 TILE = 128
 # values one BlockSource refill may generate beyond one block per replicate
 REFILL_VALUES = 1 << 20
+# replicates per copy in take; a band keeps a transposing copy in cache reach
+BAND = 64
 
 _U64 = np.uint64
 _C11, _C17, _C19, _C23, _C41, _C45 = (
@@ -216,15 +218,19 @@ class BlockSource:
         self._block += B
         self._pos = 0
 
-    def take(self, k):
-        """Next (R, k) values per replicate, as a fresh array."""
-        out = np.empty((self.repl.size, k))
+    def take(self, k, out=None):
+        """Next (R, k) values per replicate, into `out` (an (R, k) float
+        array or view, e.g. a step-major buffer's transpose) or a new array."""
+        if out is None:
+            out = np.empty((self.repl.size, k))
         filled = 0
         while filled < k:
             if self._pos == self._buf.shape[1]:
                 self._refill(k - filled)
             step = min(k - filled, self._buf.shape[1] - self._pos)
-            out[:, filled:filled + step] = self._buf[:, self._pos:self._pos + step]
+            src = self._buf[:, self._pos:self._pos + step]
+            for lo in range(0, src.shape[0], BAND):
+                out[lo:lo + BAND, filled:filled + step] = src[lo:lo + BAND]
             self._pos += step
             filled += step
         return out

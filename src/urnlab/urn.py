@@ -12,6 +12,9 @@ fluctuations embed into the general recursion with drift Jacobian
 and noise covariance assembled from S1 = diag(v) - v^T v and the per-row
 addition covariances V_q. The second-largest real part lambda_sec of the
 (alpha-normalized) spectrum sets the regime through rho = 1 - lambda_sec.
+
+run_urn steps one path; run_urn_batch steps R paths of a deterministic rule
+in lockstep, their state stored colour-major, (d, R).
 """
 
 import dataclasses
@@ -37,7 +40,7 @@ from .linalg import _check_square, check_sym_psd, eigen_left_right
 from .rng import BLOCK, BlockSource, StreamRng
 from .sa import _checkpoint_plan
 
-# lockstep steps per noise take; bounds the (replicates, SLAB) copy
+# lockstep steps per noise take; rows of the step-major uniform and draw buffers
 SLAB = 256
 
 
@@ -244,6 +247,13 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     """Vectorized paths for deterministic rules: all replicates advance in
     lockstep, each consuming one uniform per step from its own stream.
 
+    The state is colour-major, (d, R), so a step is a few ufuncs over R
+    that do the scalar loop's arithmetic: positive parts summed and
+    accumulated in colour order (a numpy row sum goes pairwise from d = 8
+    on), and k = #{i < d-1 : u*s >= acc_i}; a row with no positive mass
+    draws uniformly. Each replicate's path is run_urn's bit for bit. A
+    slab's draws are counted into N at its end.
+
     Returns [(n, Y array (R, d), N array (R, d))].
     """
     if not isinstance(spec.adding_rule, DeterministicRule):
@@ -256,33 +266,41 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
         repl = np.asarray(list(replicates), dtype=np.int64)
     R = repl.size
     src = BlockSource(seed, repl, "uniform", n_max)
-    D = spec.adding_rule.matrix
     d = spec.d
-    Y = np.tile(spec.Y0, (R, 1))
-    N = np.zeros((R, d), dtype=np.int64)
-    rows = np.arange(R)
+    DT = np.ascontiguousarray(spec.adding_rule.matrix.T)  # DT[q] = D[:, q]
+    Y = np.repeat(spec.Y0[:, None], R, axis=1)
+    N = np.zeros((d, R), dtype=np.int64)
+    U = np.empty((SLAB, R))  # one row of uniforms per step
+    K = np.empty((SLAB, R), dtype=np.min_scalar_type(d - 1))  # drawn types
+    acc = np.empty((d, R))
+    accs, s = list(acc), acc[d - 1]
+    k = np.zeros(R, dtype=np.intp)
     out = []
-    pi = 0
-    for n in range(1, n_max + 1):
-        if (n - 1) % SLAB == 0:  # the uniforms of the next SLAB steps
-            slab = src.take(min(SLAB, n_max - n + 1))
-        u = slab[:, (n - 1) % SLAB]
-        pos = np.maximum(Y, 0.0)
-        s = pos.sum(axis=1)
-        dead = s <= 0.0
-        if dead.any():
-            pos[dead] = 1.0
-            s[dead] = float(d)
-        cp = np.cumsum(pos, axis=1)
-        k = np.minimum((u[:, None] * s[:, None] >= cp).sum(axis=1), d - 1)
-        Y += D[k]
-        N[rows, k] += 1
-        if pi < len(plan) and plan[pi] == n:
-            if not np.all(np.isfinite(Y)):
-                raise DivergenceError(f"composition non-finite at step {n}",
-                                      first_bad_index=n)
-            out.append((n, Y.copy(), N.copy()))
-            pi += 1
+    n = 0
+    for stop in plan:
+        while n < stop:  # a slab ends at the next checkpoint at the latest
+            m = min(SLAB, stop - n)
+            src.take(m, out=U[:m].T)
+            for j in range(m):
+                np.maximum(Y, 0.0, out=acc)
+                for q in range(1, d):
+                    np.add(accs[q], accs[q - 1], out=accs[q])
+                if np.fmin.reduce(s) <= 0.0:  # NaN-blind: no dead row missed
+                    acc[:, s <= 0.0] = np.arange(1.0, d + 1.0)[:, None]
+                if d > 1:
+                    t = np.multiply(U[j], s, out=U[j])
+                    np.greater_equal(t, accs[0], out=k)
+                    for a in accs[1:d - 1]:
+                        k += t >= a
+                Y += DT.take(k, axis=1)  # colour q gains D[k, q]
+                K[j] = k
+            for q in range(d):
+                N[q] += np.count_nonzero(K[:m] == q, axis=0)
+            n += m
+        if not np.all(np.isfinite(Y)):
+            raise DivergenceError(f"composition non-finite at step {n}",
+                                  first_bad_index=n)
+        out.append((n, Y.T.copy(), N.T.copy()))
     return out
 
 

@@ -99,11 +99,12 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
     linear_paths runs a linear drift with Gaussian or no noise and no
     remainder (basis is forwarded for defective drifts), run_sa any other
     recursion, run_urn_batch an urn with a deterministic rule when R > 1,
-    run_urn any other urn. If the linear engine refuses (defective drift
-    without basis, Jordan block at an integer eigenvalue in 1..n) or its
-    output is non-finite (the true path overflows), run_sa runs instead
-    and the record names the fallback. A replicate diverging on run_sa
-    keeps NaN rows and is listed under "dropped".
+    run_urn any other urn (an urn takes no basis). If the linear engine
+    refuses (defective drift without basis, Jordan block at an integer
+    eigenvalue in 1..n) or its output is non-finite (the true path
+    overflows), run_sa runs instead and the record names the fallback. A
+    replicate diverging on run_sa keeps NaN rows and is listed under
+    "dropped".
 
     Returns (paths, record): [(k, theta)] for a recursion, [(k, Y, N)] for
     an urn, arrays of shape (R, d); record = {name, fallback, dropped}.
@@ -115,6 +116,8 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
     origin = plan[:1] == [0]  # the batch engines report indices >= 1 only
     record = {"name": "step", "fallback": None, "dropped": []}
     if isinstance(model, UrnSpec):
+        if basis is not None:
+            raise InvalidArgumentError("an urn simulation takes no chain basis")
         if isinstance(model.adding_rule, DeterministicRule) and R > 1:
             paths = run_urn_batch(model, n, seed, plan, R)
             if origin:

@@ -222,6 +222,36 @@ def test_chain_basis_needs_model_and_dimension():
         validate_config(doc)
 
 
+GAUSS = {"model": {"kind": "gauss", "d": 2, "H": [[1.0, 0.0], [0.0, 1.0]],
+                   "gamma": [[1.0, 0.0], [0.0, 1.0]], "grid": [1.0, 2.0]}}
+ODE = {"model": {"kind": "ode", "d": 2, "H": [[0.0, 1.0], [1.0, 0.0]],
+                 "theta0": [0.5, 0.5]}}
+BASIS = [[1.0, 0.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize("doc, key, value", [
+    (FRIEDMAN, "chain_basis", BASIS),
+    (GAUSS, "tolerances", {"p_min": 0.01}),
+    (ODE, "rho_tol", 1e-6),
+    (ODE, "tolerances", {"p_min": 0.01}),
+    (ODE, "chain_basis", BASIS),
+])
+def test_analysis_key_no_command_reads_is_rejected(doc, key, value):
+    with pytest.raises(ConfigError, match=f"/analysis/{key}") as exc:
+        validate_config({**doc, "analysis": {key: value}})
+    assert exc.value.path == f"/analysis/{key}"
+    assert doc["model"]["kind"] in str(exc.value)
+
+
+@pytest.mark.parametrize("doc, keys", [
+    (FRIEDMAN, {"rho_tol": 1e-6, "tolerances": {"p_min": 0.01}}),
+    (GAUSS, {"rho_tol": 1e-6, "chain_basis": BASIS}),
+])
+def test_analysis_keys_a_command_reads_are_kept(doc, keys):
+    cfg = validate_config({**doc, "analysis": keys})
+    assert cfg.analysis["rho_tol"] == 1e-6
+
+
 def test_output_section():
     cfg = validate_config({**MINIMAL_SA,
                            "output": {"dir": "artifacts",

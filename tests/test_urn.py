@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from urnlab.asymptotics import spectral_profile
 from urnlab.errors import (
@@ -127,6 +129,55 @@ def test_batch_engine_three_colors():
         solo = run_urn(generic(spec), 300, seed=13, checkpoints=[300],
                        replicate=r)
         assert np.array_equal(out[0][2][r], solo.checkpoints[-1].N)
+
+
+def assert_batch_matches_run_urn(spec, n, seed, checkpoints, R):
+    out = run_urn_batch(spec, n, seed, checkpoints, R)
+    for r in range(R):
+        ref = run_urn(spec, n, seed, checkpoints, replicate=r).checkpoints
+        assert [k for k, _, _ in out] == [c.n for c in ref]
+        for (k, Y, N), c in zip(out, ref):
+            assert np.array_equal(Y[r], c.Y), (r, k)
+            assert np.array_equal(N[r], c.N), (r, k)
+    return out
+
+
+@hst.composite
+def lockstep_runs(draw):
+    """A d = 2..9 rule with sevenths for entries (non-dyadic), nonnegative or
+    with removal, a start composition in thirds, and a run across slabs."""
+    d = draw(hst.integers(2, 9))
+    low = draw(hst.sampled_from([0, -7]))  # -7: rows may remove a ball
+    D = np.array(draw(hst.lists(hst.integers(low, 14), min_size=d * d,
+                                max_size=d * d)), dtype=float).reshape(d, d) / 7
+    Y0 = np.array(draw(hst.lists(hst.integers(0, 9), min_size=d,
+                                 max_size=d)), dtype=float) / 3
+    n = draw(hst.integers(1, 600))
+    checkpoints = draw(hst.lists(hst.integers(1, n), min_size=1, max_size=4))
+    spec = UrnSpec(d=d, Y0=Y0, adding_rule=DeterministicRule(D),
+                   generating_matrix=np.eye(d))
+    return spec, n, checkpoints
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=lockstep_runs(), R=hst.integers(1, 4), seed=hst.integers(0, 2 ** 32))
+def test_batch_engine_matches_run_urn_property(run, R, seed):
+    spec, n, checkpoints = run
+    assert_batch_matches_run_urn(spec, n, seed, checkpoints, R)
+
+
+def test_batch_engine_dead_rows_draw_uniformly():
+    # removal empties both colours within two steps; from then on every
+    # replicate draws uniformly, each from its own stream
+    spec = UrnSpec(d=2, Y0=np.array([0.5, 0.5]),
+                   adding_rule=DeterministicRule([[-1.0, 0.0], [0.0, -1.0]]),
+                   generating_matrix=np.eye(2))
+    out = assert_batch_matches_run_urn(spec, 600, 4, [1, 2, 3, 256, 300, 600],
+                                       5)
+    _, Y, N = out[-1]
+    assert np.all(Y < 0.0)
+    assert np.all(N.sum(axis=1) == 600)
+    assert len({tuple(row) for row in N}) == 5
 
 
 def test_random_rule_runs_and_counts():

@@ -238,6 +238,11 @@ def test_simulate_urn_routes_match_run_urn(route):
             assert np.array_equal(Y[r], st.Y) and np.array_equal(N[r], st.N)
 
 
+def test_simulate_urn_rejects_chain_basis():
+    with pytest.raises(InvalidArgumentError, match="chain basis"):
+        simulate(friedman_urn(), 10, 3, [10], 2, basis=np.eye(2))
+
+
 def test_simulate_records_dropped_replicates():
     spec = SAProcessSpec(dim=1, drift=lambda t: -t * 1e160,
                          theta0=np.array([1.0]))
