@@ -7,8 +7,10 @@ Exit status 0 on success, 1 when a verification ran and failed, 2 for any
 configuration problem.
 
 Artifacts are byte-deterministic in (config, seed): reports embed the
-config digest and tool version but never timestamps or host data. The
---threads flag is accepted and has no effect.
+config digest and tool version but never timestamps or host data.
+--threads N caps the worker processes that run replicate batches
+(simulate, urn, verify, suite; the other commands start none); no artifact
+depends on it.
 """
 
 import argparse
@@ -196,7 +198,8 @@ def _cmd_trajectories(args):
     R = cfg.run["replicates"]
     out = _outdir(cfg)
     paths, engine = simulate(spec, n, seed, plan, R,
-                             basis=_chain_basis(cfg.analysis))
+                             basis=_chain_basis(cfg.analysis),
+                             workers=args.threads)
     if engine["dropped"]:
         drop = engine["dropped"][0]
         raise DivergenceError(f"replicate {drop['replicate']} became non-finite "
@@ -330,7 +333,7 @@ def _cmd_verify(args):
                           path="/model")
     # the sample is scaled with the regime the prediction came from
     sample = mc_sample(spec, n, mc, analysis=rep,
-                       basis=_chain_basis(cfg.analysis))
+                       basis=_chain_basis(cfg.analysis), workers=args.threads)
     tol = cfg.analysis["tolerances"]
     report = make_mc_report(sample, predicted,
                             rel_tol=tol["rel_frobenius"], p_min=tol["p_min"])
@@ -360,7 +363,7 @@ def _cmd_suite(args):
     else:
         horizons = (10 ** 4, 10 ** 5)
     mc = MCConfig(replicates=R, horizons=horizons, seed=seed)
-    report = golden_suite(mc)
+    report = golden_suite(mc, workers=args.threads)
     payload = report.to_dict()
     payload["replicates"] = R
     payload["horizons"] = list(horizons)
@@ -392,6 +395,17 @@ _COMMANDS = [
 ]
 
 
+def _threads(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="urnlab",
@@ -407,8 +421,11 @@ def _parser():
                        help="artifact directory (overrides output.dir)")
         q.add_argument("--seed", type=int,
                        help="seed override (wins over config and URNLAB_SEED)")
-        q.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="accepted for compatibility; has no effect")
+        q.add_argument("--threads", type=_threads, default=1,
+                       metavar="N",
+                       help="cap on the worker processes that run replicate "
+                            "batches (at most the usable CPUs); artifacts "
+                            "do not depend on it")
         q.add_argument("--format", choices=["json", "csv", "both"],
                        help="artifact formats (overrides output.formats)")
         q.set_defaults(handler=handler)

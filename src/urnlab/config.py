@@ -289,10 +289,14 @@ def _validate_analysis(a, model):
     _object(a, path)
     _reject_unknown(a, path, {"rho_tol", "tolerances", "chain_basis"})
     d, kind = (None, None) if model is None else (model["d"], model["kind"])
+    read, what = _ANALYSIS_READ.get(kind), f'kind "{kind}"'
+    if kind == "sa" and isinstance(model["drift"], dict):
+        # analyze and verify refuse a non-linear drift; simulate reads none
+        read, what = set(), f'{what} with the "{model["drift"]["name"]}" drift'
     for key in a:
-        if kind is not None and key not in _ANALYSIS_READ[kind]:
+        if read is not None and key not in read:
             raise ConfigError(f'"{path}/{key}" is read by no command for a '
-                              f'model of kind "{kind}"', path=f"{path}/{key}")
+                              f'model of {what}', path=f"{path}/{key}")
     out = {"rho_tol": 1e-9,
            "tolerances": {"rel_frobenius": 0.15, "p_min": 0.005},
            "chain_basis": None}

@@ -362,6 +362,13 @@ def _block_weights(lam, size, j):
     return u
 
 
+def _rowwise(X, M):
+    """X @ M as one vector-matrix product per row of X. A matrix product's
+    rounding depends on how many rows it has; this one's does not, so a
+    replicate's path is the same in any batch."""
+    return np.matmul(X[:, None, :], M)[:, 0]
+
+
 def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
                  gamma_root=None, basis=None):
     """Exact paths of theta_{k+1} = theta_k (I - A/(k+1)) + dM_{k+1}/(k+1)
@@ -377,7 +384,8 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
     consumes exactly the noise values the step engine would. A Jordan block
     (size > 1) whose eigenvalue is an exact integer in 1..n_max has a nilpotent
     step factor there, which these weights cannot express: it raises
-    JordanIntegerEigenvalueError.
+    JordanIntegerEigenvalueError. A replicate's path is the same, bit for
+    bit, in any batch of replicates.
     Returns [(n, array of shape (R, d))] at the requested checkpoints.
     """
     A = _check_square(A, "A").astype(float)
@@ -432,8 +440,10 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
             if m:
                 z = src.take(width * m)
                 G = G.reshape(width * m, d)
-                x_new += z @ G.real + 1j * (z @ G.imag)
+                W = np.concatenate([G.real, G.imag], axis=1)
+                y = _rowwise(z, W)
+                x_new += y[:, :d] + 1j * y[:, d:]
             x = x_new
             done = hi
-        out.append((stop, np.ascontiguousarray((x @ Tinv).real)))
+        out.append((stop, np.ascontiguousarray(_rowwise(x, Tinv).real)))
     return out

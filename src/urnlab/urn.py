@@ -18,6 +18,7 @@ in lockstep, their state stored colour-major, (d, R).
 """
 
 import dataclasses
+from math import isfinite
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
         for i in range(d):
             Y[i] += row[i]
         N[k] += 1
-        if not all(-1e300 < y < 1e300 for y in Y):
+        if not all(isfinite(y) for y in Y):
             raise DivergenceError(f"composition non-finite at step {n}",
                                   first_bad_index=n)
         if pi < len(plan) and plan[pi] == n:

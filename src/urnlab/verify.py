@@ -10,6 +10,7 @@ stream no matter how the work is scheduled.
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 
@@ -93,7 +94,60 @@ class RateFit:
         }
 
 
-def simulate(model, n, seed, checkpoints, replicates, basis=None):
+def worker_count(workers, replicates):
+    """Processes `simulate` runs a batch on: the requested count, capped at
+    the replicates and at the CPUs this process may run on."""
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    return min(int(workers), int(replicates), len(os.sched_getaffinity(0)))
+
+
+# the shard runner of a forked worker, set in that worker only (by _adopt)
+_ADOPTED = None
+
+
+def _adopt(run):
+    global _ADOPTED
+    _ADOPTED = run
+
+
+def _run_adopted(replicates):
+    return _ADOPTED(replicates)
+
+
+def _sharded(run, R, workers):
+    """[run(shard)] over contiguous shards of the replicates 0..R-1, one
+    shard per worker: the first runs in this process, the others in forked
+    worker processes that are gone when this returns. run(shard) depends on
+    its shard's replicate indices alone, so no output depends on `workers`.
+    A shard's exception is raised here, the lowest shard's first."""
+    shards = np.array_split(np.arange(R), worker_count(workers, R))
+    if len(shards) == 1:
+        return [run(shards[0])]
+    # imported here: the one place that parallelises, and no start-up cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, named: each worker inherits `run`, closures and all, unpickled.
+    # A worker that dies fails its future instead of leaving this call
+    # waiting; leaving the block joins every worker.
+    with ProcessPoolExecutor(len(shards) - 1,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(run,)) as pool:
+        pending = [pool.submit(_run_adopted, s) for s in shards[1:]]
+        return [run(shards[0])] + [f.result() for f in pending]
+
+
+def _joined(parts):
+    """One checkpoint list from consecutive shards' lists [(k, arrays...)]:
+    each checkpoint's arrays concatenated in replicate order."""
+    if len(parts) == 1:
+        return parts[0]
+    return [(cps[0][0],) + tuple(np.concatenate(a) for a in list(zip(*cps))[1:])
+            for cps in zip(*parts)]
+
+
+def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     """States of replicates 0..R-1 at the checkpoints, and the engine record.
 
     linear_paths runs a linear drift with Gaussian or no noise and no
@@ -104,7 +158,13 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
     eigenvalue in 1..n) or its output is non-finite (the true path
     overflows), run_sa runs instead and the record names the fallback. A
     replicate diverging on run_sa keeps NaN rows and is listed under
-    "dropped".
+    "dropped". A lockstep urn that becomes non-finite raises at the first
+    checkpoint where any replicate is.
+
+    The replicates are split into contiguous shards over at most `workers`
+    processes (see worker_count); each replicate reads its own noise
+    streams and the fallbacks are decided on the whole batch, so paths,
+    record and errors are the same at any worker count.
 
     Returns (paths, record): [(k, theta)] for a recursion, [(k, Y, N)] for
     an urn, arrays of shape (R, d); record = {name, fallback, dropped}.
@@ -119,28 +179,43 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
         if basis is not None:
             raise InvalidArgumentError("an urn simulation takes no chain basis")
         if isinstance(model.adding_rule, DeterministicRule) and R > 1:
-            paths = run_urn_batch(model, n, seed, plan, R)
+            def lockstep(repl):
+                try:
+                    return run_urn_batch(model, n, seed, plan, repl)
+                except DivergenceError as exc:  # raised below, earliest first
+                    return exc
+            parts = _sharded(lockstep, R, workers)
+            bad = [p for p in parts if isinstance(p, DivergenceError)]
+            if bad:
+                raise min(bad, key=lambda exc: exc.first_bad_index)
+            paths = _joined(parts)
             if origin:
                 paths.insert(0, (0, np.tile(model.Y0, (R, 1)),
                                  np.zeros((R, model.d), dtype=np.int64)))
             return paths, dict(record, name="lockstep-urn")
-        trajs = [run_urn(model, n, seed, plan, replicate=r).checkpoints
-                 for r in range(R)]
-        return [(k, np.array([t[i].Y for t in trajs]),
-                 np.array([t[i].N for t in trajs]))
-                for i, k in enumerate(plan)], dict(record, name="urn")
+
+        def scalar(repl):
+            trajs = [run_urn(model, n, seed, plan, replicate=r).checkpoints
+                     for r in repl]
+            return [(k, np.array([t[i].Y for t in trajs]),
+                     np.array([t[i].N for t in trajs]))
+                    for i, k in enumerate(plan)]
+        return _joined(_sharded(scalar, R, workers)), dict(record, name="urn")
     if not isinstance(model, SAProcessSpec):
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
 
     if (isinstance(model.drift, LinearDrift) and model.remainder is None
             and (model.noise is None or isinstance(model.noise, GaussianNoise))):
         root = None if model.noise is None else model.noise.root
-        try:
+
+        def linear(repl):
             # overflow shows up as non-finite output, checked below
             with np.errstate(all="ignore"):
-                paths = linear_paths(model.drift.matrix, model.theta0, n, seed,
-                                     plan, replicates=R, gamma_root=root,
-                                     basis=basis)
+                return linear_paths(model.drift.matrix, model.theta0, n, seed,
+                                    plan, replicates=repl, gamma_root=root,
+                                    basis=basis)
+        try:
+            paths = _joined(_sharded(linear, R, workers))
         except (JordanIntegerEigenvalueError, ChainBasisRequiredError) as exc:
             record["fallback"] = {"from": "linear", "code": exc.code}
         else:
@@ -150,27 +225,34 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None):
                 return paths, dict(record, name="linear")
             record["fallback"] = {"from": "linear", "code": "non-finite"}
 
-    paths = [(k, np.full((R, model.dim), np.nan)) for k in plan]
-    for r in range(R):
-        try:
-            traj = run_sa(model, n, seed, plan, replicate=r)
-        except DivergenceError as exc:  # the replicate's rows stay NaN
-            record["dropped"].append(
-                {"replicate": r, "first_bad_index": exc.first_bad_index})
-            continue
-        for (_, x), (_, th) in zip(paths, traj.checkpoints):
-            x[r] = th
-    return paths, record
+    def step(repl):
+        paths = [(k, np.full((len(repl), model.dim), np.nan)) for k in plan]
+        dropped = []
+        for i, r in enumerate(repl.tolist()):
+            try:
+                traj = run_sa(model, n, seed, plan, replicate=r)
+            except DivergenceError as exc:  # the replicate's rows stay NaN
+                dropped.append({"replicate": r,
+                                "first_bad_index": exc.first_bad_index})
+                continue
+            for (_, x), (_, th) in zip(paths, traj.checkpoints):
+                x[i] = th
+        return paths, dropped
+
+    parts = _sharded(step, R, workers)
+    record["dropped"] = [d for _, dropped in parts for d in dropped]
+    return _joined([p for p, _ in parts]), record
 
 
-def mc_sample(model, horizon, config, analysis=None, basis=None):
+def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
     """Scaled errors over config.replicates trajectories at one horizon.
 
     The errors are scaled with the regime of the caller's analysis (an
     AsymptoticReport or UrnAsymptotics). Without one, urn_asymptotics or,
     for a linear drift, analyze at Gamma = 0 (the regime depends on the
     drift alone) is made here. The paths come from `simulate` (basis is
-    forwarded there and to analyze for defective drift matrices). Divergent
+    forwarded there and to analyze for defective drift matrices; workers
+    caps its processes and changes no value). Divergent
     replicates are dropped and counted; more than 1% of them is a failure.
     """
     horizon = int(horizon)
@@ -198,7 +280,7 @@ def mc_sample(model, horizon, config, analysis=None, basis=None):
     scale = analysis.scale(horizon)
 
     paths, engine = simulate(model, horizon, config.seed, [horizon], R,
-                             basis=basis)
+                             basis=basis, workers=workers)
     final = paths[-1][1:]  # (theta,) or (Y, N)
     theta = np.hstack(final) / horizon if isinstance(model, UrnSpec) else final[0]
     good = np.all(np.isfinite(theta), axis=1)
@@ -360,14 +442,15 @@ class SuiteReport:
         }
 
 
-def golden_suite(config):
+def golden_suite(config, workers=1):
     """Run the four showcase recursions and grade their documented
     behaviors.
 
     Monte Carlo effort (replicates, horizons, seed) comes from config; the
     deterministic long-horizon checks run at their pinned scales (single
-    paths to 2^22, exact means to 1e8, the damped decay to 1e7). The report
-    names every failing criterion.
+    paths to 2^22, exact means to 1e8, the damped decay to 1e7). `workers`
+    caps the processes of each `simulate` call and changes no value. The
+    report names every failing criterion.
     """
     from .golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
                          remainder_drive_spec, rotation_spec)
@@ -388,7 +471,8 @@ def golden_suite(config):
     ratios = []
     report = None
     for h in horizons:
-        s = mc_sample(spec, h, config, basis=JORDAN_CHAIN_BASIS)
+        s = mc_sample(spec, h, config, basis=JORDAN_CHAIN_BASIS,
+                      workers=workers)
         X = s.errors
         var_first = float(np.var(X[:, 0] * math.log(h), ddof=1))
         var_second = float(np.var(X[:, 1], ddof=1))
@@ -408,7 +492,7 @@ def golden_suite(config):
     n_path = 1 << 22
     pts, _ = simulate(spec_slow, n_path, config.seed,
                       [1 << k for k in range(10, 23)], 20,
-                      basis=JORDAN_CHAIN_BASIS)
+                      basis=JORDAN_CHAIN_BASIS, workers=workers)
     fit_first = path_convergence(
         [(n, [n ** 0.3 * x[0, 0]]) for n, x in pts], tol=0.05)
     fit_second = path_convergence(
@@ -488,7 +572,8 @@ def golden_suite(config):
           scaled_means=series)
 
     # no remainder: the scaled sample should pass a normality check
-    s = mc_sample(remainder_drive_spec("zero"), h_last, config)
+    s = mc_sample(remainder_drive_spec("zero"), h_last, config,
+                  workers=workers)
     stat, p = ks_normal(s.errors[:, 0], 0.0, 1.0)
     rep = make_mc_report(s, np.array([[1.0]]), rel_tol=0.15, p_min=0.01)
     grade("remainder-zero-normality", p > 0.01,

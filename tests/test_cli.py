@@ -8,6 +8,7 @@ processes.
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -227,6 +228,36 @@ def test_verify_urn_against_lyapunov(tmp_path):
     assert rep["engine"]["name"] == "lockstep-urn"
     assert np.array(rep["predicted_cov"]).shape == (4, 4)
     assert rep["verdict"]["passed"] is True
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "sa", "d": 2, "drift": [[1.0, 0.3], [0.0, 0.8]],
+     "theta0": [0.0, 0.0], "noise": [[1.0, 0.0], [0.0, 1.0]]},
+    FRIEDMAN_MODEL,
+], ids=["linear", "urn"])
+def test_verify_artifacts_do_not_depend_on_threads(tmp_path, model):
+    # 100000 is capped at the replicates and the usable CPUs
+    cfg = write_config(tmp_path, {"model": model,
+                                  "run": {"n": 500, "replicates": 64}})
+    blobs, codes = [], []
+    for threads in ("1", "2", "100000"):
+        out = tmp_path / f"t{threads}"
+        codes.append(main(["verify", "--config", cfg, "--out", str(out),
+                           "--threads", threads]))
+        blobs.append([(out / name).read_bytes()
+                      for name in ("verify.json", "samples.csv")])
+        assert multiprocessing.active_children() == []
+    assert codes[1:] == codes[:-1]
+    assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_threads_must_be_a_positive_integer(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {"model": SA_MODEL})
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", cfg, "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(tmp_path, capsys):

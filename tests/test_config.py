@@ -226,6 +226,8 @@ GAUSS = {"model": {"kind": "gauss", "d": 2, "H": [[1.0, 0.0], [0.0, 1.0]],
                    "gamma": [[1.0, 0.0], [0.0, 1.0]], "grid": [1.0, 2.0]}}
 ODE = {"model": {"kind": "ode", "d": 2, "H": [[0.0, 1.0], [1.0, 0.0]],
                  "theta0": [0.5, 0.5]}}
+DAMPED = {"model": {"kind": "sa", "d": 1, "theta0": [0.001],
+                    "drift": {"name": "log-damped-decay", "rho": 0.5}}}
 BASIS = [[1.0, 0.0], [0.0, -1.0]]
 
 
@@ -235,12 +237,18 @@ BASIS = [[1.0, 0.0], [0.0, -1.0]]
     (ODE, "rho_tol", 1e-6),
     (ODE, "tolerances", {"p_min": 0.01}),
     (ODE, "chain_basis", BASIS),
+    # analyze and verify refuse the non-linear drift; simulate reads no key
+    (DAMPED, "rho_tol", 0.3),
+    (DAMPED, "tolerances", {"p_min": 0.5}),
+    (DAMPED, "chain_basis", [[2.0]]),
 ])
 def test_analysis_key_no_command_reads_is_rejected(doc, key, value):
     with pytest.raises(ConfigError, match=f"/analysis/{key}") as exc:
         validate_config({**doc, "analysis": {key: value}})
     assert exc.value.path == f"/analysis/{key}"
     assert doc["model"]["kind"] in str(exc.value)
+    if doc is DAMPED:
+        assert "log-damped-decay" in str(exc.value)
 
 
 @pytest.mark.parametrize("doc, keys", [

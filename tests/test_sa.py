@@ -163,14 +163,23 @@ def test_linear_paths_noise_free_matches_mean():
 
 
 def test_linear_paths_batching_invariance():
-    A = np.array([[0.5, -1.0], [0.0, 0.5]])
-    root = np.array([[1.0, 0.0]])
-    batch = linear_paths(A, [0.0, 0.0], 2000, seed=7, checkpoints=[2000],
-                         replicates=4, gamma_root=root, basis=np.diag([1.0, -1.0]))
-    for r in range(4):
-        solo = linear_paths(A, [0.0, 0.0], 2000, seed=7, checkpoints=[2000],
-                            replicates=[r], gamma_root=root, basis=np.diag([1.0, -1.0]))
-        assert np.allclose(batch[0][1][r], solo[0][1][0], rtol=1e-12)
+    # bit for bit: a replicate's path may not depend on its batch, so that
+    # simulate can split a batch over processes
+    cases = [
+        ([[0.5, -1.0], [0.0, 0.5]], [[1.0, 0.0]], np.diag([1.0, -1.0])),
+        # complex eigenvalues, three noise columns
+        ([[1.0, 0.3, 0.1], [0.0, 0.8, 0.2], [0.1, 0.0, 0.9]], np.eye(3), None),
+    ]
+    for A, root, basis in cases:
+        d = len(A)
+        batch = linear_paths(A, [0.0] * d, 2000, seed=7, checkpoints=[17, 2000],
+                             replicates=7, gamma_root=root, basis=basis)
+        for r in range(7):
+            solo = linear_paths(A, [0.0] * d, 2000, seed=7,
+                                checkpoints=[17, 2000], replicates=[r],
+                                gamma_root=root, basis=basis)
+            for (_, x), (_, y) in zip(batch, solo):
+                assert np.array_equal(x[r], y[0])
 
 
 def test_linear_paths_checkpoint_insensitive():

@@ -80,3 +80,57 @@ def test_ignored_parameter_rule_catches_one():
     assert _unread_parameters(tree) == [
         ("f", "b"), ("C.g", "chunk"), ("C.__call__", "k"),
         ("C.__call__", "theta"), ("C.__call__", "extra")]
+
+
+# the one function that may start processes; a module-level import would
+# also add its cost to every urnlab start-up
+PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
+PARALLEL_HOME = ("urnlab/verify.py", "_sharded")
+
+
+def _parallel_imports(tree):
+    """(enclosing function or None, module) for every import of a process
+    or thread pool module."""
+    found = []
+
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        return []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            for name in imported(child):
+                if any(name == m or name.startswith(m + ".")
+                       for m in PARALLEL_MODULES):
+                    found.append((func, name))
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_pools_are_imported_only_where_replicates_are_sharded():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = {(str(path.relative_to(SRC)), func)
+             for path in files
+             for func, _ in _parallel_imports(ast.parse(path.read_text()))}
+    assert found <= {PARALLEL_HOME}
+
+
+def test_pool_import_rule_catches_one():
+    tree = ast.parse(
+        "import multiprocessing.pool\n"
+        "def f():\n    from concurrent import futures\n"
+        "def _sharded():\n    import multiprocessing\n"
+        "    def g():\n        from concurrent.futures import ProcessPoolExecutor\n"
+        "import concurrency\n")
+    assert _parallel_imports(tree) == [
+        (None, "multiprocessing.pool"), ("f", "concurrent.futures"),
+        ("_sharded", "multiprocessing"), ("g", "concurrent.futures"),
+        ("g", "concurrent.futures.ProcessPoolExecutor")]

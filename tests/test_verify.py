@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from urnlab.verify import (
     path_convergence,
     rotation_fit,
     simulate,
+    worker_count,
 )
 
 
@@ -251,6 +256,131 @@ def test_simulate_records_dropped_replicates():
     assert record["dropped"] == [{"replicate": 0, "first_bad_index": 2},
                                  {"replicate": 1, "first_bad_index": 2}]
     assert all(np.isnan(x).all() for _, x in paths)
+
+
+# ==== worker processes ====
+
+def _cubic_spec():
+    # theta grows like theta^3 / n once it is large: most replicates of
+    # seed 0 overflow within a few steps, replicate 5 of 0..8 does not
+    return SAProcessSpec(dim=1, drift=lambda th: -th ** 3,
+                         theta0=np.array([0.0]),
+                         noise=GaussianNoise(np.array([[1.0]])))
+
+
+# case -> (model, replicates, basis, engine name, fallback code)
+WORKER_CASES = {
+    "linear": (lambda: _linear_model([[1.0, 0.3], [0.0, 0.8]]), 7, None,
+               "linear", None),
+    # complex eigenvalues: a matrix product over the batch would round
+    # each row by its position in the batch
+    "linear-complex": (lambda: _linear_model([[1.0, 0.3, 0.1], [0.0, 0.8, 0.2],
+                                              [0.1, 0.0, 0.9]]), 13, None,
+                       "linear", None),
+    "lockstep-urn": (friedman_urn, 7, None, "lockstep-urn", None),
+    "step-dropped": (_cubic_spec, 9, None, "step", None),
+    "fallback-jordan-integer": (lambda: _linear_model([[1.0, 1.0], [0.0, 1.0]]),
+                                5, np.eye(2), "step", "jordan-integer-eigenvalue"),
+}
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # worker_count caps at the usable CPUs; let 3 workers run on any box
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+@pytest.mark.parametrize("case", list(WORKER_CASES))
+def test_simulate_is_the_same_at_any_worker_count(case, three_cpus):
+    make, R, basis, name, code = WORKER_CASES[case]
+    spec = make()
+    runs = []
+    for workers in (1, 2, 3):  # 3 splits the replicates unevenly
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(simulate(spec, 3000, 0, [0, 1, 17, 1000, 3000], R,
+                                 basis=basis, workers=workers))
+        assert multiprocessing.active_children() == []
+    paths, record = runs[0]
+    assert record["name"] == name
+    assert record["fallback"] == (None if code is None
+                                  else {"from": "linear", "code": code})
+    for other, other_record in runs[1:]:
+        assert other_record == record
+        assert len(other) == len(paths)
+        for cp, cp_other in zip(paths, other):
+            assert cp[0] == cp_other[0]
+            for x, y in zip(cp[1:], cp_other[1:]):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y, equal_nan=True)
+    if case == "step-dropped":
+        dropped = [d["replicate"] for d in record["dropped"]]
+        # global indices, some of them outside the first shard
+        assert 5 not in dropped and max(dropped) == R - 1
+        for r in range(R):
+            assert np.isnan(paths[-1][1][r, 0]) == (r in dropped)
+
+
+def test_lockstep_urn_raises_the_earliest_divergence_at_any_worker_count(
+        three_cpus):
+    # a colour-0 draw adds 1e308 balls and the next one overflows; at seed 0
+    # replicate 6, in the last shard, overflows first (step 125), and the
+    # first of the first shard's is replicate 2 (step 830)
+    spec = UrnSpec(d=2, Y0=np.array([1.0, 1e3]),
+                   adding_rule=DeterministicRule([[1e308, 0.0], [0.0, 1.0]]),
+                   generating_matrix=np.eye(2))
+    first = []
+    for r in range(7):
+        try:
+            with np.errstate(over="ignore"):
+                run_urn(spec, 3000, 0, [3000], replicate=r)
+        except DivergenceError as exc:
+            first.append(exc.first_bad_index)
+    assert min(first) == 125 and 830 in first
+    for workers in (1, 2, 3):
+        with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore"):
+            simulate(spec, 3000, 0, range(1, 3001), 7, workers=workers)
+        assert exc.value.first_bad_index == 125
+        assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_fails_the_call_instead_of_hanging(three_cpus):
+    caller = os.getpid()
+
+    def drift(th):
+        if os.getpid() != caller:  # in a forked worker only
+            os.kill(os.getpid(), signal.SIGKILL)
+        return th
+
+    spec = SAProcessSpec(dim=1, drift=drift, theta0=np.array([1.0]))
+    with pytest.raises(BrokenProcessPool):
+        simulate(spec, 10, 0, [10], 3, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_urn_overflow_check_is_the_same_for_one_and_many_replicates():
+    # 20 draws of 1e299 balls end at 2e300: large, finite, not a divergence
+    spec = UrnSpec(d=1, Y0=np.array([1.0]),
+                   adding_rule=DeterministicRule([[1e299]]),
+                   generating_matrix=np.array([[1.0]]))
+    one, rec_one = simulate(spec, 20, 0, [10, 20], 1)
+    two, rec_two = simulate(spec, 20, 0, [10, 20], 2)
+    forked, rec_forked = simulate(spec, 20, 0, [10, 20], 2, workers=2)
+    assert rec_one["name"] == "urn" and rec_two["name"] == "lockstep-urn"
+    assert rec_forked == rec_two
+    for (k, Y, N), (_, Y2, N2), (_, Y3, N3) in zip(one, two, forked):
+        assert np.array_equal(Y2, Y3) and np.array_equal(N2, N3)
+        assert np.array_equal(Y2, np.repeat(Y, 2, axis=0))
+        assert np.array_equal(N2, np.repeat(N, 2, axis=0))
+    assert two[-1][1][0, 0] == 1.0 + 20 * 1e299
+
+
+def test_worker_count_is_capped_by_replicates_and_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert worker_count(100000, 10 ** 6) == cpus
+    assert worker_count(100000, 1) == 1
+    assert worker_count(1, 10 ** 6) == 1
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        worker_count(0, 10)
 
 
 # ==== covariance comparison ====
