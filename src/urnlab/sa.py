@@ -237,12 +237,18 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
 
 # ==== deterministic mean recursion ====
 
-_MEAN_CHUNK = 1 << 22  # steps per chunk of the scalar closed form
+# steps per chunk of the scalar closed form, so that its three buffers and
+# the remainder schedule's temporaries stay in a 2 MiB L2 cache. At n = 1e8
+# on such a core: about 22 ns per step against 50 at 2^22; 2^15 ties on the
+# inv-sqrt-log schedule and is 1.5x slower on inv-sqrt-loglog (more temporaries)
+_MEAN_CHUNK = 1 << 14
 
 
 def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
     """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k), chunked.
 
+    Per chunk, log P_k and the weighted sum are chunk-local cumsums plus
+    the offset carried from the chunk before, in buffers allocated once.
     Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
     """
     out = []
@@ -250,33 +256,38 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
     if pi < len(plan) and plan[pi] == 0:
         out.append((0, np.array([x0])))
         pi += 1
+    size = min(_MEAN_CHUNK, n_max)
+    j = np.arange(1.0, size + 1.0)  # the chunk's step indices, exact
+    cl = np.empty(size)
+    tcum = np.empty(size) if remainder is not None else None
     logP = 0.0
     S = 0.0  # sum of r_k / (k P_k)
     done = 0
     while done < n_max:
-        hi = min(done + _MEAN_CHUNK, n_max)
-        j = np.arange(done + 1, hi + 1, dtype=float)
-        # in place: a chunk holds 2^22 values, so each temporary is 32 MiB
-        cl = np.log1p(-a / j)
-        np.cumsum(cl, out=cl)
-        cl += logP
-        if remainder is not None:
-            tcum = np.exp(cl)
-            tcum *= j
-            np.divide(np.asarray(remainder(j), dtype=float), tcum, out=tcum)
-            np.cumsum(tcum, out=tcum)
-            tcum += S
-        else:
-            tcum = None
+        m = min(size, n_max - done)
+        jm, c = j[:m], cl[:m]
+        np.divide(-a, jm, out=c)
+        np.log1p(c, out=c)
+        np.cumsum(c, out=c)
+        c += logP
+        if tcum is not None:
+            t = tcum[:m]
+            np.exp(c, out=t)
+            t *= jm
+            np.divide(np.asarray(remainder(jm), dtype=float), t, out=t)
+            np.cumsum(t, out=t)
+            t += S
+        hi = done + m
         while pi < len(plan) and plan[pi] <= hi:
             idx = plan[pi] - done - 1
-            val = np.exp(cl[idx]) * (x0 + (tcum[idx] if tcum is not None else 0.0))
+            val = np.exp(c[idx]) * (x0 + (t[idx] if tcum is not None else 0.0))
             out.append((plan[pi], np.array([val])))
             pi += 1
-        logP = cl[-1]
+        logP = c[-1]
         if tcum is not None:
-            S = tcum[-1]
+            S = t[-1]
         done = hi
+        j += size
     return out
 
 
@@ -286,7 +297,8 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
 
     Returns [(n, E theta_n)] at the requested checkpoints (default: n_max
     only). The one-dimensional case with A[0,0] in [0, 1) is evaluated in
-    vectorized chunks, so horizons up to 1e8 are practical; the remainder
+    vectorized chunks small enough to stay in cache, so horizons up to 1e8
+    take seconds and memory does not grow with n_max; the remainder
     schedule must then accept an index array.
     """
     A = _check_square(A, "A").astype(float)

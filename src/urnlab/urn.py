@@ -156,7 +156,7 @@ def draw_probabilities(Y):
 def _run_urn_fast(spec, n_max, seed, plan, replicate):
     """Pure-python loop for deterministic rules; one uniform per step."""
     rng = StreamRng(seed, replicate, "uniform", n_max)
-    D = [tuple(row) for row in spec.adding_rule.matrix]
+    D = spec.adding_rule.matrix.tolist()  # python floats: no numpy scalars
     d = spec.d
     Y = [float(y) for y in spec.Y0]
     N = [0] * d
@@ -253,7 +253,9 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     accumulated in colour order (a numpy row sum goes pairwise from d = 8
     on), and k = #{i < d-1 : u*s >= acc_i}; a row with no positive mass
     draws uniformly. Each replicate's path is run_urn's bit for bit. A
-    slab's draws are counted into N at its end.
+    slab's draws are counted into N at its end. A slab that leaves any
+    replicate non-finite is replayed from its start for those replicates,
+    so the divergence names the first non-finite step, as run_urn does.
 
     Returns [(n, Y array (R, d), N array (R, d))].
     """
@@ -276,12 +278,14 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     acc = np.empty((d, R))
     accs, s = list(acc), acc[d - 1]
     k = np.zeros(R, dtype=np.intp)
+    start = np.empty_like(Y)  # Y at the slab's start
     out = []
     n = 0
     for stop in plan:
         while n < stop:  # a slab ends at the next checkpoint at the latest
             m = min(SLAB, stop - n)
             src.take(m, out=U[:m].T)
+            np.copyto(start, Y)
             for j in range(m):
                 np.maximum(Y, 0.0, out=acc)
                 for q in range(1, d):
@@ -295,14 +299,28 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
                         k += t >= a
                 Y += DT.take(k, axis=1)  # colour q gains D[k, q]
                 K[j] = k
+            if not np.all(np.isfinite(Y)):
+                bad = n + _first_non_finite(start, Y, DT, K[:m])
+                raise DivergenceError(f"composition non-finite at step {bad}",
+                                      first_bad_index=bad)
             for q in range(d):
                 N[q] += np.count_nonzero(K[:m] == q, axis=0)
             n += m
-        if not np.all(np.isfinite(Y)):
-            raise DivergenceError(f"composition non-finite at step {n}",
-                                  first_bad_index=n)
         out.append((n, Y.T.copy(), N.T.copy()))
     return out
+
+
+def _first_non_finite(start, Y, DT, K):
+    """1-based slab step at which a replicate first became non-finite: the
+    replicates non-finite at the end re-add their drawn rows of D from the
+    slab's `start`. D is finite, so the others were finite throughout."""
+    bad = ~np.isfinite(Y).all(axis=0)
+    y, k = start[:, bad], K[:, bad]
+    for j in range(len(K)):
+        y += DT[:, k[j]]
+        if not np.all(np.isfinite(y)):
+            break
+    return j + 1
 
 
 # ==== eigenstructure and embedding ====

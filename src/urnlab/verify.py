@@ -159,7 +159,7 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     overflows), run_sa runs instead and the record names the fallback. A
     replicate diverging on run_sa keeps NaN rows and is listed under
     "dropped". A lockstep urn that becomes non-finite raises at the first
-    checkpoint where any replicate is.
+    step where any replicate is, as run_urn does for one.
 
     The replicates are split into contiguous shards over at most `workers`
     processes (see worker_count); each replicate reads its own noise

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 
 from urnlab.errors import (ChainBasisRequiredError, DivergenceError,
                            InvalidArgumentError, JordanIntegerEigenvalueError)
+from urnlab.golden import InverseSqrtLogRemainder, remainder_drive_spec
 from urnlab.rng import BLOCK
 from urnlab.sa import (
     GaussianNoise,
     LinearDrift,
     SAProcessSpec,
     Trajectory,
+    _MEAN_CHUNK,
     exact_mean_recursion,
     linear_paths,
     run_sa,
@@ -127,6 +131,40 @@ def test_exact_mean_scalar_fast_path_matches_loop():
     # intermediate checkpoint against a direct loop
     slow7 = mean_recursion(np.array([[0.5]]), lambda n: [r(n)], 7, [0.3])
     assert fast[0][1][0] == pytest.approx(slow7[0], rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.0, 1.0, exclude_max=True), x0=st.floats(0.0, 2.0),
+       kind=st.sampled_from(["none", "inv-sqrt", "inv-sqrt-log"]),
+       n=st.integers(_MEAN_CHUNK - 3, 3 * _MEAN_CHUNK + 5))
+def test_exact_mean_scalar_matches_float_loop_property(a, x0, kind, n):
+    # n straddles the chunk ends; checkpoints sit on both sides of each
+    remainder = {"none": None, "inv-sqrt": lambda k: 1.0 / np.sqrt(k),
+                 "inv-sqrt-log": InverseSqrtLogRemainder()}[kind]
+    ends = (0, _MEAN_CHUNK, 2 * _MEAN_CHUNK, 3 * _MEAN_CHUNK)
+    plan = sorted({k for e in ends for k in (e - 1, e, e + 1) if 0 <= k <= n} | {n})
+    got = exact_mean_recursion([[a]], remainder, [x0], n, checkpoints=plan)
+    r = (np.zeros(n) if remainder is None
+         else remainder(np.arange(1.0, n + 1.0))).tolist()
+    x, want, marks = x0, [x0] if plan[0] == 0 else [], set(plan)
+    for k in range(1, n + 1):
+        x = x * (1.0 - a / k) + r[k - 1] / k
+        if k in marks:
+            want.append(x)
+    assert [k for k, _ in got] == plan
+    np.testing.assert_allclose([v[0] for _, v in got], want, rtol=1e-10, atol=0.0)
+
+
+def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon():
+    spec = remainder_drive_spec("inv-sqrt-log")
+    for n in (10 ** 6, 4 * 10 ** 6):
+        tracemalloc.start()
+        try:
+            exact_mean_recursion(spec.drift.matrix, spec.remainder, spec.theta0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, (n, peak)
 
 
 def test_linear_paths_match_step_engine_jordan():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,18 @@ def test_divergence_reports_first_bad_step():
                    adding_rule=FixedRule([[1e308]]),
                    generating_matrix=np.array([[1.0]]))
     with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as exc:
+            run_urn(spec, 10, seed=0, checkpoints=[10])
+    assert exc.value.first_bad_index == 2
+
+
+def test_scalar_urn_loop_overflows_without_a_warning():
+    # the fast loop adds D's rows as python floats, which overflow silently
+    spec = UrnSpec(d=1, Y0=np.array([1.0]),
+                   adding_rule=DeterministicRule([[1e308]]),
+                   generating_matrix=np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as exc:
             run_urn(spec, 10, seed=0, checkpoints=[10])
     assert exc.value.first_bad_index == 2

@@ -331,8 +331,7 @@ def test_lockstep_urn_raises_the_earliest_divergence_at_any_worker_count(
     first = []
     for r in range(7):
         try:
-            with np.errstate(over="ignore"):
-                run_urn(spec, 3000, 0, [3000], replicate=r)
+            run_urn(spec, 3000, 0, [3000], replicate=r)
         except DivergenceError as exc:
             first.append(exc.first_bad_index)
     assert min(first) == 125 and 830 in first
@@ -355,6 +354,17 @@ def test_a_killed_worker_fails_the_call_instead_of_hanging(three_cpus):
     with pytest.raises(BrokenProcessPool):
         simulate(spec, 10, 0, [10], 3, workers=3)
     assert multiprocessing.active_children() == []
+
+
+def test_lockstep_urn_names_the_overflowing_step_not_the_checkpoint(three_cpus):
+    # the second draw of 1e308 balls overflows; the only checkpoint is 20
+    spec = UrnSpec(d=1, Y0=np.array([1.0]),
+                   adding_rule=DeterministicRule([[1e308]]),
+                   generating_matrix=np.array([[1.0]]))
+    for R, workers in ((1, 1), (2, 1), (2, 2)):
+        with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore"):
+            simulate(spec, 20, 0, [20], R, workers=workers)
+        assert exc.value.first_bad_index == 2, (R, workers)
 
 
 def test_urn_overflow_check_is_the_same_for_one_and_many_replicates():
