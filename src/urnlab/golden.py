@@ -160,9 +160,8 @@ class InverseSqrtLogLogRemainder:
 
     def __call__(self, k):
         j = np.atleast_1d(np.asarray(k, dtype=float))
-        ll = np.ones_like(j)
-        big = j >= 2.0
-        ll[big] = np.maximum(np.log(np.log(j[big])), 1.0)
+        # below 2 the double log is undefined; loglog 2 < 1 clamps it to 1
+        ll = np.maximum(np.log(np.log(np.maximum(j, 2.0))), 1.0)
         return 1.0 / (np.sqrt(j) * ll)
 
     def digest_parts(self):

@@ -18,7 +18,11 @@ rows, stepped by in-place ufuncs. Polar rejection is vectorised in rounds
 of ``TILE`` attempts per stream: a round keeps each stream's accepted pairs
 in order, up to its count, so temporaries stay at ``GROUP * TILE`` values.
 ``BlockSource`` sizes each refill to the draw its caller knows, under a cap;
-past that draw, refills grow with the blocks already made.
+past that draw, refills grow with the blocks already made. Both bulk
+generators return the first ``count`` values of any longer draw from the
+same states, so the known draw's last block is made only up to the draw.
+A take that runs past it remakes that block in full from its stream and
+skips the values already handed out.
 
 All transcendental evaluations go through numpy so that a scalar reference
 over python ints rounds identically to the vectorized path (the tests check
@@ -181,7 +185,10 @@ class BlockSource:
     the blocks the take lacks or, if more, the known draw's remaining blocks;
     past the known draw, as many blocks as made so far. Each refill is capped
     at REFILL_VALUES values but makes at least one block per replicate. The
-    refill size never changes a value.
+    known draw's last block is made only up to `total` unless the take
+    itself runs past it; a later take past `total` remakes that block in
+    full and skips what was handed out. Neither the refill size nor a
+    remake changes a value.
     """
 
     def __init__(self, seed, replicate_indices, kind="gaussian", total=0):
@@ -191,7 +198,7 @@ class BlockSource:
             raise ValueError("kind must be gaussian or uniform")
         self.kind = kind
         self.total = int(total)
-        self._block = 0
+        self._made = 0  # values made per replicate
         self._buf = np.empty((self.repl.size, 0))
         self._pos = 0
 
@@ -199,23 +206,34 @@ class BlockSource:
         """Replace the spent buffer; `need` values per replicate are due."""
         self._buf = None
         R = self.repl.size
-        left = -(-self.total // BLOCK) - self._block
-        # past the known draw, grow with the blocks made so far
-        B = max(-(-need // BLOCK), left if left > 0 else self._block)
-        B = max(1, min(B, REFILL_VALUES // (BLOCK * max(R, 1))))
-        B = min(B, (1 << REPL_SHIFT) - self._block)
+        b0, skip = divmod(self._made, BLOCK)  # skip > 0: remake a short block
+        # the known draw's rest or, past it, as many blocks as made so far
+        want = max(need, self.total - self._made if self._made < self.total
+                   else b0 * BLOCK)
+        B = max(1, min(-(-(skip + want) // BLOCK),
+                       REFILL_VALUES // (BLOCK * max(R, 1))))
+        B = min(B, (1 << REPL_SHIFT) - b0)
         if B < 1:
             raise ValueError("replicate exhausted its block budget")
-        blocks = np.arange(self._block, self._block + B, dtype=np.uint64)
-        streams = ((self.repl[:, None] << _U64(REPL_SHIFT)) | blocks[None, :]).ravel()
-        states = stream_states(self.seed, streams)
-        if self.kind == "gaussian":
-            flat = bulk_gaussians(states, BLOCK)
-        else:
-            flat = bulk_uniforms(states, BLOCK)
-        # (R*B, BLOCK) -> (R, B*BLOCK), consecutive blocks per replicate
-        self._buf = flat.reshape(R, B * BLOCK)
-        self._block += B
+        end = (b0 + B) * BLOCK
+        if self._made + need <= self.total:  # the known draw's last block ends at it
+            end = min(end, self.total)
+        tail = end - (b0 + B - 1) * BLOCK  # values made of the last block
+        full = B - (tail < BLOCK)
+        blocks = np.arange(b0, b0 + B, dtype=np.uint64)
+        streams = (self.repl[:, None] << _U64(REPL_SHIFT)) | blocks[None, :]
+        states = stream_states(self.seed, streams.ravel()).reshape(R, B, 4)
+        make = bulk_gaussians if self.kind == "gaussian" else bulk_uniforms
+        # each block's values are a prefix of its full block's, so a short
+        # last block is one more call at its own length
+        parts = []
+        if full:  # (R*full, BLOCK) -> (R, full*BLOCK), consecutive blocks
+            parts.append(make(states[:, :full].reshape(-1, 4), BLOCK).reshape(R, -1))
+        if full < B:
+            parts.append(make(states[:, full], tail))
+        buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        self._buf = buf[:, skip:]
+        self._made = end
         self._pos = 0
 
     def take(self, k, out=None):

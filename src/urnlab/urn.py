@@ -244,6 +244,9 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0):
     return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
 
 
+# a replicate that overflows gives inf or NaN silently, as python floats do in
+# the scalar loop; the check at each slab's end names the step
+@np.errstate(over="ignore", invalid="ignore")
 def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     """Vectorized paths for deterministic rules: all replicates advance in
     lockstep, each consuming one uniform per step from its own stream.
@@ -442,10 +445,20 @@ class UrnAsymptotics:
     slow_descriptor: object = None
 
     def scale(self, n):
-        """Normalisation of the scaled (Y_n/n, N_n/n) error under this
-        analysis's regime."""
+        """Normalisation of the scaled theta_n error under this analysis's
+        regime."""
         rho = None if self.lambda_sec is None else 1.0 - self.lambda_sec
         return regime_scale(n, self.regime.tag, self.nu, rho)
+
+    def centre(self):
+        """Limit (v, v) of theta_n = (Y_n/(alpha n), N_n/n): the embedding
+        is of the urn with H/alpha, whose Perron root is 1."""
+        return np.concatenate([self.v, self.v])
+
+    def divisor(self, n):
+        """Per coordinate of (Y_n, N_n), what divides it into theta_n."""
+        d = self.v.size
+        return np.concatenate([np.full(d, self.alpha * n), np.full(d, float(n))])
 
     def to_dict(self):
         return {

@@ -260,7 +260,7 @@ def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
     if isinstance(model, UrnSpec):
         if analysis is None:
             analysis = urn_asymptotics(model)
-        star = np.concatenate([analysis.v, analysis.v])
+        star = analysis.centre()
     elif isinstance(model, SAProcessSpec):
         linear = isinstance(model.drift, LinearDrift)
         if analysis is None:
@@ -282,7 +282,8 @@ def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
     paths, engine = simulate(model, horizon, config.seed, [horizon], R,
                              basis=basis, workers=workers)
     final = paths[-1][1:]  # (theta,) or (Y, N)
-    theta = np.hstack(final) / horizon if isinstance(model, UrnSpec) else final[0]
+    theta = (np.hstack(final) / analysis.divisor(horizon)
+             if isinstance(model, UrnSpec) else final[0])
     good = np.all(np.isfinite(theta), axis=1)
     excluded = int(R - good.sum())
     if excluded > 0.01 * R:

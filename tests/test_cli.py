@@ -230,6 +230,23 @@ def test_verify_urn_against_lyapunov(tmp_path):
     assert rep["verdict"]["passed"] is True
 
 
+def test_verify_removal_urn_at_perron_root_two(tmp_path):
+    # D removes balls and its row sums differ (1 and 3): the Perron root is
+    # 2, and the analysis describes theta = (Y/(2n), N/n) around (v, v);
+    # Y/n centred at v would put the Y errors near 50
+    model = {"kind": "urn", "d": 2, "Y0": [2.0, 2.0],
+             "adding_rule": {"name": "deterministic",
+                             "matrix": [[-1.0, 2.0], [3.0, 0.0]]}}
+    doc = {"model": model, "run": {"n": 10000, "replicates": 200, "seed": 0}}
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    rep = json.loads((out / "verify.json").read_text())
+    assert rep["engine"]["name"] == "lockstep-urn"
+    assert rep["rel_frobenius"] < 0.15
+    assert np.abs(rep["empirical_mean"]).max() < 0.2
+
+
 @pytest.mark.parametrize("model", [
     {"kind": "sa", "d": 2, "drift": [[1.0, 0.3], [0.0, 0.8]],
      "theta0": [0.0, 0.0], "noise": [[1.0, 0.0], [0.0, 1.0]]},

@@ -194,6 +194,17 @@ def test_loglog_remainder_values():
     assert arr[0] == r(4)[0] and arr[1] == r(100)[0]
 
 
+def test_loglog_remainder_equals_the_masked_clamp():
+    # the clamp through np.maximum against the formula that excluded k < 2
+    # by a mask: the same bits on 1..2^14 and at large k
+    k = np.concatenate([np.arange(1.0, 2.0 ** 14 + 1),
+                        [1e6, 1e8 + 1, 2.0 ** 40, 1e300]])
+    ll = np.ones_like(k)
+    big = k >= 2.0
+    ll[big] = np.maximum(np.log(np.log(k[big])), 1.0)
+    assert np.array_equal(InverseSqrtLogLogRemainder()(k), 1.0 / (np.sqrt(k) * ll))
+
+
 # ==== urns ====
 
 def test_friedman_urn_wiring():

@@ -172,16 +172,63 @@ def test_known_draw_never_changes_values(seed, repl, kind, takes, known):
     got = np.concatenate([src.take(k) for k in takes], axis=1)
     for row, r in zip(got, repl):
         assert row.tolist() == scalar_block_values(seed, r, draw, kind)
-    if total >= draw:  # refills cover the known draw, and nothing beyond
-        assert src._block == _blocks(total)
+    if total >= draw:  # refills make the known draw, and nothing beyond
+        assert src._made == total
     else:  # past the known draw refills grow at most geometrically
-        assert _blocks(draw) <= src._block <= 2 * _blocks(draw)
+        assert _blocks(draw) <= _blocks(src._made) <= 2 * _blocks(draw)
+
+
+SHORT_TOTALS = [1, 2, 7, 8, TILE - 1, TILE, TILE + 1, BLOCK - 1, BLOCK,
+                BLOCK + 1, 2 * BLOCK + 1808]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       repl=st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True),
+       kind=st.sampled_from(["gaussian", "uniform"]),
+       total=st.one_of(st.sampled_from(SHORT_TOTALS), st.integers(1, 2 * BLOCK + 300)),
+       past=st.sampled_from([0, 1, 2, TILE + 1, BLOCK]),
+       data=st.data())
+def test_short_last_block_and_its_remake_never_change_values(
+        seed, repl, kind, total, past, data):
+    # takes up to the known draw end in its short last block; a take past
+    # it remakes that block in full and skips what was handed out
+    cuts = data.draw(st.lists(st.integers(0, total), max_size=3))
+    ends = sorted(set(cuts) | {0, total})
+    takes = [b - a for a, b in zip(ends, ends[1:])]
+    takes += [past] if past else []
+    src = BlockSource(seed, repl, kind, total)
+    got = np.concatenate([src.take(k) for k in takes], axis=1)
+    for row, r in zip(got, repl):
+        assert row.tolist() == scalar_block_values(seed, r, total + past, kind)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_known_draw_is_made_and_no_more(monkeypatch, kind):
+    made = []  # values per replicate of each bulk call
+    for name in ("bulk_gaussians", "bulk_uniforms"):
+        def counted(states, count, real=getattr(rng_module, name)):
+            out = real(states, count)
+            made.append(out.size // 3)
+            return out
+        monkeypatch.setattr(rng_module, name, counted)
+    for t in SHORT_TOTALS:
+        made.clear()
+        src = BlockSource(5, [0, 9, 4], kind, total=t)
+        src.take(t // 3)
+        src.take(t - t // 3)
+        assert sum(made) == t, t
+    # a take past the draw remakes the short block 2 in full and, growing
+    # with the blocks made so far, adds blocks 3 and 4
+    made.clear()
+    src.take(1)
+    assert made == [3 * BLOCK]
 
 
 def test_refills_grow_past_the_known_draw():
     src = BlockSource(3, [2], "uniform", total=0)
     got = np.concatenate([src.take(BLOCK) for _ in range(5)], axis=1)
-    assert src._block == 8  # refills of 1, 1, 2 and 4 blocks
+    assert _blocks(src._made) == 8  # refills of 1, 1, 2 and 4 blocks
     assert got[0].tolist() == scalar_block_values(3, 2, 5 * BLOCK, "uniform")
 
 
@@ -190,9 +237,9 @@ def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
     monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)
     src = BlockSource(4, [0, 6], "uniform", total=3 * BLOCK)
     first = src.take(1)
-    assert src._block == 1
+    assert _blocks(src._made) == 1
     rest = src.take(2 * BLOCK)
-    assert src._block == 3
+    assert _blocks(src._made) == 3
     got = np.concatenate([first, rest], axis=1)
     for row, r in zip(got, (0, 6)):
         assert row.tolist() == scalar_block_values(4, r, 2 * BLOCK + 1, "uniform")

@@ -1,5 +1,6 @@
 """Rules the package source keeps: no handler that swallows every error,
-and no parameter that is accepted and then ignored.
+no parameter that is accepted and then ignored, pools only where
+replicates are sharded, and no noise source without its known draw.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A parameter nothing
@@ -134,3 +135,42 @@ def test_pool_import_rule_catches_one():
         (None, "multiprocessing.pool"), ("f", "concurrent.futures"),
         ("_sharded", "multiprocessing"), ("g", "concurrent.futures"),
         ("g", "concurrent.futures.ProcessPoolExecutor")]
+
+
+# a noise source makes its known draw and no more; one opened without it
+# falls back to whole blocks, which no value shows
+NOISE_SOURCES = ("BlockSource", "StreamRng")
+
+
+def _undeclared_draws(tree):
+    """(line, class) for every noise source opened without its known draw,
+    the fourth argument or `total=`."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in NOISE_SOURCES and len(node.args) < 4 and not any(
+                kw.arg == "total" for kw in node.keywords):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_noise_sources_in_src_declare_their_draw():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(SRC)}:{line}:{name}"
+             for path in files
+             for line, name in _undeclared_draws(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_undeclared_draw_rule_catches_one():
+    tree = ast.parse(
+        "a = BlockSource(seed, repl, 'uniform')\n"
+        "b = BlockSource(seed, repl, 'uniform', n)\n"
+        "c = rng.StreamRng(seed, 3, kind='gaussian')\n"
+        "d = StreamRng(seed, 3, kind='gaussian', total=n)\n"
+        "e = BlockSource(seed, repl, total=0)\n")
+    assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "StreamRng")]

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import signal
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -362,7 +363,8 @@ def test_lockstep_urn_names_the_overflowing_step_not_the_checkpoint(three_cpus):
                    adding_rule=DeterministicRule([[1e308]]),
                    generating_matrix=np.array([[1.0]]))
     for R, workers in ((1, 1), (2, 1), (2, 2)):
-        with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as exc, warnings.catch_warnings():
+            warnings.simplefilter("error")  # no engine warns on the overflow
             simulate(spec, 20, 0, [20], R, workers=workers)
         assert exc.value.first_bad_index == 2, (R, workers)
 
