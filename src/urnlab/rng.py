@@ -14,15 +14,24 @@ on how replicates are batched, or on which engine consumes the values. The
 Box-Muller cache does not carry across blocks.
 
 Up to ``GROUP`` streams advance side by side as contiguous uint64 state
-rows, stepped by in-place ufuncs. Polar rejection is vectorised in rounds
-of ``TILE`` attempts per stream: a round keeps each stream's accepted pairs
-in order, up to its count, so temporaries stay at ``GROUP * TILE`` values.
+rows, stepped by in-place ufuncs; the generator writes step-major rows
+(one row per step, one column per stream). Polar rejection is vectorised
+in rounds of ``TILE`` attempts per stream: a round keeps each stream's
+accepted pairs in order, up to its count, so temporaries stay at
+``GROUP * TILE`` values.
 ``BlockSource`` sizes each refill to the draw its caller knows, under a cap;
 past that draw, refills grow with the blocks already made. Both bulk
 generators return the first ``count`` values of any longer draw from the
 same states, so the known draw's last block is made only up to the draw.
 A take that runs past it remakes that block in full from its stream and
 skips the values already handed out.
+
+Layouts: gaussians are stored stream-major, as the linear engine reads
+them; uniforms step-major, as the generator writes them and the lockstep
+urn reads them. Either way a take returns an (R, k) array (for uniforms,
+the transpose of a (k, R) one). A take without ``out`` that is exactly
+one fresh refill gets the refill itself, uncopied, and the source keeps
+no reference to it.
 
 All transcendental evaluations go through numpy so that a scalar reference
 over python ints rounds identically to the vectorized path (the tests check
@@ -46,8 +55,6 @@ GROUP = 1024
 TILE = 128
 # values one BlockSource refill may generate beyond one block per replicate
 REFILL_VALUES = 1 << 20
-# replicates per copy in take; a band keeps a transposing copy in cache reach
-BAND = 64
 
 _U64 = np.uint64
 _C11, _C17, _C19, _C23, _C41, _C45 = (
@@ -95,40 +102,50 @@ def stream_states(seed, streams):
 
 
 def _fill(rows, dest, scale, shift):
-    """Fill dest (S, count) with (u64 >> 11) * scale - shift, one xoshiro256++
-    step per column, advancing the state words s0..s3 in rows (5, S; the last
-    row is work space). Output mixing and the transpose run once per TILE steps."""
+    """Fill the step-major dest (count, S) with (u64 >> 11) * scale - shift,
+    one xoshiro256++ step per row, advancing the state words s0..s3 in rows
+    (5, S; the last row is work space). Output mixing and the conversion run
+    once per TILE steps."""
     s0, s1, s2, s3, w = rows
-    t, z = np.empty((2, TILE, rows.shape[1]), dtype=np.uint64)
-    for j in range(0, dest.shape[1], TILE):
-        k = min(TILE, dest.shape[1] - j)
-        for i in range(k):
-            np.add(s0, s3, out=t[i])
-            z[i] = s0
+    s01, s23, s02, s3w = rows[0:2], rows[2:4], rows[0:3:2], rows[3:5]
+    t, z, sh = np.empty((3, TILE, rows.shape[1]), dtype=np.uint64)
+    steps = list(zip(t, z))
+    for j in range(0, dest.shape[0], TILE):
+        k = min(TILE, dest.shape[0] - j)
+        for ti, zi in steps[:k]:
+            np.add(s0, s3, out=ti)
+            np.copyto(zi, s0)
             np.left_shift(s1, _C17, out=w)
-            np.bitwise_xor(rows[2:4], rows[0:2], out=rows[2:4])  # s2 ^= s0, s3 ^= s1
+            np.bitwise_xor(s23, s01, out=s23)  # s2 ^= s0, s3 ^= s1
             np.bitwise_xor(s1, s2, out=s1)
-            np.bitwise_xor(rows[0:3:2], rows[3:5], out=rows[0:3:2])  # s0 ^= s3, s2 ^= w
+            np.bitwise_xor(s02, s3w, out=s02)  # s0 ^= s3, s2 ^= w
             np.left_shift(s3, _C45, out=w)
             np.right_shift(s3, _C19, out=s3)
             np.bitwise_or(s3, w, out=s3)
         # rotl(s0 + s3, 23) + s0; the rotation's halves share no bits, so + is |
-        tk, zk = t[:k], z[:k]
-        np.add(zk, np.left_shift(tk, _C23), out=zk)
+        tk, zk, hk = t[:k], z[:k], sh[:k]
+        np.add(zk, np.left_shift(tk, _C23, out=hk), out=zk)
         np.right_shift(tk, _C41, out=tk)
         np.add(zk, tk, out=zk)
         np.right_shift(zk, _C11, out=zk)
-        dest[:, j:j + k] = (zk * scale - shift).T
+        # below 2**53, so the int64 view converts exactly (and faster)
+        x = dest[j:j + k]
+        np.multiply(zk.view(np.int64), scale, out=x)
+        if shift:
+            np.subtract(x, shift, out=x)
 
 
 def bulk_uniforms(states, count):
-    """(S, count) uniforms in [0,1), advancing the given (S, 4) states."""
+    """(S, count) uniforms in [0,1), advancing the given (S, 4) states.
+
+    The result is the transpose of a step-major (count, S) array: row j of
+    its base holds step j of every stream."""
     rows = np.concatenate([states, states[:, :1]], 1).T.copy()  # s0..s3, work row
-    out = np.empty((states.shape[0], count))
-    for lo in range(0, out.shape[0], GROUP):
-        _fill(rows[:, lo:lo + GROUP], out[lo:lo + GROUP], 2.0 ** -53, 0.0)
+    out = np.empty((count, states.shape[0]))
+    for lo in range(0, out.shape[1], GROUP):
+        _fill(rows[:, lo:lo + GROUP], out[:, lo:lo + GROUP], 2.0 ** -53, 0.0)
     states[:] = rows[:4].T
-    return out
+    return out.T
 
 
 def _polar(rows, pairs, dest):
@@ -136,32 +153,38 @@ def _polar(rows, pairs, dest):
     to normals, in order into dest (S, pairs, 2), advancing the (5, S) rows.
 
     All streams draw TILE attempts per round until the last one is full;
-    a full stream's surplus attempts are dropped."""
+    a full stream's surplus attempts are dropped. Attempts are generated
+    step-major; each pair moves as one complex128 value."""
     S = rows.shape[1]
-    flat = dest.reshape(-1, 2)
-    base = np.arange(S) * pairs - 1  # flat slot of a row's rank-0 pair
+    slots = dest.reshape(-1, 2).view(np.complex128).ravel()
+    base = np.arange(S) * pairs - 1  # flat slot of a stream's rank-0 pair
     filled = np.zeros(S, dtype=np.int64)
     # 2u - 1 with u = k 2**-53 is k 2**-52 - 1, bit for bit
-    U = np.empty((S, TILE, 2))
+    U = np.empty((TILE, 2, S))  # attempt a of stream s: U[a, :, s]
+    uu, vv = U[:, 0], U[:, 1]
+    P = np.empty((TILE, S), dtype=np.complex128)
     while filled.min() < pairs:
-        _fill(rows, U.reshape(S, 2 * TILE), 2.0 ** -52, 1.0)
-        uu, vv = U[..., 0], U[..., 1]
+        _fill(rows, U.reshape(2 * TILE, S), 2.0 ** -52, 1.0)
+        np.copyto(P.real, uu)
+        np.copyto(P.imag, vv)
         ss = uu * uu + vv * vv
         ok = (ss > 0.0) & (ss < 1.0)
-        rank = np.cumsum(ok, axis=1)
-        rank += filled[:, None]
+        rank = np.cumsum(ok, axis=0)
+        rank += filled
         ok &= rank <= pairs
         idx = np.flatnonzero(ok)
         s = ss.take(idx)
-        uv = U.reshape(-1, 2).take(idx, axis=0)
-        uv *= np.sqrt(-2.0 * np.log(s) / s)[:, None]
-        np.minimum(rank[:, -1], pairs, out=filled)
-        rank += base[:, None]
-        flat[rank.take(idx)] = uv
+        uv = P.take(idx)
+        xy = uv.view(np.float64).reshape(-1, 2)
+        xy *= np.sqrt(-2.0 * np.log(s) / s)[:, None]
+        np.minimum(rank[-1], pairs, out=filled)
+        rank += base
+        slots[rank.take(idx)] = uv
 
 
 def bulk_gaussians(states, count):
-    """(S, count) standard normals drawn from the given (S, 4) states.
+    """(S, count) standard normals drawn from the given (S, 4) states,
+    stream-major: row s holds stream s's values in order.
 
     Per stream, accepted polar pairs come in order; a rejection consumes its
     own stream's two uniforms only. An odd trailing value discards its pair
@@ -188,7 +211,8 @@ class BlockSource:
     known draw's last block is made only up to `total` unless the take
     itself runs past it; a later take past `total` remakes that block in
     full and skips what was handed out. Neither the refill size nor a
-    remake changes a value.
+    remake changes a value. Refills of gaussians are stored stream-major,
+    of uniforms step-major (see the module docstring).
     """
 
     def __init__(self, seed, replicate_indices, kind="gaussian", total=0):
@@ -232,23 +256,34 @@ class BlockSource:
         if full < B:
             parts.append(make(states[:, full], tail))
         buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        if self.kind == "uniform":  # step-major; copies a multi-block refill only
+            buf = np.asfortranarray(buf)
         self._buf = buf[:, skip:]
         self._made = end
         self._pos = 0
 
     def take(self, k, out=None):
         """Next (R, k) values per replicate, into `out` (an (R, k) float
-        array or view, e.g. a step-major buffer's transpose) or a new array."""
+        array or view, e.g. a step-major buffer's transpose) or a new array
+        in the stored layout.
+
+        Without `out`, a take that is exactly one fresh refill gets the
+        refill itself: the source keeps no reference to it, so nothing is
+        copied and nothing stays pinned."""
+        R = self.repl.size
         if out is None:
-            out = np.empty((self.repl.size, k))
+            if k and self._pos == self._buf.shape[1]:
+                self._refill(k)
+                if self._buf.shape[1] == k:
+                    buf, self._buf, self._pos = self._buf, np.empty((R, 0)), 0
+                    return buf
+            out = np.empty((R, k), order="F" if self.kind == "uniform" else "C")
         filled = 0
         while filled < k:
             if self._pos == self._buf.shape[1]:
                 self._refill(k - filled)
             step = min(k - filled, self._buf.shape[1] - self._pos)
-            src = self._buf[:, self._pos:self._pos + step]
-            for lo in range(0, src.shape[0], BAND):
-                out[lo:lo + BAND, filled:filled + step] = src[lo:lo + BAND]
+            out[:, filled:filled + step] = self._buf[:, self._pos:self._pos + step]
             self._pos += step
             filled += step
         return out

@@ -450,10 +450,10 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
                     G[:, :, b + r:b + size] += ((u[r, 1:] / j)[:, None, None]
                                                 * rootT[None, :, b:b + size - r])
             if m:
-                z = src.take(width * m)
                 G = G.reshape(width * m, d)
                 W = np.concatenate([G.real, G.imag], axis=1)
-                y = _rowwise(z, W)
+                # no name keeps the slab, so it is freed before the next refill
+                y = _rowwise(src.take(width * m), W)
                 x_new += y[:, :d] + 1j * y[:, d:]
             x = x_new
             done = hi

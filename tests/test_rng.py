@@ -207,8 +207,8 @@ def test_short_last_block_and_its_remake_never_change_values(
 def test_known_draw_is_made_and_no_more(monkeypatch, kind):
     made = []  # values per replicate of each bulk call
     for name in ("bulk_gaussians", "bulk_uniforms"):
-        def counted(states, count, real=getattr(rng_module, name)):
-            out = real(states, count)
+        def counted(states, count, *args, real=getattr(rng_module, name), **kw):
+            out = real(states, count, *args, **kw)
             made.append(out.size // 3)
             return out
         monkeypatch.setattr(rng_module, name, counted)
@@ -279,3 +279,61 @@ def test_vector_group_boundaries_match_scalar():
         rng = ScalarRng(8, s)
         assert uni[s].tolist() == [rng.uniform() for _ in range(BLOCK)]
         assert gau[s].tolist() == ScalarRng(8, s).gaussians(BLOCK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       R=st.sampled_from([1, 3, 300]),
+       kind=st.sampled_from(["gaussian", "uniform"]),
+       known=st.sampled_from(["below", "exact", "above"]),
+       takes=st.lists(st.tuples(st.sampled_from([0, 1, 7, BLOCK - 1, BLOCK,
+                                                 BLOCK + 1, 2 * BLOCK]),
+                                st.sampled_from(["new", "rows", "steps"])),
+                      min_size=1, max_size=4))
+def test_takes_into_any_layout_never_change_values(seed, R, kind, known, takes):
+    # without `out`, a take that is a whole fresh refill gets the refill
+    # itself; with `out`, C-order or a step-major buffer's transpose, the
+    # values are copied in. Either way no take shares memory with another.
+    draw = sum(k for k, _ in takes)
+    total = {"below": draw // 2, "exact": draw, "above": draw + BLOCK + 1}[known]
+    repl = 5 * np.arange(R) + 2
+    src = BlockSource(seed, repl, kind, total)
+    got = []
+    for k, how in takes:
+        if how == "new":
+            a = src.take(k)
+        else:
+            out = np.empty((R, k)) if how == "rows" else np.empty((k, R)).T
+            a = src.take(k, out=out)
+            assert a is out
+        assert a.shape == (R, k)
+        got.append(a)
+    for i, a in enumerate(got):
+        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
+    vals = np.concatenate(got, axis=1)
+    for i in sorted({0, R // 2, R - 1}):
+        assert vals[i].tolist() == scalar_block_values(seed, repl[i], draw, kind)
+
+
+@pytest.mark.parametrize("kind, order", [("gaussian", "C_CONTIGUOUS"),
+                                         ("uniform", "F_CONTIGUOUS")])
+def test_whole_refill_is_handed_over_in_its_layout(monkeypatch, kind, order):
+    # gaussians are stored stream-major, uniforms step-major (the transpose
+    # of a (k, R) array); a take of exactly one fresh refill returns it
+    monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)  # one block a refill
+    made = []
+    for name in ("bulk_gaussians", "bulk_uniforms"):
+        def recorded(states, count, real=getattr(rng_module, name)):
+            made.append(real(states, count))
+            return made[-1]
+        monkeypatch.setattr(rng_module, name, recorded)
+    src = BlockSource(1, [0, 4, 9], kind, total=2 * BLOCK + 10)
+    first = src.take(BLOCK)
+    assert len(made) == 1 and np.shares_memory(first, made[0])
+    assert first.flags[order]
+    assert not np.shares_memory(src._buf, first)
+    second = src.take(10)  # part of the next refill: a copy in the same layout
+    assert second.flags[order] and not np.shares_memory(second, made[1])
+    assert src.take(BLOCK).shape == (3, BLOCK)
+    for row, r in zip(np.concatenate([first, second], axis=1), (0, 4, 9)):
+        assert row.tolist() == scalar_block_values(1, r, BLOCK + 10, kind)
