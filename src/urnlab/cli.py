@@ -14,6 +14,7 @@ depends on it.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -406,7 +407,9 @@ def _threads(text):
     return value
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and reused by later calls."""
     p = argparse.ArgumentParser(
         prog="urnlab",
         description="Stochastic approximation and adaptive urn toolkit")

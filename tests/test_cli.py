@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from urnlab.asymptotics import classify_regime
+from urnlab import cli
 from urnlab.cli import main
+from urnlab.errors import ConfigError
 
 SA_MODEL = {"kind": "sa", "d": 1, "drift": [[1.0]], "theta0": [0.0],
             "noise": [[1.0]]}
@@ -407,3 +409,32 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "analyze.json" in proc.stdout
     assert json.loads((out / "analyze.json").read_text())["regime"] == "standard"
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(monkeypatch, capsys):
+    seen = []
+
+    def record(args):
+        seen.append({k: v for k, v in vars(args).items() if k != "handler"})
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(cli, "_resolve", record)
+    cli._parser.cache_clear()
+    assert main(["verify", "--config", "a.json", "--seed", "3",
+                 "--format", "csv", "--threads", "2"]) == 2
+    parser = cli._parser()
+    assert main(["analyze", "--config", "b.json"]) == 2
+    assert main(["suite", "--out", "d"]) == 2
+    assert cli._parser() is parser
+    assert seen == [
+        {"command": "verify", "config": "a.json", "out": None, "seed": 3,
+         "threads": 2, "format": "csv"},
+        {"command": "analyze", "config": "b.json", "out": None, "seed": None,
+         "threads": 1, "format": None},
+        {"command": "suite", "config": None, "out": "d", "seed": None,
+         "threads": 1, "format": None},
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert "urnlab" in capsys.readouterr().out
