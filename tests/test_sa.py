@@ -170,6 +170,20 @@ def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon():
         assert peak <= 4 * 2 ** 20, (n, peak)
 
 
+def test_linear_paths_hold_one_noise_block():
+    # m = 1: every segment takes exactly one block, a whole fresh refill that
+    # the source hands over uncopied; holding the slab or copying it would
+    # keep two or three blocks alive
+    R = 512
+    tracemalloc.start()
+    try:
+        linear_paths([[1.0]], [0.0], 3 * BLOCK, 0, [3 * BLOCK], R, [[1.0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * R * BLOCK * 8, peak
+
+
 def test_linear_paths_match_step_engine_jordan():
     A = np.array([[0.5, -1.0], [0.0, 0.5]])
     root = np.array([[1.0, 0.0]])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from urnlab.errors import (
     DivergenceError,
     InvalidArgumentError,
 )
+from urnlab.rng import BLOCK
 from urnlab.urn import (
+    SLAB,
     BernoulliDiagonalRule,
     DeterministicRule,
     UrnSpec,
@@ -120,6 +123,19 @@ def test_batch_engine_matches_scalar_paths():
         for (n, Yb, Nb), st in zip(out, solo.checkpoints):
             assert np.array_equal(Yb[r], st.Y)
             assert np.array_equal(Nb[r], st.N)
+
+
+def test_batch_engine_holds_one_block_and_its_slab():
+    # the step-major refill is copied into the slab contiguously, with no
+    # transposed copy beside it
+    R = 512
+    tracemalloc.start()
+    try:
+        run_urn_batch(friedman_spec(), 3 * BLOCK, 0, [3 * BLOCK], R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * R * BLOCK * 8 + SLAB * R * 8, peak
 
 
 def test_batch_engine_three_colors():
