@@ -348,7 +348,7 @@ def _slot_structure(A, basis):
 
 def _tail_sums(v):
     """s[t] = sum(v[t:]) for t = 0..len(v), so s[-1] = 0."""
-    s = np.zeros(v.size + 1, dtype=complex)
+    s = np.zeros(v.size + 1, dtype=v.dtype)
     s[:-1] = np.cumsum(v[::-1])[::-1]
     return s
 
@@ -359,12 +359,26 @@ def _block_weights(lam, size, j):
 
     The factors commute: (1 - lam/j) I - N/j = (1 - lam/j)(I - a_j N) with
     a_j = 1/(j - lam), so u_r = (-1)^r w e_r. w is the product of the scalar
-    factors, taken as exp of the tail sums of their complex logs (an exact
-    zero factor gives -inf and zeroes every weight before it); e_r is the
-    r-th elementary symmetric sum of the a_i, e_r(t) = sum_{i >= t} a_i e_{r-1}(i + 1).
+    factors, taken as exp of the tail sums of their logs (an exact zero
+    factor gives -inf and zeroes every weight before it): for a real lam,
+    real logs of |1 - lam/j| (log1p where lam/j < 1) and the parity of the
+    negative factors, in real arithmetic throughout; else complex logs.
+    e_r is the r-th elementary symmetric sum of the a_i,
+    e_r(t) = sum_{i >= t} a_i e_{r-1}(i + 1).
     """
-    with np.errstate(divide="ignore"):
-        w = np.exp(_tail_sums(np.log(1.0 - lam / j.astype(complex))))
+    if lam.imag == 0.0:
+        lam = lam.real
+        x = lam / j
+        neg = x > 1.0  # the factors below zero, at the steps j < lam
+        with np.errstate(divide="ignore"):
+            logs = np.log1p(-np.minimum(x, 1.0))
+        logs[neg] = np.log(x[neg] - 1.0)
+        w = np.exp(_tail_sums(logs))
+        if neg.any():
+            w[:-1][np.cumsum(neg[::-1])[::-1] % 2 == 1] *= -1.0
+    else:
+        with np.errstate(divide="ignore"):
+            w = np.exp(_tail_sums(np.log(1.0 - lam / j.astype(complex))))
     u = np.empty((size, j.size + 1), dtype=complex)
     u[0] = w
     e = np.ones(j.size + 1)

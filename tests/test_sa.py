@@ -15,6 +15,7 @@ from urnlab.sa import (
     SAProcessSpec,
     Trajectory,
     _MEAN_CHUNK,
+    _block_weights,
     exact_mean_recursion,
     linear_paths,
     run_sa,
@@ -182,6 +183,27 @@ def test_linear_paths_hold_one_noise_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * R * BLOCK * 8, peak
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0, 7.5, 40.25, -2.5])
+def test_real_step_weights_match_extended_products(lam):
+    # real eigenvalues take real logs of |1 - lam/j| and count the negative
+    # factors (j < lam) for the sign; an exact zero factor (j = lam) zeroes
+    # every weight before it. A Jordan block at an integer lam is refused
+    # upstream, so only the scalar weights are checked there.
+    j = np.arange(1.0, 65.0)
+    size = 1 if lam == round(lam) else 2
+    u = _block_weights(complex(lam), size, j)
+    f = 1 - np.longdouble(lam) / j.astype(np.longdouble)
+    w = np.ones(j.size + 1, dtype=np.longdouble)
+    w[:-1] = np.cumprod(f[::-1])[::-1]
+    assert np.all(u.imag == 0.0)
+    np.testing.assert_allclose(u[0].real, w.astype(float), rtol=1e-13, atol=0)
+    if size == 2:  # u_1 = -w e_1, e_1(t) = sum_{i >= t} 1/(j_i - lam)
+        e = np.zeros(j.size + 1)
+        for t in range(j.size - 1, -1, -1):
+            e[t] = e[t + 1] + 1.0 / (j[t] - lam)
+        np.testing.assert_allclose(u[1].real, -u[0].real * e, rtol=1e-12, atol=0)
 
 
 def test_linear_paths_match_step_engine_jordan():
