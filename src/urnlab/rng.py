@@ -251,13 +251,14 @@ class BlockSource:
         # each block's values are a prefix of its full block's, so a short
         # last block is one more call at its own length
         parts = []
-        if full:  # (R*full, BLOCK) -> (R, full*BLOCK), consecutive blocks
+        if full and self.kind == "gaussian":  # streams by replicate, then block
             parts.append(make(states[:, :full].reshape(-1, 4), BLOCK).reshape(R, -1))
+        elif full:  # streams by block, then replicate: each step row moves whole
+            steps = make(states[:, :full].swapaxes(0, 1).reshape(-1, 4), BLOCK).T
+            parts.append(steps.reshape(BLOCK, full, R).swapaxes(0, 1).reshape(-1, R).T)
         if full < B:
             parts.append(make(states[:, full], tail))
         buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        if self.kind == "uniform":  # step-major; copies a multi-block refill only
-            buf = np.asfortranarray(buf)
         self._buf = buf[:, skip:]
         self._made = end
         self._pos = 0
