@@ -15,8 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from urnlab.asymptotics import classify_regime
 from urnlab import cli
+from urnlab.asymptotics import classify_regime
 from urnlab.cli import main
 from urnlab.errors import ConfigError
 
