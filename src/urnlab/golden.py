@@ -86,30 +86,33 @@ class LogDampedDrift:
     def __init__(self, rho):
         if not 0.0 < rho <= 0.5:
             raise InvalidArgumentError(f"rho must lie in (0, 0.5], got {rho}")
-        self.rho = float(rho)
-        self.x0 = DECAY_START
-        self._l0, self._step, self._phi = _phi_grid()
-        self._hi_l = self._l0 + self._step * (len(self._phi) - 1)
-        self._g0 = self.x0 * self._phi[0]
+        self.rho = rho = float(rho)
+        self.x0 = x0 = DECAY_START
+        l0, step, phi = _phi_grid()
+        tail = l0 + step * (len(phi) - 1) - step
+        g0 = x0 * phi[0]
+        log = math.log
 
-    def _correction(self, th):
-        # G(th) = integral_0^th f(x) dx; th * phi(-log th) below x0
-        if th >= self.x0:
-            return self._g0 + 0.5 * (th - self.x0)
-        L = -math.log(th)
-        if L >= self._hi_l - self._step:
-            lg = math.log(L)
-            return th * (1.0 / lg - 1.0 / (L * lg * lg)
-                         + (1.0 + 2.0 / lg) / (L * L * lg * lg))
-        u = (L - self._l0) / self._step
-        i = int(u)
-        fr = u - i
-        return th * (self._phi[i] * (1.0 - fr) + self._phi[i + 1] * fr)
+        # one python call per step of run_sa's float loop, its constants
+        # bound here rather than looked up on self
+        def scalar(th):
+            """h(th) = rho (th - G(th)), G(th) = integral_0^th f(x) dx."""
+            if th <= 0.0:
+                return rho * th  # the damping integral vanishes left of zero
+            if th >= x0:
+                return rho * (th - (g0 + 0.5 * (th - x0)))
+            # below x0, G(th) = th * phi(-log th)
+            L = -log(th)
+            if L >= tail:
+                lg = log(L)
+                return rho * (th - th * (1.0 / lg - 1.0 / (L * lg * lg)
+                                         + (1.0 + 2.0 / lg) / (L * L * lg * lg)))
+            u = (L - l0) / step
+            i = int(u)
+            fr = u - i
+            return rho * (th - th * (phi[i] * (1.0 - fr) + phi[i + 1] * fr))
 
-    def scalar(self, th):
-        if th <= 0.0:
-            return self.rho * th  # the damping integral vanishes left of zero
-        return self.rho * (th - self._correction(th))
+        self.scalar = scalar
 
     def __call__(self, theta):
         if isinstance(theta, np.ndarray):

@@ -4,7 +4,8 @@ two-sided eigensystems, and the exp-sandwich integral.
 Decompositions (Schur, eig, svd) and the matrix exponential (scipy
 ``expm``, Al-Mohy & Higham 2009) come from scipy; everything assembled on
 top of them lives here so tolerances and error behaviour are under our
-control. The exp-sandwich integral is exact up to rounding: one
+control. scipy.linalg is imported by the functions that call it: at
+module level it would add about 0.3 s to every urnlab start-up. The exp-sandwich integral is exact up to rounding: one
 exponential of a block matrix (Van Loan 1978) over a short step, doubled
 up to the horizon.
 """
@@ -13,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NonConvergenceError, SpectrumError
 
@@ -46,6 +46,8 @@ def check_sym_psd(G, name="G", tol=1e-10):
 
 def mat_exp(A):
     """Matrix exponential (scipy ``expm``) of a finite square matrix."""
+    import scipy.linalg
+
     return scipy.linalg.expm(_check_square(A, "A"))
 
 
@@ -82,6 +84,8 @@ def solve_lyapunov(B, G, residual_tol=1e-10):
         raise SpectrumError(
             f"eigenvalue {w[i_min]:.6g} of B has non-positive real part; "
             "stationary solution does not exist", eigenvalue=complex(w[i_min]))
+
+    import scipy.linalg
 
     # B^T X + X B = G with real B is A X + X A^H = G for A = B^T
     T, Q = scipy.linalg.schur(B.T, output="complex")
@@ -127,6 +131,8 @@ class ComplexSpectrum:
 
 def eigen_left_right(A, residual_tol=1e-6):
     """Eigenvalues with matched right columns and left rows."""
+    import scipy.linalg
+
     A = _check_square(A, "A")
     try:
         w, vl, vr = scipy.linalg.eig(A, left=True, right=True)

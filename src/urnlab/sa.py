@@ -14,8 +14,12 @@ remainder schedule. The engines share the same frozen noise streams:
                         theta_n = theta_0 Phi(0, n) + sum_k dM_k Phi(k, n)/k
                         with Phi(k, n) = prod_{j=k+1..n} (I - A/j): one
                         weighted sum of the noise per segment;
-  exact_mean_recursion  noise-free mean iteration, with a chunked scalar
-                        fast path that reaches n = 1e8 in seconds.
+  exact_mean_recursion  noise-free mean iteration; in one dimension a
+                        closed form over lanes of steps (a chunk is an
+                        (L, B) array whose columns are runs of L steps):
+                        log P is prefix-summed by row adds over B lanes, the
+                        weighted remainder sum is never prefix-summed, and
+                        n = 1e8 takes about a second and a half.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
 same (seed, replicate) to float-summation error. run_sa can record every
@@ -237,57 +241,88 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
 
 # ==== deterministic mean recursion ====
 
-# steps per chunk of the scalar closed form, so that its three buffers and
-# the remainder schedule's temporaries stay in a 2 MiB L2 cache. At n = 1e8
-# on such a core: about 22 ns per step against 50 at 2^22; 2^15 ties on the
-# inv-sqrt-log schedule and is 1.5x slower on inv-sqrt-loglog (more temporaries)
-_MEAN_CHUNK = 1 << 14
+# lane layout of the scalar closed form: a chunk of _LANE * _LANES steps is a
+# C-ordered (_LANE, _LANES) array whose column b holds the chunk's steps
+# b*_LANE + 1 .. (b + 1)*_LANE, so a prefix sum down the columns is _LANE - 1
+# row adds, each vectorised over _LANES values (numpy's cumsum runs one value
+# at a time, flat or along an axis, at 4-6 ns per value). On a core with a
+# 2 MiB L2 cache, (16, 2048), (32, 1024) and (64, 512) tie at about 15 ns
+# per step to n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
+_LANE = 32
+_LANES = 1024
+
+
+def _compensated(hi, lo, x):
+    """(hi, lo) + x as a new pair, Neumaier's compensated summation: lo
+    gathers the rounding error of every addition into hi."""
+    s = hi + x
+    if abs(hi) >= abs(x):
+        return s, lo + ((hi - s) + x)
+    return s, lo + ((x - s) + hi)
 
 
 def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
-    """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k), chunked.
+    """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k) in lanes.
 
-    Per chunk, log P_k and the weighted sum are chunk-local cumsums plus
-    the offset carried from the chunk before, in buffers allocated once.
-    Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
+    Per block of lanes, log P_k is a prefix sum down each lane plus the
+    cumsum of the lane totals before it, plus the log P carried in. The
+    weighted sum is never prefix-summed: each lane's terms are summed
+    relative to P at the lane's start and scaled once, and only the block
+    total and the prefix at a checkpoint are formed. Both carries are
+    compensated. The chunk that ends the horizon is its whole lanes, then
+    one short lane, so the remainder sees each index 1..n_max once and none
+    beyond. Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
     """
     out = []
     pi = 0
     if pi < len(plan) and plan[pi] == 0:
         out.append((0, np.array([x0])))
         pi += 1
-    size = min(_MEAN_CHUNK, n_max)
-    j = np.arange(1.0, size + 1.0)  # the chunk's step indices, exact
-    cl = np.empty(size)
-    tcum = np.empty(size) if remainder is not None else None
-    logP = 0.0
-    S = 0.0  # sum of r_k / (k P_k)
+    lanes = min(_LANES, -(-n_max // _LANE))
+    # j[i, b] = b*_LANE + i + 1: the chunk's step indices, exact
+    j = np.ascontiguousarray(
+        np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
+    c = np.empty_like(j)
+    off = np.zeros(lanes + 1)  # off[b]: log P from the block's start to lane b's
+    logP, logP_lo = 0.0, 0.0
+    S, S_lo = 0.0, 0.0  # sum of r_k / (k P_k)
     done = 0
     while done < n_max:
-        m = min(size, n_max - done)
-        jm, c = j[:m], cl[:m]
-        np.divide(-a, jm, out=c)
-        np.log1p(c, out=c)
-        np.cumsum(c, out=c)
-        c += logP
-        if tcum is not None:
-            t = tcum[:m]
-            np.exp(c, out=t)
-            t *= jm
-            np.divide(np.asarray(remainder(jm), dtype=float), t, out=t)
-            np.cumsum(t, out=t)
-            t += S
-        hi = done + m
-        while pi < len(plan) and plan[pi] <= hi:
-            idx = plan[pi] - done - 1
-            val = np.exp(c[idx]) * (x0 + (t[idx] if tcum is not None else 0.0))
-            out.append((plan[pi], np.array([val])))
-            pi += 1
-        logP = c[-1]
-        if tcum is not None:
-            S = t[-1]
-        done = hi
-        j += size
+        whole, short = divmod(min(j.size, n_max - done), _LANE)
+        for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
+            if rows == 0 or b1 == b0:
+                continue
+            jb, cb, ob = j[:rows, b0:b1], c[:rows, b0:b1], off[:b1 - b0 + 1]
+            np.divide(-a, jb, out=cb)
+            np.log1p(cb, out=cb)
+            steps = list(cb)  # row i: the i-th step of every lane
+            for prev, row in zip(steps, steps[1:]):
+                row += prev
+            np.cumsum(cb[-1], out=ob[1:])
+            start = (ob[:-1] + logP_lo) + logP  # log P at each lane's start
+            base = done + b0 * _LANE
+            marks = []  # read before cb is overwritten below
+            while pi < len(plan) and plan[pi] <= base + cb.size:
+                b, i = divmod(plan[pi] - base - 1, rows)
+                marks.append((plan[pi], b, i, np.exp(cb[i, b] + start[b])))
+                pi += 1
+            if remainder is not None:
+                # cb becomes r_k / (k P_k) times P at the lane's start
+                np.exp(cb, out=cb)
+                cb *= jb
+                np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
+                scale = np.exp(-start)
+                sums = cb.sum(axis=0)
+                sums *= scale
+            for k, b, i, P in marks:
+                part = 0.0 if remainder is None else (
+                    (sums[:b].sum() + cb[:i + 1, b].sum() * scale[b] + S_lo) + S)
+                out.append((k, np.array([P * (x0 + part)])))
+            logP, logP_lo = _compensated(logP, logP_lo, float(ob[-1]))
+            if remainder is not None:
+                S, S_lo = _compensated(S, S_lo, float(sums.sum()))
+        done += j.size
+        j += j.size
     return out
 
 
@@ -296,10 +331,15 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
     E theta_{n+1} = E theta_n (I - A/(n+1)) + r_{n+1}/(n+1).
 
     Returns [(n, E theta_n)] at the requested checkpoints (default: n_max
-    only). The one-dimensional case with A[0,0] in [0, 1) is evaluated in
-    vectorized chunks small enough to stay in cache, so horizons up to 1e8
-    take seconds and memory does not grow with n_max; the remainder
-    schedule must then accept an index array.
+    only). The one-dimensional case with A[0,0] in [0, 1) is the closed
+    form E theta_n = P_n (theta0 + sum_k r_k/(k P_k)), P_n = prod (1 - a/k),
+    evaluated in lanes: chunks of _LANE * _LANES steps held as a
+    (_LANE, _LANES) array whose column b is the run of steps b*_LANE + 1 ..
+    (b + 1)*_LANE, small enough to stay in cache, so horizons up to 1e8
+    take seconds and memory does not grow with n_max. The remainder
+    schedule must then be elementwise on an index array of any shape and
+    order: it is called on each block's (steps, lanes) float array of step
+    indices and sees each index 1..n_max exactly once and none beyond.
     """
     A = _check_square(A, "A").astype(float)
     d = A.shape[0]

@@ -81,6 +81,27 @@ def mean_recursion(A, r_fn, n, theta0):
     return m
 
 
+def mean_closed_form_extended(a, remainder, x0, checkpoints, chunk=1 << 16):
+    """[(n, E theta_n)] of the scalar recursion with drift a in [0, 1), by
+    E theta_n = P_n (x0 + sum_k r_k/(k P_k)) in np.longdouble: running
+    sums of log(1 - a/k) and of the weighted remainder, one chunk at a time.
+    The remainder is evaluated in double, as the code under test sees it."""
+    ld = np.longdouble
+    logP, S, out = ld(0), ld(0), []
+    marks = sorted(checkpoints)
+    done = 0
+    while marks and done < marks[-1]:
+        jd = np.arange(done + 1.0, min(done + chunk, marks[-1]) + 1.0)
+        j = jd.astype(ld)
+        lp = np.cumsum(np.log1p(-ld(a) / j)) + logP
+        r = np.zeros(j.size) if remainder is None else remainder(jd)
+        s = np.cumsum(np.asarray(r, dtype=float).astype(ld) / (j * np.exp(lp))) + S
+        out += [(k, np.exp(lp[k - done - 1]) * (ld(x0) + s[k - done - 1]))
+                for k in marks if done < k <= done + j.size]
+        logP, S, done = lp[-1], s[-1], done + j.size
+    return out
+
+
 class ScalarRng:
     """Reference generator over python ints; one stream.
 

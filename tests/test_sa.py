@@ -14,13 +14,14 @@ from urnlab.sa import (
     LinearDrift,
     SAProcessSpec,
     Trajectory,
-    _MEAN_CHUNK,
+    _LANE,
+    _LANES,
     _block_weights,
     exact_mean_recursion,
     linear_paths,
     run_sa,
 )
-from oracles import mean_recursion, replay
+from oracles import mean_closed_form_extended, mean_recursion, replay
 
 
 def linear_drift(A):
@@ -134,16 +135,26 @@ def test_exact_mean_scalar_fast_path_matches_loop():
     assert fast[0][1][0] == pytest.approx(slow7[0], rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
+CHUNK = _LANE * _LANES
+REMAINDERS = {"none": None, "inv-sqrt": lambda k: 1.0 / np.sqrt(k),
+              "inv-sqrt-log": InverseSqrtLogRemainder()}
+
+
+@settings(max_examples=30, deadline=None)
 @given(a=st.floats(0.0, 1.0, exclude_max=True), x0=st.floats(0.0, 2.0),
-       kind=st.sampled_from(["none", "inv-sqrt", "inv-sqrt-log"]),
-       n=st.integers(_MEAN_CHUNK - 3, 3 * _MEAN_CHUNK + 5))
-def test_exact_mean_scalar_matches_float_loop_property(a, x0, kind, n):
-    # n straddles the chunk ends; checkpoints sit on both sides of each
-    remainder = {"none": None, "inv-sqrt": lambda k: 1.0 / np.sqrt(k),
-                 "inv-sqrt-log": InverseSqrtLogRemainder()}[kind]
-    ends = (0, _MEAN_CHUNK, 2 * _MEAN_CHUNK, 3 * _MEAN_CHUNK)
-    plan = sorted({k for e in ends for k in (e - 1, e, e + 1) if 0 <= k <= n} | {n})
+       kind=st.sampled_from(sorted(REMAINDERS)),
+       n=st.one_of(st.integers(1, _LANE + 1),
+                   st.integers(CHUNK - _LANE - 3, 3 * CHUNK + _LANE + 5)),
+       inner=st.floats(0.0, 1.0))
+def test_exact_mean_scalar_matches_float_loop_property(a, x0, kind, n, inner):
+    # n straddles lane and chunk ends, or sits below one lane; checkpoints
+    # sit on both sides of each lane and chunk end, of the last whole lane's
+    # end, inside the short last lane and at one drawn step
+    remainder = REMAINDERS[kind]
+    ends = (0, _LANE, 2 * _LANE, CHUNK - _LANE, CHUNK, 2 * CHUNK, 3 * CHUNK,
+            n // _LANE * _LANE)
+    plan = sorted({k for e in ends for k in (e - 1, e, e + 1) if 0 <= k <= n}
+                  | {n - 1, n, int(inner * n)})
     got = exact_mean_recursion([[a]], remainder, [x0], n, checkpoints=plan)
     r = (np.zeros(n) if remainder is None
          else remainder(np.arange(1.0, n + 1.0))).tolist()
@@ -157,6 +168,41 @@ def test_exact_mean_scalar_matches_float_loop_property(a, x0, kind, n):
     # step, so its own error reaches n of them; the closed form rounds once
     np.testing.assert_allclose([v[0] for _, v in got], want, rtol=1e-10,
                                atol=n * 2.0 ** -1074)
+
+
+class RecordingRemainder:
+    """1/sqrt(k), keeping every index it is asked for."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, k):
+        self.seen.append(np.array(k, dtype=float).ravel())
+        return 1.0 / np.sqrt(k)
+
+
+@pytest.mark.parametrize("n", [1, _LANE - 1, _LANE, _LANE + 1, CHUNK - 1,
+                               CHUNK + 3 * _LANE + 7, 2 * CHUNK])
+def test_exact_mean_scalar_evaluates_each_index_once(n):
+    rec = RecordingRemainder()
+    exact_mean_recursion([[0.5]], rec, [0.0], n, checkpoints=[n])
+    seen = np.concatenate(rec.seen)
+    assert seen.size == n
+    assert np.array_equal(np.sort(seen), np.arange(1.0, n + 1.0))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double here")
+def test_exact_mean_scalar_matches_extended_precision():
+    spec = remainder_drive_spec("inv-sqrt-log")
+    a, x0 = float(spec.drift.matrix[0, 0]), float(spec.theta0[0]) + 0.25
+    decades = [10 ** k for k in range(2, 7)]
+    got = exact_mean_recursion([[a]], spec.remainder, [x0], decades[-1],
+                               checkpoints=decades)
+    want = mean_closed_form_extended(a, spec.remainder, x0, decades)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    rel = [abs((np.longdouble(v[0]) - w) / w) for (_, v), (_, w) in zip(got, want)]
+    assert max(rel) <= 1e-14, rel
 
 
 def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon():

@@ -1,6 +1,7 @@
 """Rules the package source keeps: no handler that swallows every error,
 no parameter that is accepted and then ignored, pools only where
-replicates are sharded, and no noise source without its known draw.
+replicates are sharded, no noise source without its known draw, and a
+start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A parameter nothing
@@ -8,8 +9,12 @@ reads lets a caller believe it changed the result.
 """
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CATCH_ALL = re.compile(r"^\s*except\s*(Exception\b|:)")
@@ -174,3 +179,46 @@ def test_undeclared_draw_rule_catches_one():
         "d = StreamRng(seed, 3, kind='gaussian', total=n)\n"
         "e = BlockSource(seed, repl, total=0)\n")
     assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "StreamRng")]
+
+
+# scipy costs about 0.3 s to import; a command that decomposes no matrix
+# should not pay it. The child records where the first scipy import came from.
+STARTUP_PROBE = """
+import json, sys, traceback
+
+
+class Watch:
+    first = None
+
+    def find_spec(self, name, path=None, target=None):
+        if Watch.first is None and name.split(".")[0] == "scipy":
+            frames = [f for f in traceback.extract_stack()[:-1]
+                      if not f.filename.startswith("<frozen")]
+            Watch.first = f"{frames[-1].filename}:{frames[-1].lineno}"
+        return None
+
+
+sys.meta_path.insert(0, Watch())
+import urnlab.cli
+import urnlab.config
+
+urnlab.config.load_config(sys.argv[1]).build_model()
+print(json.dumps({"first": Watch.first,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_startup_imports_no_scipy(tmp_path):
+    cfg = tmp_path / "urn.json"
+    cfg.write_text(json.dumps({"model": {
+        "kind": "urn", "d": 2, "Y0": [1.0, 1.0],
+        "adding_rule": {"name": "deterministic",
+                        "matrix": [[0.0, 1.0], [1.0, 0.0]]}}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert found["scipy"] == [], f"scipy first imported at {found['first']}"
