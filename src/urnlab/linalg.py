@@ -4,10 +4,10 @@ two-sided eigensystems, and the exp-sandwich integral.
 Decompositions (Schur, eig, svd) and the matrix exponential (scipy
 ``expm``, Al-Mohy & Higham 2009) come from scipy; everything assembled on
 top of them lives here so tolerances and error behaviour are under our
-control. scipy.linalg is imported by the functions that call it: at
-module level it would add about 0.3 s to every urnlab start-up. The exp-sandwich integral is exact up to rounding: one
+control. The exp-sandwich integral is exact up to rounding: one
 exponential of a block matrix (Van Loan 1978) over a short step, doubled
-up to the horizon.
+up to the horizon. scipy.linalg is imported by the functions that call
+it: at module level it would add about 0.3 s to every urnlab start-up.
 """
 
 import dataclasses

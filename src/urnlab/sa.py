@@ -283,7 +283,6 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
     j = np.ascontiguousarray(
         np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
     c = np.empty_like(j)
-    off = np.zeros(lanes + 1)  # off[b]: log P from the block's start to lane b's
     logP, logP_lo = 0.0, 0.0
     S, S_lo = 0.0, 0.0  # sum of r_k / (k P_k)
     done = 0
@@ -292,14 +291,14 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
         for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
             if rows == 0 or b1 == b0:
                 continue
-            jb, cb, ob = j[:rows, b0:b1], c[:rows, b0:b1], off[:b1 - b0 + 1]
+            jb, cb = j[:rows, b0:b1], c[:rows, b0:b1]
             np.divide(-a, jb, out=cb)
             np.log1p(cb, out=cb)
             steps = list(cb)  # row i: the i-th step of every lane
             for prev, row in zip(steps, steps[1:]):
                 row += prev
-            np.cumsum(cb[-1], out=ob[1:])
-            start = (ob[:-1] + logP_lo) + logP  # log P at each lane's start
+            ends = np.cumsum(cb[-1])  # log P over the block to each lane's end
+            start = (np.concatenate(([0.0], ends[:-1])) + logP_lo) + logP
             base = done + b0 * _LANE
             marks = []  # read before cb is overwritten below
             while pi < len(plan) and plan[pi] <= base + cb.size:
@@ -318,7 +317,7 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
                 part = 0.0 if remainder is None else (
                     (sums[:b].sum() + cb[:i + 1, b].sum() * scale[b] + S_lo) + S)
                 out.append((k, np.array([P * (x0 + part)])))
-            logP, logP_lo = _compensated(logP, logP_lo, float(ob[-1]))
+            logP, logP_lo = _compensated(logP, logP_lo, float(ends[-1]))
             if remainder is not None:
                 S, S_lo = _compensated(S, S_lo, float(sums.sum()))
         done += j.size

@@ -194,12 +194,12 @@ def test_exact_mean_scalar_evaluates_each_index_once(n):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="np.longdouble is no wider than double here")
 def test_exact_mean_scalar_matches_extended_precision():
-    spec = remainder_drive_spec("inv-sqrt-log")
-    a, x0 = float(spec.drift.matrix[0, 0]), float(spec.theta0[0]) + 0.25
+    # the critical drift of remainder_drive_spec, started off zero
+    a, x0, remainder = 0.5, 0.25, InverseSqrtLogRemainder()
     decades = [10 ** k for k in range(2, 7)]
-    got = exact_mean_recursion([[a]], spec.remainder, [x0], decades[-1],
+    got = exact_mean_recursion([[a]], remainder, [x0], decades[-1],
                                checkpoints=decades)
-    want = mean_closed_form_extended(a, spec.remainder, x0, decades)
+    want = mean_closed_form_extended(a, remainder, x0, decades)
     assert [k for k, _ in got] == [k for k, _ in want]
     rel = [abs((np.longdouble(v[0]) - w) / w) for (_, v), (_, w) in zip(got, want)]
     assert max(rel) <= 1e-14, rel

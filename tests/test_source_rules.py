@@ -215,8 +215,9 @@ def test_startup_imports_no_scipy(tmp_path):
         "kind": "urn", "d": 2, "Y0": [1.0, 1.0],
         "adding_rule": {"name": "deterministic",
                         "matrix": [[0.0, 1.0], [1.0, 0.0]]}}}))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(cfg)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
