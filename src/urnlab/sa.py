@@ -241,13 +241,11 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
 
 # ==== deterministic mean recursion ====
 
-# lane layout of the scalar closed form: a chunk of _LANE * _LANES steps is a
-# C-ordered (_LANE, _LANES) array whose column b holds the chunk's steps
-# b*_LANE + 1 .. (b + 1)*_LANE, so a prefix sum down the columns is _LANE - 1
-# row adds, each vectorised over _LANES values (numpy's cumsum runs one value
-# at a time, flat or along an axis, at 4-6 ns per value). On a core with a
-# 2 MiB L2 cache, (16, 2048), (32, 1024) and (64, 512) tie at about 15 ns
-# per step to n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
+# lanes of the scalar closed form (see exact_mean_recursion): _LANE - 1 row
+# adds over _LANES values replace a cumsum, which numpy runs one value at a
+# time (4-6 ns per value, flat or along an axis). On a core with a 2 MiB L2
+# cache, (16, 2048), (32, 1024) and (64, 512) tie at about 15 ns per step to
+# n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
 _LANE = 32
 _LANES = 1024
 
