@@ -296,6 +296,7 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
             for prev, row in zip(steps, steps[1:]):
                 row += prev
             ends = np.cumsum(cb[-1])  # log P over the block to each lane's end
+            # log P at each lane's start, the carry added last
             start = (np.concatenate(([0.0], ends[:-1])) + logP_lo) + logP
             base = done + b0 * _LANE
             marks = []  # read before cb is overwritten below
