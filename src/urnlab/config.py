@@ -175,8 +175,7 @@ def _validate_model(m):
                                           f"{path}/theta_star", d))
 
     elif kind == "urn":
-        _reject_unknown(m, path, {"kind", "d", "Y0", "adding_rule",
-                                  "generating_matrix", "V_q"})
+        _reject_unknown(m, path, {"kind", "d", "Y0", "adding_rule"})
         out["Y0"] = _vector(_require(m, "Y0", path), f"{path}/Y0", d)
         rule = _object(_require(m, "adding_rule", path), f"{path}/adding_rule")
         rp = f"{path}/adding_rule"
@@ -188,7 +187,6 @@ def _validate_model(m):
                 "name": name,
                 "matrix": _square(_require(rule, "matrix", rp),
                                   f"{rp}/matrix", d)}
-            derived_H = out["adding_rule"]["matrix"]
         else:
             _reject_unknown(rule, rp, {"name", "p", "scale"})
             p = _number(rule.get("p", 0.5), f"{rp}/p",
@@ -196,23 +194,6 @@ def _validate_model(m):
             scale = _number(rule.get("scale", 2.0), f"{rp}/scale",
                             lo=0.0, lo_open=True)
             out["adding_rule"] = {"name": name, "p": p, "scale": scale}
-            derived_H = [[p * scale if i == j else 0.0 for j in range(d)]
-                         for i in range(d)]
-        if m.get("generating_matrix") is None:
-            out["generating_matrix"] = derived_H
-        else:
-            out["generating_matrix"] = _square(
-                m["generating_matrix"], f"{path}/generating_matrix", d)
-        vq = m.get("V_q")
-        if vq is None or vq == "estimate":
-            out["V_q"] = vq
-        elif isinstance(vq, list):
-            if len(vq) != d:
-                _fail(f"{path}/V_q", f"an array of {d} matrices", vq)
-            out["V_q"] = [_square(V, f"{path}/V_q/{q}", d)
-                          for q, V in enumerate(vq)]
-        else:
-            _fail(f"{path}/V_q", '"estimate" or an array of matrices', vq)
 
     elif kind == "gauss":
         _reject_unknown(m, path, {"kind", "d", "H", "gamma", "G1", "grid"})
@@ -456,12 +437,7 @@ class ConfigDocument:
             else:
                 rule = BernoulliDiagonalRule(m["d"], p=rule["p"],
                                              scale=rule["scale"])
-            vq = m["V_q"]
-            if isinstance(vq, list):
-                vq = [np.array(V) for V in vq]
-            return UrnSpec(d=m["d"], Y0=np.array(m["Y0"]), adding_rule=rule,
-                           generating_matrix=np.array(m["generating_matrix"]),
-                           V_q=vq)
+            return UrnSpec(d=m["d"], Y0=np.array(m["Y0"]), adding_rule=rule)
         if kind == "gauss":
             root = GaussianNoise.from_cov(np.array(m["gamma"])).root
             return GaussProcessSpec(H=np.array(m["H"]), gamma_root=root,

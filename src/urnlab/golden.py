@@ -197,8 +197,7 @@ def friedman_urn(y0=(1.0, 1.0)):
     """Two-color urn that always adds one ball of the opposite color."""
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
-                   adding_rule=DeterministicRule(H), generating_matrix=H,
-                   label="friedman")
+                   adding_rule=DeterministicRule(H), label="friedman")
 
 
 def mixing_urn(off_diag, y0=(1.0, 1.0)):
@@ -210,5 +209,4 @@ def mixing_urn(off_diag, y0=(1.0, 1.0)):
         raise InvalidArgumentError(f"off_diag must lie in (0, 1), got {a}")
     H = np.array([[1.0 - a, a], [a, 1.0 - a]])
     return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
-                   adding_rule=DeterministicRule(H), generating_matrix=H,
-                   label=f"mixing-{a:g}")
+                   adding_rule=DeterministicRule(H), label=f"mixing-{a:g}")

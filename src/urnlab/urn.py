@@ -3,15 +3,16 @@
 A composition row Y_n evolves by drawing type k with probability
 max(Y_k, 0)/sum_j max(Y_j, 0) (uniform when no entry is positive) and adding
 row k of the sampled addition matrix D_n; N_n counts draws per type. The
-limit structure is read off the generating matrix H = lim E[D_n | past]:
+addition rule states its own law: the generating matrix H = E[D_n] (its
+`mean`) and the per-row addition covariances V_q (None when D_n is fixed).
 Y_n/n and N_n/n converge to the normalized left Perron vector v, and the
 fluctuations embed into the general recursion with drift Jacobian
 
     Dh* = [[I - (H - 1^T v), -(I - 1^T v)], [0, I]]        (2d x 2d)
 
-and noise covariance assembled from S1 = diag(v) - v^T v and the per-row
-addition covariances V_q. The second-largest real part lambda_sec of the
-(alpha-normalized) spectrum sets the regime through rho = 1 - lambda_sec.
+and noise covariance assembled from S1 = diag(v) - v^T v and the V_q. The
+second-largest real part lambda_sec of the (alpha-normalized) spectrum sets
+the regime through rho = 1 - lambda_sec.
 
 run_urn steps one path; run_urn_batch steps R paths of a deterministic rule
 in lockstep, their state stored colour-major, (d, R).
@@ -46,23 +47,24 @@ SLAB = 256
 
 
 class DeterministicRule:
-    """Addition rule that always returns the same matrix (consumes no noise)."""
+    """Addition rule that always adds the same matrix (consumes no noise):
+    its mean is that matrix and its rows have no covariance."""
 
     values_per_step = 0
+    V_q = None
 
     def __init__(self, D):
-        self.matrix = np.asarray(D, dtype=float)
-        if not np.all(np.isfinite(self.matrix)):
+        self.mean = np.asarray(D, dtype=float)
+        if not np.all(np.isfinite(self.mean)):
             raise InvalidArgumentError("addition matrix contains non-finite entries")
-
-    def __call__(self, rng, n, state):
-        return self.matrix
 
 
 class BernoulliDiagonalRule:
     """Each row q adds `scale` balls of its own type with probability p.
 
-    E[D] = p*scale*I and V_q has p(1-p)*scale^2 at (q, q), zero elsewhere.
+    A step draws d uniforms after the type's; the drawn type q succeeds when
+    the q-th is below p. The mean is p*scale*I and V_q has p(1-p)*scale^2
+    at (q, q), zero elsewhere.
     """
 
     def __init__(self, d, p=0.5, scale=2.0):
@@ -70,25 +72,21 @@ class BernoulliDiagonalRule:
         self.values_per_step = self.d
         self.p = float(p)
         self.scale = float(scale)
-        self.matrix_mean = self.p * self.scale * np.eye(self.d)
-
-    def __call__(self, rng, n, state):
-        u = rng.uniforms(self.d)
-        return np.diag(np.where(u < self.p, self.scale, 0.0))
+        self.mean = self.p * self.scale * np.eye(self.d)
+        var = self.p * (1.0 - self.p) * self.scale * self.scale
+        self.V_q = tuple(var * np.diag(e) for e in np.eye(self.d))
 
 
 @dataclasses.dataclass(frozen=True)
 class UrnSpec:
-    """Urn model: dimension, start composition, addition sampler (its
-    `values_per_step`, if set, sizes the stream's refills), the limit
-    generating matrix H, and per-row addition covariances V_q (list of d
-    PSD matrices, or the string "estimate")."""
+    """Urn model: dimension, start composition and the addition rule. The
+    rule states its law, `mean` (H = E[D]) and `V_q` (d PSD matrices, or
+    None for a fixed addition), and draws `values_per_step` uniforms per
+    step after the type's."""
 
     d: int
     Y0: np.ndarray
     adding_rule: object
-    generating_matrix: np.ndarray
-    V_q: object = None
     label: str = ""
 
     def __post_init__(self):
@@ -96,19 +94,17 @@ class UrnSpec:
         if Y0.shape != (self.d,) or not np.all(np.isfinite(Y0)):
             raise InvalidArgumentError(f"Y0 must be a finite vector of length {self.d}")
         object.__setattr__(self, "Y0", Y0)
-        H = _check_square(self.generating_matrix, "generating_matrix").astype(float)
-        if H.shape != (self.d, self.d):
-            raise InvalidArgumentError(f"generating_matrix must be {self.d}x{self.d}")
-        off = H - np.diag(np.diag(H))
-        if off.min() < 0.0:
-            raise AssumptionViolationError(
-                "generating matrix has a negative off-diagonal entry")
-        object.__setattr__(self, "generating_matrix", H)
-        if self.V_q is not None and not isinstance(self.V_q, str):
-            vq = tuple(check_sym_psd(V, f"V_q[{q}]") for q, V in enumerate(self.V_q))
-            if len(vq) != self.d:
+        rule = self.adding_rule
+        if not all(hasattr(rule, a) for a in ("mean", "V_q", "values_per_step")):
+            raise InvalidArgumentError(
+                "adding rule must state its mean, V_q and values_per_step")
+        if np.shape(rule.mean) != (self.d, self.d):
+            raise InvalidArgumentError(f"adding rule's mean must be {self.d}x{self.d}")
+        if rule.V_q is not None:
+            if len(rule.V_q) != self.d:
                 raise InvalidArgumentError(f"V_q must have {self.d} matrices")
-            object.__setattr__(self, "V_q", vq)
+            for q, V in enumerate(rule.V_q):
+                check_sym_psd(V, f"V_q[{q}]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,37 +123,34 @@ class UrnTrajectory:
     seed: int
 
 
-def draw_probabilities(Y):
-    """Selection law: positive parts normalized; uniform when none positive.
+def run_urn(spec, n_max, seed, checkpoints, replicate=0):
+    """Simulate one urn path; deterministic given (spec, seed, replicate).
 
-    The last entry absorbs the float rounding residual so the vector sums
-    to 1 exactly.
+    A plain-float loop: each step takes the type's uniform, then the rule's
+    values_per_step uniforms. The type is the first whose positive mass,
+    accumulated in colour order, exceeds u*s (uniform when no mass is
+    positive); a deterministic rule adds row k of its matrix, a
+    Bernoulli-diagonal one row k of scale*I when its k-th uniform is below
+    p and nothing otherwise.
     """
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise InvalidArgumentError("composition contains non-finite entries")
-    pos = np.maximum(Y, 0.0)
-    s = pos.sum()
-    if s <= 0.0:
-        p = np.full(Y.shape, 1.0 / Y.size)
-    else:
-        p = pos / s
-    for _ in range(10):
-        resid = 1.0 - float(p.sum())
-        if resid == 0.0:
-            break
-        j = p.size - 1
-        if p[j] + resid < 0.0:  # last entry too small to absorb the residual
-            j = int(np.argmax(p))
-        p[j] = max(0.0, p[j] + resid)
-    return p
-
-
-def _run_urn_fast(spec, n_max, seed, plan, replicate):
-    """Pure-python loop for deterministic rules; one uniform per step."""
-    rng = StreamRng(seed, replicate, "uniform", n_max)
-    D = spec.adding_rule.matrix.tolist()  # python floats: no numpy scalars
+    n_max = int(n_max)
+    if n_max < 1:
+        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
+    plan = _checkpoint_plan(checkpoints, n_max)
+    rule = spec.adding_rule
     d = spec.d
+    m = rule.values_per_step
+    # rows as python floats (no numpy scalars); a draw adds hit[k] unless a
+    # Bernoulli-diagonal rule's k-th uniform is at or above p
+    if isinstance(rule, BernoulliDiagonalRule):
+        hit, p = (rule.scale * np.eye(d)).tolist(), rule.p
+    elif m == 0:  # a rule that draws nothing adds its mean
+        hit, p = rule.mean.tolist(), None
+    else:
+        raise InvalidArgumentError(f"run_urn cannot draw {type(rule).__name__}")
+    miss = [[0.0] * d] * d
+    step = 1 + m
+    rng = StreamRng(seed, replicate, "uniform", n_max * step)
     Y = [float(y) for y in spec.Y0]
     N = [0] * d
     cps = []
@@ -165,10 +158,11 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
     if pi < len(plan) and plan[pi] == 0:
         cps.append(UrnState(np.array(Y), np.array(N, dtype=np.int64), 0))
         pi += 1
+    buf, j = [], 0
     for n in range(1, n_max + 1):
-        if (n - 1) % BLOCK == 0:
-            buf = rng.values(min(BLOCK, n_max - n + 1)).tolist()
-        u = buf[(n - 1) % BLOCK]
+        if j == len(buf):
+            buf, j = rng.values(min(BLOCK, n_max - n + 1) * step).tolist(), 0
+        u = buf[j]
         s = 0.0
         for y in Y:
             if y > 0.0:
@@ -187,7 +181,8 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
                 if t < acc:
                     k = i
                     break
-        row = D[k]
+        row = hit[k] if p is None or buf[j + 1 + k] < p else miss[k]
+        j += step
         for i in range(d):
             Y[i] += row[i]
         N[k] += 1
@@ -196,50 +191,6 @@ def _run_urn_fast(spec, n_max, seed, plan, replicate):
                                   first_bad_index=n)
         if pi < len(plan) and plan[pi] == n:
             cps.append(UrnState(np.array(Y), np.array(N, dtype=np.int64), n))
-            pi += 1
-    return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
-
-
-def run_urn(spec, n_max, seed, checkpoints, replicate=0):
-    """Simulate one urn path; deterministic given (spec, seed, replicate).
-
-    Deterministic addition rules run on a fast scalar loop; anything else
-    goes through the generic engine.
-    """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
-    plan = _checkpoint_plan(checkpoints, n_max)
-    if isinstance(spec.adding_rule, DeterministicRule):
-        return _run_urn_fast(spec, n_max, seed, plan, replicate)
-
-    # one uniform picks the type; the rule may draw uniforms of its own
-    draw = n_max * (1 + getattr(spec.adding_rule, "values_per_step", 0))
-    rng = StreamRng(seed, replicate, "uniform", draw)
-    Y = spec.Y0.copy()
-    N = np.zeros(spec.d, dtype=np.int64)
-    cps = []
-    pi = 0
-    if pi < len(plan) and plan[pi] == 0:
-        cps.append(UrnState(Y.copy(), N.copy(), 0))
-        pi += 1
-    for n in range(1, n_max + 1):
-        u = rng.uniform()
-        pos = np.maximum(Y, 0.0)
-        s = float(pos.sum())
-        if s <= 0.0:
-            k = min(int(u * spec.d), spec.d - 1)
-        else:
-            k = int(np.searchsorted(np.cumsum(pos), u * s, side="right"))
-            k = min(k, spec.d - 1)
-        D = np.asarray(spec.adding_rule(rng, n, UrnState(Y, N, n - 1)), dtype=float)
-        Y = Y + D[k]
-        N[k] += 1
-        if not np.all(np.isfinite(Y)):
-            raise DivergenceError(f"composition non-finite at step {n}",
-                                  first_bad_index=n)
-        if pi < len(plan) and plan[pi] == n:
-            cps.append(UrnState(Y.copy(), N.copy(), n))
             pi += 1
     return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
 
@@ -273,7 +224,7 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     R = repl.size
     src = BlockSource(seed, repl, "uniform", n_max)
     d = spec.d
-    DT = np.ascontiguousarray(spec.adding_rule.matrix.T)  # DT[q] = D[:, q]
+    DT = np.ascontiguousarray(spec.adding_rule.mean.T)  # DT[q] = D[:, q]
     Y = np.repeat(spec.Y0[:, None], R, axis=1)
     N = np.zeros((d, R), dtype=np.int64)
     U = np.empty((SLAB, R))  # one row of uniforms per step
@@ -476,31 +427,6 @@ class UrnAsymptotics:
         }
 
 
-def estimate_Vq(spec, samples, seed):
-    """Sample covariance of each addition-matrix row over repeated draws.
-
-    Row q is conditioned on drawing type q; the rule is assumed stationary
-    per row. Deterministic given seed (stream q feeds row q).
-    """
-    samples = int(samples)
-    if samples < 2:
-        raise InvalidArgumentError(f"need at least 2 samples, got {samples}")
-    d = spec.d
-    state = UrnState(spec.Y0.copy(), np.zeros(d, dtype=np.int64), 0)
-    draw = samples * getattr(spec.adding_rule, "values_per_step", 0)
-    out = []
-    for q in range(d):
-        rng = StreamRng(seed, replicate=q, kind="uniform", total=draw)
-        rows = np.empty((samples, d))
-        for m in range(samples):
-            D = np.asarray(spec.adding_rule(rng, m + 1, state), dtype=float)
-            rows[m] = D[q]
-        mu = rows.mean(axis=0)
-        X = rows - mu
-        out.append(X.T @ X / (samples - 1))
-    return out
-
-
 def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
     """Slow-regime limit components: for each eigenvalue on the lambda_sec
     layer of profile (the spectral profile of H) with a block of order nu,
@@ -535,23 +461,19 @@ def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
     return SlowDescriptor(components=tuple(comps), rho=1.0 - lambda_sec, nu=nu)
 
 
-def urn_asymptotics(spec, estimate_samples=2000, estimate_seed=0,
-                    rho_tol=_DEFAULT_RHO_TOL):
-    """Full limit analysis of an urn: eigenstructure, SA embedding, regime
-    (Dh_star's profile against 1/2 within rho_tol), and the regime's limit
-    object (covariance or slow components)."""
-    H = spec.generating_matrix
+def urn_asymptotics(spec, rho_tol=_DEFAULT_RHO_TOL):
+    """Full limit analysis of an urn: eigenstructure of the rule's mean H,
+    SA embedding with the rule's V_q, regime (Dh_star's profile against 1/2
+    within rho_tol), and the regime's limit object (covariance or slow
+    components)."""
+    H = spec.adding_rule.mean
     alpha, v, u, lambda_sec, nu, h_profile = _eigenstructure(H)
     if lambda_sec is not None and lambda_sec >= 1.0:
         raise AssumptionViolationError(
             f"second eigenvalue real part {lambda_sec:.6g} >= 1 violates the "
             "convergence hypothesis")
 
-    Vq = spec.V_q
-    if isinstance(Vq, str):
-        if Vq != "estimate":
-            raise InvalidArgumentError(f"unknown V_q mode {Vq!r}")
-        Vq = estimate_Vq(spec, estimate_samples, estimate_seed)
+    Vq = spec.adding_rule.V_q
     Hn = H / alpha
     if Vq is not None and alpha != 1.0:
         Vq = [V / alpha ** 2 for V in Vq]

@@ -10,10 +10,11 @@ generator over python ints instead of the vectorized one.
 import numpy as np
 import scipy.integrate
 
-from urnlab.errors import InvalidArgumentError
+from urnlab.errors import DivergenceError, InvalidArgumentError
 from urnlab.ode import integrate_flow
-from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, stream_words
-from urnlab.urn import urn_eigenstructure
+from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, StreamRng, stream_words
+from urnlab.sa import _checkpoint_plan
+from urnlab.urn import BernoulliDiagonalRule, UrnState, urn_eigenstructure
 
 
 def taylor_expm(A, terms=30):
@@ -182,6 +183,45 @@ def replay(spec, traj):
         if want is not None and not np.array_equal(want, theta):
             raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
     return True
+
+
+def reference_urn(spec, n_max, seed, checkpoints, replicate=0):
+    """Reference for run_urn: a numpy loop that adds a whole drawn row.
+
+    Each step takes the type's uniform, then the rule's draw: a
+    Bernoulli-diagonal rule takes d uniforms and puts `scale` where they
+    fall below p; any other rule adds its mean. The positive mass is
+    accumulated in colour order (a cumsum; a numpy sum goes pairwise from
+    d = 8) and k counts the accumulated masses at or below u*s; with no
+    positive mass the draw is uniform. Returns the checkpoint UrnStates.
+    """
+    plan = set(_checkpoint_plan(checkpoints, n_max))
+    d, rule = spec.d, spec.adding_rule
+    rng = StreamRng(seed, replicate, "uniform",
+                    n_max * (1 + rule.values_per_step))
+    Y = spec.Y0.copy()
+    N = np.zeros(d, dtype=np.int64)
+    out = [UrnState(Y.copy(), N.copy(), 0)] if 0 in plan else []
+    for n in range(1, n_max + 1):
+        u = rng.uniform()
+        acc = np.cumsum(np.maximum(Y, 0.0))
+        s = float(acc[-1])
+        if s <= 0.0:
+            k = min(int(u * d), d - 1)
+        else:
+            k = min(int(np.searchsorted(acc, u * s, side="right")), d - 1)
+        if isinstance(rule, BernoulliDiagonalRule):
+            D = np.diag(np.where(rng.uniforms(d) < rule.p, rule.scale, 0.0))
+        else:
+            D = rule.mean
+        Y = Y + D[k]
+        N[k] += 1
+        if not np.all(np.isfinite(Y)):
+            raise DivergenceError(f"composition non-finite at step {n}",
+                                  first_bad_index=n)
+        if n in plan:
+            out.append(UrnState(Y.copy(), N.copy(), n))
+    return out
 
 
 def check_attraction(starts, H, s_max, eps, tol=1e-9):

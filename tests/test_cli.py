@@ -299,6 +299,19 @@ def test_verify_slow_regime_is_config_error(tmp_path, capsys):
     assert "slow regime" in capsys.readouterr().err
 
 
+def test_analyze_bernoulli_diagonal_urn_is_refused(tmp_path, capsys):
+    # the rule's mean p*scale*I is diagonal: its top eigenvalue is not simple
+    doc = {"model": {"kind": "urn", "d": 2, "Y0": [1.0, 1.0],
+                     "adding_rule": {"name": "bernoulli-diagonal",
+                                     "p": 0.25, "scale": 3.0}}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error [assumption-violation]" in err
+    assert "largest eigenvalue 0.75 is not simple" in err
+
+
 def diag_model(a):
     return {"kind": "sa", "d": 2, "drift": [[a, 0.0], [0.0, 1.0]],
             "theta0": [0.0, 0.0], "noise": [[1.0, 0.0], [0.0, 1.0]]}

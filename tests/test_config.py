@@ -83,8 +83,8 @@ def test_ragged_matrix_row_names_its_index():
 
 
 def test_matrix_dimension_must_match_d():
-    doc = {"model": dict(FRIEDMAN["model"],
-                         generating_matrix=[[0.0, 1.0]])}
+    doc = {"model": {"kind": "sa", "d": 2, "drift": [[0.0, 1.0]],
+                     "theta0": [0.0, 0.0]}}
     with pytest.raises(ConfigError, match="square 2x2"):
         validate_config(doc)
     doc = {"model": dict(FRIEDMAN["model"])}
@@ -311,26 +311,44 @@ def test_build_sa_model():
 def test_build_urn_models():
     spec = validate_config(FRIEDMAN).build_model()
     assert isinstance(spec, UrnSpec)
-    assert isinstance(spec.adding_rule, DeterministicRule)
-    # generating matrix defaults to the deterministic addition matrix
-    assert np.array_equal(spec.generating_matrix, [[0.0, 1.0], [1.0, 0.0]])
+    # H and V_q are the rule's: the matrix itself, with no covariance
+    assert np.array_equal(spec.adding_rule.mean, [[0.0, 1.0], [1.0, 0.0]])
+    assert spec.adding_rule.V_q is None
 
     doc = {"model": {"kind": "urn", "d": 2, "Y0": [1.0, 1.0],
-                     "adding_rule": {"name": "bernoulli-diagonal"},
-                     "V_q": "estimate"}}
+                     "adding_rule": {"name": "bernoulli-diagonal"}}}
     spec = validate_config(doc).build_model()
     assert isinstance(spec.adding_rule, BernoulliDiagonalRule)
     assert spec.adding_rule.p == 0.5 and spec.adding_rule.scale == 2.0
-    assert np.array_equal(spec.generating_matrix, np.eye(2))
-    assert spec.V_q == "estimate"
+    assert np.array_equal(spec.adding_rule.mean, np.eye(2))
+    assert [V.tolist() for V in spec.adding_rule.V_q] == [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
 
-    doc = {"model": dict(FRIEDMAN["model"],
-                         V_q=[[[0.0, 0.0], [0.0, 0.0]]] * 2)}
-    spec = validate_config(doc).build_model()
-    assert len(spec.V_q) == 2
-    with pytest.raises(ConfigError, match="/model/V_q"):
-        validate_config({"model": dict(FRIEDMAN["model"],
-                                       V_q=[[[0.0, 0.0], [0.0, 0.0]]])})
+
+@pytest.mark.parametrize("key,value", [
+    ("generating_matrix", [[0.0, 1.0], [1.0, 0.0]]),
+    ("V_q", "estimate"),
+    ("V_q", [[[0.0, 0.0], [0.0, 0.0]]] * 2),
+])
+def test_urn_law_keys_beside_the_rule_are_unknown(key, value):
+    # H and V_q come from the adding rule alone
+    with pytest.raises(ConfigError, match=f'unknown key "/model/{key}"') as exc:
+        validate_config({"model": dict(FRIEDMAN["model"], **{key: value})})
+    assert exc.value.path == f"/model/{key}"
+
+
+@pytest.mark.parametrize("rule,pointer", [
+    ({"p": 0.0}, "/model/adding_rule/p"),
+    ({"p": 1.0}, "/model/adding_rule/p"),
+    ({"scale": 0.0}, "/model/adding_rule/scale"),
+    ({"scale": "2"}, "/model/adding_rule/scale"),
+])
+def test_bernoulli_diagonal_rule_validates_p_and_scale(rule, pointer):
+    doc = {"model": {"kind": "urn", "d": 2, "Y0": [1.0, 1.0],
+                     "adding_rule": dict(rule, name="bernoulli-diagonal")}}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc)
+    assert exc.value.path == pointer
 
 
 def test_build_gauss_model_and_grid_rules():

@@ -215,7 +215,7 @@ def test_loglog_remainder_equals_the_masked_clamp():
 
 def test_friedman_urn_wiring():
     spec = friedman_urn()
-    alpha, v, u, lam_sec, nu = urn_eigenstructure(spec.generating_matrix)
+    alpha, v, u, lam_sec, nu = urn_eigenstructure(spec.adding_rule.mean)
     assert alpha == pytest.approx(1.0)
     assert np.allclose(v, [0.5, 0.5])
     assert lam_sec == pytest.approx(-1.0)
@@ -224,7 +224,7 @@ def test_friedman_urn_wiring():
 
 def test_mixing_urn_wiring():
     spec = mixing_urn(0.125)
-    _, v, _, lam_sec, _ = urn_eigenstructure(spec.generating_matrix)
+    _, v, _, lam_sec, _ = urn_eigenstructure(spec.adding_rule.mean)
     assert np.allclose(v, [0.5, 0.5])
     assert lam_sec == pytest.approx(0.75)
     assert mixing_urn(0.25).label == "mixing-0.25"

@@ -13,13 +13,12 @@ from urnlab.errors import (
     InvalidArgumentError,
 )
 from urnlab.rng import BLOCK
+from oracles import reference_urn
 from urnlab.urn import (
     SLAB,
     BernoulliDiagonalRule,
     DeterministicRule,
     UrnSpec,
-    draw_probabilities,
-    estimate_Vq,
     run_urn,
     run_urn_batch,
     urn_asymptotics,
@@ -32,52 +31,16 @@ FRIEDMAN = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def friedman_spec():
     return UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=DeterministicRule(FRIEDMAN),
-                   generating_matrix=FRIEDMAN)
+                   adding_rule=DeterministicRule(FRIEDMAN))
 
 
-class FixedRule:
-    """A fixed addition matrix that is not a DeterministicRule, so run_urn
-    takes its generic engine."""
+class StatedRule:
+    """A rule that states only the law it is given."""
 
     values_per_step = 0
 
-    def __init__(self, D):
-        self.matrix = np.asarray(D, dtype=float)
-
-    def __call__(self, rng, n, state):
-        return self.matrix
-
-
-def generic(spec):
-    return UrnSpec(d=spec.d, Y0=spec.Y0,
-                   adding_rule=FixedRule(spec.adding_rule.matrix),
-                   generating_matrix=spec.generating_matrix)
-
-
-# ==== draw probabilities ====
-
-def test_draw_probabilities_positive_part():
-    p = draw_probabilities(np.array([-1.0, 3.0]))
-    assert np.array_equal(p, [0.0, 1.0])
-
-
-def test_draw_probabilities_all_nonpositive_uniform():
-    p = draw_probabilities(np.array([-2.0, 0.0, -0.5]))
-    assert np.allclose(p, 1.0 / 3.0)
-    assert p.sum() == 1.0
-
-
-def test_draw_probabilities_sum_exact():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        Y = rng.normal(size=rng.integers(1, 7))
-        assert draw_probabilities(Y).sum() == 1.0
-
-
-def test_draw_probabilities_rejects_nan():
-    with pytest.raises(InvalidArgumentError):
-        draw_probabilities(np.array([np.nan, 1.0]))
+    def __init__(self, **law):
+        self.__dict__.update(law)
 
 
 # ==== the simulation engines ====
@@ -99,19 +62,45 @@ def test_run_urn_total_mass_friedman():
 
 def test_replay_matches_recorded_draws():
     # a deterministic rule adds row k on every draw of k: Y_n = Y_0 + N_n D
-    for spec in (friedman_spec(), generic(friedman_spec())):
-        traj = run_urn(spec, 200, seed=11, checkpoints=[0, 50, 200])
-        for st in traj.checkpoints:
-            assert np.array_equal(st.Y, spec.Y0 + st.N @ FRIEDMAN)
-            assert int(st.N.sum()) == st.n
-
-
-def test_fast_and_generic_engines_agree():
     spec = friedman_spec()
-    fast = run_urn(spec, 2000, seed=21, checkpoints=[2000])
-    slow = run_urn(generic(spec), 2000, seed=21, checkpoints=[2000])
-    assert np.array_equal(fast.checkpoints[-1].Y, slow.checkpoints[-1].Y)
-    assert np.array_equal(fast.checkpoints[-1].N, slow.checkpoints[-1].N)
+    traj = run_urn(spec, 200, seed=11, checkpoints=[0, 50, 200])
+    for st in traj.checkpoints:
+        assert np.array_equal(st.Y, spec.Y0 + st.N @ FRIEDMAN)
+        assert int(st.N.sum()) == st.n
+
+
+@hst.composite
+def scalar_runs(draw):
+    """A d = 2..9 Bernoulli-diagonal rule with random p and scale, or a
+    deterministic one in sevenths (non-dyadic) that may remove balls; a
+    start composition in thirds; a run that may cross a block of steps."""
+    d = draw(hst.integers(2, 9))
+    if draw(hst.booleans()):
+        rule = BernoulliDiagonalRule(d, p=draw(hst.floats(0.01, 0.99)),
+                                     scale=draw(hst.floats(0.1, 10.0)))
+    else:
+        D = draw(hst.lists(hst.integers(-7, 14), min_size=d * d,
+                           max_size=d * d))
+        rule = DeterministicRule(np.array(D, dtype=float).reshape(d, d) / 7)
+    Y0 = np.array(draw(hst.lists(hst.integers(0, 9), min_size=d,
+                                 max_size=d)), dtype=float) / 3
+    n = draw(hst.one_of(hst.integers(1, 400),
+                        hst.integers(BLOCK - 2, BLOCK + 200)))
+    checkpoints = draw(hst.lists(hst.integers(0, n), min_size=1, max_size=4))
+    return UrnSpec(d=d, Y0=Y0, adding_rule=rule), n, checkpoints
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=scalar_runs(), seed=hst.integers(0, 2 ** 32),
+       replicate=hst.integers(0, 3))
+def test_run_urn_matches_reference_loop_property(run, seed, replicate):
+    spec, n, checkpoints = run
+    got = run_urn(spec, n, seed, checkpoints, replicate=replicate).checkpoints
+    ref = reference_urn(spec, n, seed, checkpoints, replicate=replicate)
+    assert [c.n for c in got] == [c.n for c in ref]
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.Y, b.Y), a.n
+        assert np.array_equal(a.N, b.N), a.n
 
 
 def test_batch_engine_matches_scalar_paths():
@@ -141,12 +130,11 @@ def test_batch_engine_holds_one_block_and_its_slab():
 def test_batch_engine_three_colors():
     H = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
     spec = UrnSpec(d=3, Y0=np.array([1.0, 1.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     out = run_urn_batch(spec, 300, seed=13, checkpoints=[300], replicates=2)
     for r in range(2):
-        solo = run_urn(generic(spec), 300, seed=13, checkpoints=[300],
-                       replicate=r)
-        assert np.array_equal(out[0][2][r], solo.checkpoints[-1].N)
+        solo = reference_urn(spec, 300, seed=13, checkpoints=[300], replicate=r)
+        assert np.array_equal(out[0][2][r], solo[-1].N)
 
 
 def assert_batch_matches_run_urn(spec, n, seed, checkpoints, R):
@@ -172,8 +160,7 @@ def lockstep_runs(draw):
                                  max_size=d)), dtype=float) / 3
     n = draw(hst.integers(1, 600))
     checkpoints = draw(hst.lists(hst.integers(1, n), min_size=1, max_size=4))
-    spec = UrnSpec(d=d, Y0=Y0, adding_rule=DeterministicRule(D),
-                   generating_matrix=np.eye(d))
+    spec = UrnSpec(d=d, Y0=Y0, adding_rule=DeterministicRule(D))
     return spec, n, checkpoints
 
 
@@ -188,8 +175,7 @@ def test_batch_engine_dead_rows_draw_uniformly():
     # removal empties both colours within two steps; from then on every
     # replicate draws uniformly, each from its own stream
     spec = UrnSpec(d=2, Y0=np.array([0.5, 0.5]),
-                   adding_rule=DeterministicRule([[-1.0, 0.0], [0.0, -1.0]]),
-                   generating_matrix=np.eye(2))
+                   adding_rule=DeterministicRule([[-1.0, 0.0], [0.0, -1.0]]))
     out = assert_batch_matches_run_urn(spec, 600, 4, [1, 2, 3, 256, 300, 600],
                                        5)
     _, Y, N = out[-1]
@@ -200,20 +186,22 @@ def test_batch_engine_dead_rows_draw_uniformly():
 
 def test_random_rule_runs_and_counts():
     rule = BernoulliDiagonalRule(d=2, p=0.5, scale=2.0)
-    spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule,
-                   generating_matrix=np.eye(2), V_q=[np.diag([1.0, 0.0]),
-                                                     np.diag([0.0, 1.0])])
+    spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule)
     traj = run_urn(spec, 400, seed=2, checkpoints=[400])
     st = traj.checkpoints[-1]
     assert int(st.N.sum()) == 400
     assert st.Y.sum() <= 2.0 + 2 * 400
+    # a random rule run_urn has no draw for is refused, not run as its mean
+    other = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=StatedRule(
+        mean=rule.mean, V_q=rule.V_q, values_per_step=2))
+    with pytest.raises(InvalidArgumentError, match="cannot draw StatedRule"):
+        run_urn(other, 10, seed=2, checkpoints=[10])
 
 
 def test_removal_rule_survives_nonpositive_composition():
     # pure removal drives Y negative; draws then fall back to uniform
     spec = UrnSpec(d=1, Y0=np.array([0.5]),
-                   adding_rule=FixedRule([[-1.0]]),
-                   generating_matrix=np.array([[1.0]]))
+                   adding_rule=DeterministicRule([[-1.0]]))
     traj = run_urn(spec, 50, seed=1, checkpoints=[50])
     st = traj.checkpoints[-1]
     assert st.Y[0] == pytest.approx(0.5 - 50.0)
@@ -221,20 +209,18 @@ def test_removal_rule_survives_nonpositive_composition():
 
 
 def test_divergence_reports_first_bad_step():
+    # p = 1: every draw adds 1e308 through the random rule's branch
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=FixedRule([[1e308]]),
-                   generating_matrix=np.array([[1.0]]))
-    with np.errstate(over="ignore"):
-        with pytest.raises(DivergenceError) as exc:
-            run_urn(spec, 10, seed=0, checkpoints=[10])
+                   adding_rule=BernoulliDiagonalRule(1, p=1.0, scale=1e308))
+    with pytest.raises(DivergenceError) as exc:
+        run_urn(spec, 10, seed=0, checkpoints=[10])
     assert exc.value.first_bad_index == 2
 
 
 def test_scalar_urn_loop_overflows_without_a_warning():
     # the fast loop adds D's rows as python floats, which overflow silently
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=DeterministicRule([[1e308]]),
-                   generating_matrix=np.array([[1.0]]))
+                   adding_rule=DeterministicRule([[1e308]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as exc:
@@ -358,7 +344,7 @@ def test_asymptotics_friedman_standard():
 def test_asymptotics_critical_urn():
     H = np.array([[0.75, 0.25], [0.25, 0.75]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     rep = urn_asymptotics(spec)
     assert rep.regime.tag == "Critical"
     assert rep.lambda_sec == pytest.approx(0.5)
@@ -370,7 +356,7 @@ def test_asymptotics_critical_urn():
 def test_asymptotics_slow_urn_descriptor():
     H = np.array([[0.875, 0.125], [0.125, 0.875]])
     spec = UrnSpec(d=2, Y0=np.array([2.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     rep = urn_asymptotics(spec)
     assert rep.regime.tag == "Slow"
     assert rep.lambda_sec == pytest.approx(0.75)
@@ -389,15 +375,14 @@ def test_asymptotics_rejects_second_eigenvalue_at_one():
     # block-diagonal H keeps two eigenvalues at the top: not simple
     H = np.array([[1.0, 0.0], [0.0, 1.0]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     with pytest.raises(AssumptionViolationError):
         urn_asymptotics(spec)
 
 
 def test_asymptotics_single_type_standard_zero_noise():
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=DeterministicRule([[1.0]]),
-                   generating_matrix=np.array([[1.0]]))
+                   adding_rule=DeterministicRule([[1.0]]))
     rep = urn_asymptotics(spec)
     assert rep.regime.tag == "Standard"
     assert np.allclose(rep.Sigma_tilde, 0.0)
@@ -411,80 +396,69 @@ def test_composition_converges_to_perron_vector():
     assert np.abs(st.N / 20000.0 - 0.5).max() < 0.02
 
 
-# ==== addition covariance estimation ====
+# ==== the law a rule states ====
 
-def test_estimate_vq_bernoulli():
-    rule = BernoulliDiagonalRule(d=2, p=0.5, scale=2.0)
-    spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule,
-                   generating_matrix=np.eye(2) + 1e-3 * np.ones((2, 2)))
-    Vs = estimate_Vq(spec, samples=4000, seed=42)
-    # Var(2*Bernoulli(1/2)) = 1; three standard errors of the sample
-    # variance at 4000 draws is well under 0.15
+def test_bernoulli_rule_states_its_sample_moments():
+    # the rows run_urn adds on drawing type q are a sample of row q of D:
+    # its mean and covariance must be the rule's mean[q] and V_q[q]
+    rule = BernoulliDiagonalRule(d=2, p=0.3, scale=1.5)
+    n = 40000
+    traj = run_urn(UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule),
+                   n, seed=4, checkpoints=range(n + 1))
+    Y = np.array([st.Y for st in traj.checkpoints])
+    N = np.array([st.N for st in traj.checkpoints])
+    rows, types = np.diff(Y, axis=0), np.diff(N, axis=0).argmax(axis=1)
+    p, c = rule.p, rule.scale
+    var = p * (1 - p) * c ** 2
+    m4 = c ** 4 * p * (1 - p) * (1 - 3 * p + 3 * p * p)  # 4th central moment
     for q in range(2):
-        assert Vs[q][q, q] == pytest.approx(1.0, abs=0.15)
-        off = Vs[q].copy()
-        off[q, q] = 0.0
-        assert np.allclose(off, 0.0)
-
-
-def test_estimate_vq_seed_repeatable():
-    rule = BernoulliDiagonalRule(d=2)
-    spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule,
-                   generating_matrix=np.eye(2) + 1e-3)
-    a = estimate_Vq(spec, 50, seed=7)
-    b = estimate_Vq(spec, 50, seed=7)
-    c = estimate_Vq(spec, 50, seed=8)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-
-def test_estimate_vq_needs_two_samples():
-    spec = friedman_spec()
-    with pytest.raises(InvalidArgumentError):
-        estimate_Vq(spec, 1, seed=0)
-
-
-def test_asymptotics_with_estimated_vq():
-    rule = BernoulliDiagonalRule(d=2, p=0.5, scale=2.0)
-    H = 0.5 * FRIEDMAN + 0.5 * np.eye(2)
-    exact = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    base = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule,
-                   generating_matrix=H, V_q=exact)
-    est = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=rule,
-                  generating_matrix=H, V_q="estimate")
-    a = urn_asymptotics(base)
-    b = urn_asymptotics(est, estimate_samples=20000, estimate_seed=3)
-    rel = (np.linalg.norm(a.Sigma_tilde - b.Sigma_tilde)
-           / np.linalg.norm(a.Sigma_tilde))
-    assert rel < 0.05
+        X = rows[types == q]
+        m = len(X)
+        assert m >= 100
+        mean, cov = X.mean(axis=0), np.cov(X.T)
+        # five standard errors of the sample mean and sample variance
+        band = np.zeros((2, 2))
+        band[q, q] = 5 * np.sqrt((m4 - var ** 2) / m)
+        assert np.all(np.abs(cov - rule.V_q[q]) <= band), (q, cov)
+        assert np.abs(mean - rule.mean[q]).max() <= 5 * np.sqrt(var / m)
+        assert mean[1 - q] == 0.0
 
 
 # ==== spec validation ====
 
 def test_spec_rejects_negative_offdiagonal():
-    with pytest.raises(AssumptionViolationError):
-        UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                adding_rule=DeterministicRule(np.eye(2)),
-                generating_matrix=np.array([[0.5, -0.2], [0.1, 0.5]]))
+    # removal of other colours simulates, but H = E[D] is outside the theory
+    spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
+                   adding_rule=DeterministicRule([[0.5, -0.2], [0.1, 0.5]]))
+    assert run_urn(spec, 50, seed=0, checkpoints=[50]).checkpoints[-1].n == 50
+    with pytest.raises(AssumptionViolationError, match="negative off-diagonal"):
+        urn_asymptotics(spec)
 
 
 def test_spec_rejects_indefinite_vq():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="positive semidefinite"):
         UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                adding_rule=DeterministicRule(FRIEDMAN),
-                generating_matrix=FRIEDMAN,
-                V_q=[np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)])
+                adding_rule=StatedRule(
+                    mean=FRIEDMAN,
+                    V_q=[np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)]))
+    with pytest.raises(InvalidArgumentError, match="2 matrices"):
+        UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
+                adding_rule=StatedRule(mean=FRIEDMAN, V_q=[np.eye(2)]))
+
+
+def test_spec_rejects_a_rule_that_does_not_state_its_law():
+    for law in ({"mean": FRIEDMAN}, {"V_q": None}):
+        with pytest.raises(InvalidArgumentError, match="state its mean"):
+            UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=StatedRule(**law))
 
 
 def test_spec_rejects_bad_shapes():
     with pytest.raises(InvalidArgumentError):
         UrnSpec(d=2, Y0=np.array([1.0]),
-                adding_rule=DeterministicRule(FRIEDMAN),
-                generating_matrix=FRIEDMAN)
-    with pytest.raises(InvalidArgumentError):
+                adding_rule=DeterministicRule(FRIEDMAN))
+    with pytest.raises(InvalidArgumentError, match="2x2"):
         UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                adding_rule=DeterministicRule(FRIEDMAN),
-                generating_matrix=np.eye(3))
+                adding_rule=DeterministicRule(np.eye(3)))
 
 
 def test_asymptotics_report_serializes():

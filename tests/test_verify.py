@@ -101,7 +101,7 @@ def test_nonlinear_needs_regime():
 def test_urn_sample_dimensions():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     cfg = MCConfig(replicates=64, horizons=(256,), seed=5)
     s = mc_sample(spec, 256, cfg)
     assert s.errors.shape == (64, 4)
@@ -218,8 +218,7 @@ def test_simulate_recursion_routes_match_step_reference(route):
 
 def _bernoulli_urn():
     return UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=BernoulliDiagonalRule(2),
-                   generating_matrix=np.eye(2))
+                   adding_rule=BernoulliDiagonalRule(2))
 
 
 # route -> (model, replicates, engine name)
@@ -327,8 +326,7 @@ def test_lockstep_urn_raises_the_earliest_divergence_at_any_worker_count(
     # replicate 6, in the last shard, overflows first (step 125), and the
     # first of the first shard's is replicate 2 (step 830)
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1e3]),
-                   adding_rule=DeterministicRule([[1e308, 0.0], [0.0, 1.0]]),
-                   generating_matrix=np.eye(2))
+                   adding_rule=DeterministicRule([[1e308, 0.0], [0.0, 1.0]]))
     first = []
     for r in range(7):
         try:
@@ -360,8 +358,7 @@ def test_a_killed_worker_fails_the_call_instead_of_hanging(three_cpus):
 def test_lockstep_urn_names_the_overflowing_step_not_the_checkpoint(three_cpus):
     # the second draw of 1e308 balls overflows; the only checkpoint is 20
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=DeterministicRule([[1e308]]),
-                   generating_matrix=np.array([[1.0]]))
+                   adding_rule=DeterministicRule([[1e308]]))
     for R, workers in ((1, 1), (2, 1), (2, 2)):
         with pytest.raises(DivergenceError) as exc, warnings.catch_warnings():
             warnings.simplefilter("error")  # no engine warns on the overflow
@@ -372,8 +369,7 @@ def test_lockstep_urn_names_the_overflowing_step_not_the_checkpoint(three_cpus):
 def test_urn_overflow_check_is_the_same_for_one_and_many_replicates():
     # 20 draws of 1e299 balls end at 2e300: large, finite, not a divergence
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
-                   adding_rule=DeterministicRule([[1e299]]),
-                   generating_matrix=np.array([[1.0]]))
+                   adding_rule=DeterministicRule([[1e299]]))
     one, rec_one = simulate(spec, 20, 0, [10, 20], 1)
     two, rec_two = simulate(spec, 20, 0, [10, 20], 2)
     forked, rec_forked = simulate(spec, 20, 0, [10, 20], 2, workers=2)
@@ -462,7 +458,7 @@ def test_ks_invalid_arguments():
 def test_mc_report_friedman_cov():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
-                   adding_rule=DeterministicRule(H), generating_matrix=H)
+                   adding_rule=DeterministicRule(H))
     cfg = MCConfig(replicates=600, horizons=(4000,), seed=29)
     analysis = urn_asymptotics(spec)
     s = mc_sample(spec, 4000, cfg, analysis=analysis)
