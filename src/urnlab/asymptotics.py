@@ -96,9 +96,6 @@ class Regime:
     tag: str  # Standard | Critical | Slow
     scaling: str
 
-    def to_dict(self):
-        return {"tag": self.tag, "scaling": self.scaling}
-
 
 @dataclasses.dataclass(frozen=True)
 class SlowComponent:
@@ -137,9 +134,11 @@ class AsymptoticReport:
     as_rate_exponent: float
 
     def to_dict(self):
+        """The analyze.json payload, without its kind and provenance."""
         return {
+            "regime": self.regime.tag.lower(),
+            "scaling": self.regime.scaling,
             "profile": self.profile.to_dict(),
-            "regime": self.regime.to_dict(),
             "covariance": None if self.covariance is None else self.covariance.tolist(),
             "slow_descriptor": (None if self.slow_descriptor is None
                                 else self.slow_descriptor.to_dict()),

@@ -113,18 +113,8 @@ def _chain_basis(analysis):
 
 
 def _drift_report(A, Gamma, analysis):
-    rep = analyze_drift(A, Gamma, rho_tol=analysis["rho_tol"],
-                        chain_basis=_chain_basis(analysis))
-    return rep, {
-        "regime": rep.regime.tag.lower(),
-        "scaling": rep.regime.scaling,
-        "profile": rep.profile.to_dict(),
-        "covariance": (None if rep.covariance is None
-                       else rep.covariance.tolist()),
-        "slow_descriptor": (None if rep.slow_descriptor is None
-                            else rep.slow_descriptor.to_dict()),
-        "as_rate_exponent": rep.as_rate_exponent,
-    }
+    return analyze_drift(A, Gamma, rho_tol=analysis["rho_tol"],
+                         chain_basis=_chain_basis(analysis))
 
 
 def _cmd_analyze(args):
@@ -139,39 +129,21 @@ def _cmd_analyze(args):
                               "coefficient matrix", path="/model/drift")
         Gamma = (np.zeros((d, d)) if m["noise"] is None
                  else np.array(m["noise"]))
-        rep, payload = _drift_report(np.array(m["drift"]), Gamma,
-                                     cfg.analysis)
-        payload["kind"] = "sa"
-        matrix = rep.covariance
+        rep = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
+        payload, matrix = rep.to_dict(), rep.covariance
     elif kind == "gauss":
-        rep, payload = _drift_report(np.array(m["H"]), np.array(m["gamma"]),
-                                     cfg.analysis)
-        payload["kind"] = "gauss"
-        matrix = rep.covariance
+        rep = _drift_report(np.array(m["H"]), np.array(m["gamma"]),
+                            cfg.analysis)
+        payload, matrix = rep.to_dict(), rep.covariance
     elif kind == "urn":
         rep = urn_asymptotics(cfg.build_model(),
                               rho_tol=cfg.analysis["rho_tol"])
-        payload = {
-            "kind": "urn",
-            "alpha": rep.alpha,
-            "v": rep.v.tolist(),
-            "u": rep.u.tolist(),
-            "lambda_sec": rep.lambda_sec,
-            "nu": rep.nu,
-            "regime": rep.regime.tag.lower(),
-            "scaling": rep.regime.scaling,
-            "Dh_star": rep.Dh_star.tolist(),
-            "Gamma": rep.Gamma.tolist(),
-            "sigma_tilde": (None if rep.Sigma_tilde is None
-                            else rep.Sigma_tilde.tolist()),
-            "slow_descriptor": (None if rep.slow_descriptor is None
-                                else rep.slow_descriptor.to_dict()),
-        }
-        matrix = rep.Sigma_tilde
+        payload, matrix = rep.to_dict(), rep.Sigma_tilde
     else:
         alpha, v, u, lambda_sec, nu = urn_eigenstructure(np.array(m["H"]))
-        payload = {"kind": "ode", "alpha": alpha, "v": v.tolist(),
-                   "u": u.tolist(), "lambda_sec": lambda_sec, "nu": nu}
+        payload = {"alpha": alpha, "v": v.tolist(), "u": u.tolist(),
+                   "lambda_sec": lambda_sec, "nu": nu}
+    payload["kind"] = kind
     payload["provenance"] = provenance(cfg.digest(), cfg.run["seed"])
     out = _outdir(cfg)
     if "json" in cfg.output["formats"]:
@@ -323,7 +295,7 @@ def _cmd_verify(args):
         d = m["d"]
         Gamma = (np.zeros((d, d)) if m["noise"] is None
                  else np.array(m["noise"]))
-        rep, _ = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
+        rep = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
         predicted = rep.covariance
     else:
         rep = urn_asymptotics(spec, rho_tol=cfg.analysis["rho_tol"])

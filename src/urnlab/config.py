@@ -452,19 +452,13 @@ def validate_config(raw):
     _object(raw, "")
     _reject_unknown(raw, "", {"model", "run", "analysis", "output"})
     model = _validate_model(raw["model"]) if raw.get("model") is not None else None
+    # an absent or null section takes its defaults; any other non-object fails
+    section = {k: {} if raw.get(k) is None else raw[k]
+               for k in ("run", "analysis", "output")}
     explicit = set()
-    run = (_validate_run(raw["run"], explicit)
-           if raw.get("run") is not None
-           else {"n": None, "replicates": 1, "seed": 0,
-                 "checkpoints": {"dyadic_from": 1}})
-    analysis = (_validate_analysis(raw["analysis"], model)
-                if raw.get("analysis") is not None
-                else {"rho_tol": 1e-9,
-                      "tolerances": {"rel_frobenius": 0.15, "p_min": 0.005},
-                      "chain_basis": None})
-    output = (_validate_output(raw["output"])
-              if raw.get("output") is not None
-              else {"dir": "out", "formats": ["json", "csv"]})
+    run = _validate_run(section["run"], explicit)
+    analysis = _validate_analysis(section["analysis"], model)
+    output = _validate_output(section["output"])
     return ConfigDocument(model=model, run=run, analysis=analysis,
                           output=output, explicit=frozenset(explicit))
 

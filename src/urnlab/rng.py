@@ -19,12 +19,11 @@ rows, stepped by in-place ufuncs; the generator writes step-major rows
 in rounds of ``TILE`` attempts per stream: a round keeps each stream's
 accepted pairs in order, up to its count, so temporaries stay at
 ``GROUP * TILE`` values.
-``BlockSource`` sizes each refill to the draw its caller knows, under a cap;
-past that draw, refills grow with the blocks already made. Both bulk
-generators return the first ``count`` values of any longer draw from the
-same states, so the known draw's last block is made only up to the draw.
-A take that runs past it remakes that block in full from its stream and
-skips the values already handed out.
+``BlockSource`` is opened with each replicate's draw, an upper bound it
+enforces: a refill makes the draw's remaining blocks, under a cap, and a
+take past the draw raises. Both bulk generators return the first
+``count`` values of any longer draw from the same states, so the draw's
+last block is made only up to the draw.
 
 Layouts: gaussians are stored stream-major, as the linear engine reads
 them; uniforms step-major, as the generator writes them and the lockstep
@@ -39,6 +38,8 @@ this bitwise).
 """
 
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -59,28 +60,6 @@ REFILL_VALUES = 1 << 20
 _U64 = np.uint64
 _C11, _C17, _C19, _C23, _C41, _C45 = (
     np.array(k, dtype=np.uint64) for k in (11, 17, 19, 23, 41, 45))
-
-
-def splitmix64(state):
-    """One splitmix64 step on python ints: returns (new_state, output)."""
-    state = (state + GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    z = z ^ (z >> 31)
-    return state, z
-
-
-def stream_words(seed, stream):
-    """Four xoshiro state words for (seed, stream), as python ints."""
-    s = (seed + 4 * stream * GAMMA) & MASK64
-    words = []
-    for _ in range(4):
-        s, out = splitmix64(s)
-        words.append(out)
-    if not any(words):
-        words[0] = 1
-    return words
 
 
 def stream_states(seed, streams):
@@ -202,24 +181,26 @@ def bulk_gaussians(states, count):
 class BlockSource:
     """Sequential per-replicate noise from frozen (replicate, block) streams.
 
-    Hands out (R, k) slabs of uniforms or gaussians in consumption order;
-    each replicate's sequence depends only on (seed, its own index).
-    `total` is the known draw per replicate (0 if unknown). A refill makes
-    the blocks the take lacks or, if more, the known draw's remaining blocks;
-    past the known draw, as many blocks as made so far. Each refill is capped
-    at REFILL_VALUES values but makes at least one block per replicate. The
-    known draw's last block is made only up to `total` unless the take
-    itself runs past it; a later take past `total` remakes that block in
-    full and skips what was handed out. Neither the refill size nor a
-    remake changes a value. Refills of gaussians are stored stream-major,
-    of uniforms step-major (see the module docstring).
+    Hands out (R, k) slabs of `kind` ("gaussian" or "uniform") values in
+    consumption order; each replicate's sequence depends only on (seed, its
+    own index). `total` is each replicate's draw, an upper bound: a take
+    past it raises, as does a draw beyond the replicate's block budget. A
+    refill makes the draw's remaining blocks, capped at REFILL_VALUES values
+    but at least one block per replicate, and the last block only up to
+    `total`; the refill size never changes a value. Refills of gaussians are
+    stored stream-major, of uniforms step-major (see the module docstring).
     """
 
-    def __init__(self, seed, replicate_indices, kind="gaussian", total=0):
+    def __init__(self, seed, replicate_indices, kind, total):
+        if kind not in ("gaussian", "uniform"):
+            raise InvalidArgumentError(
+                f"noise kind must be gaussian or uniform, got {kind!r}")
+        if total > BLOCK << REPL_SHIFT:
+            raise InvalidArgumentError(
+                f"a draw of {total} values per replicate exceeds the block "
+                f"budget of {BLOCK << REPL_SHIFT}")
         self.seed = seed
         self.repl = np.asarray(replicate_indices, dtype=np.uint64)
-        if kind not in ("gaussian", "uniform"):
-            raise ValueError("kind must be gaussian or uniform")
         self.kind = kind
         self.total = int(total)
         self._made = 0  # values made per replicate
@@ -228,20 +209,16 @@ class BlockSource:
 
     def _refill(self, need):
         """Replace the spent buffer; `need` values per replicate are due."""
+        if self._made + need > self.total:
+            raise InvalidArgumentError(
+                f"a take runs past the declared draw of {self.total} values "
+                "per replicate")
         self._buf = None
         R = self.repl.size
-        b0, skip = divmod(self._made, BLOCK)  # skip > 0: remake a short block
-        # the known draw's rest or, past it, as many blocks as made so far
-        want = max(need, self.total - self._made if self._made < self.total
-                   else b0 * BLOCK)
-        B = max(1, min(-(-(skip + want) // BLOCK),
+        b0 = self._made // BLOCK
+        B = max(1, min(-(-(self.total - self._made) // BLOCK),
                        REFILL_VALUES // (BLOCK * max(R, 1))))
-        B = min(B, (1 << REPL_SHIFT) - b0)
-        if B < 1:
-            raise ValueError("replicate exhausted its block budget")
-        end = (b0 + B) * BLOCK
-        if self._made + need <= self.total:  # the known draw's last block ends at it
-            end = min(end, self.total)
+        end = min((b0 + B) * BLOCK, self.total)
         tail = end - (b0 + B - 1) * BLOCK  # values made of the last block
         full = B - (tail < BLOCK)
         blocks = np.arange(b0, b0 + B, dtype=np.uint64)
@@ -258,8 +235,7 @@ class BlockSource:
             parts.append(steps.reshape(BLOCK, full, R).swapaxes(0, 1).reshape(-1, R).T)
         if full < B:
             parts.append(make(states[:, full], tail))
-        buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        self._buf = buf[:, skip:]
+        self._buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         self._made = end
         self._pos = 0
 
@@ -288,37 +264,3 @@ class BlockSource:
             self._pos += step
             filled += step
         return out
-
-
-class StreamRng:
-    """One replicate's noise stream with scalar and batch access.
-
-    This is the object handed to noise samplers: values come out in a frozen
-    order set by (seed, replicate) alone, so a trajectory's noise does not
-    depend on how it is batched with others. `total`: as for BlockSource.
-    """
-
-    def __init__(self, seed, replicate=0, kind="gaussian", total=0):
-        self.seed = seed
-        self.replicate = int(replicate)
-        self.kind = kind
-        self._src = BlockSource(seed, [self.replicate], kind, total)
-
-    def values(self, k):
-        return self._src.take(k)[0]
-
-    def gaussians(self, k):
-        if self.kind != "gaussian":
-            raise ValueError("stream was opened for uniforms")
-        return self.values(k)
-
-    def uniforms(self, k):
-        if self.kind != "uniform":
-            raise ValueError("stream was opened for gaussians")
-        return self.values(k)
-
-    def gaussian(self):
-        return float(self.gaussians(1)[0])
-
-    def uniform(self):
-        return float(self.uniforms(1)[0])

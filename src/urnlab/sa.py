@@ -36,7 +36,7 @@ from .asymptotics import _snap_block_form, spectral_profile
 from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError)
 from .linalg import _check_square, check_sym_psd
-from .rng import BLOCK, BlockSource, StreamRng
+from .rng import BLOCK, BlockSource
 
 
 def _as_row(x, dim, name):
@@ -84,7 +84,7 @@ class GaussianNoise:
         return cls(root)
 
     def __call__(self, rng, k, theta):
-        z = rng.gaussians(self.values_per_step)
+        z = rng.take(self.values_per_step)[0]
         return z @ self.root
 
     def digest_parts(self):
@@ -108,8 +108,9 @@ class LinearDrift:
 @dataclasses.dataclass(frozen=True)
 class SAProcessSpec:
     """Problem statement for one recursion: dimension, drift, noise sampler
-    (callable (rng, step, theta) -> row, or None; its `values_per_step`,
-    if set, sizes the stream's refills), remainder schedule (callable
+    (callable (rng, step, theta) -> row, or None; it states
+    `values_per_step`, the gaussians it takes from the replicate's
+    one-row BlockSource `rng` per step), remainder schedule (callable
     n -> row, or None), start point, and the optional known equilibrium."""
 
     dim: int
@@ -122,6 +123,8 @@ class SAProcessSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _as_row(self.theta0, self.dim, "theta0"))
+        if self.noise is not None and not hasattr(self.noise, "values_per_step"):
+            raise InvalidArgumentError("noise sampler must state its values_per_step")
         if self.theta_star is not None:
             ts = _as_row(self.theta_star, self.dim, "theta_star")
             object.__setattr__(self, "theta_star", ts)
@@ -210,8 +213,8 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
         return Trajectory(
             checkpoints=_float_path(h, float(spec.theta0[0]), n_max, plan),
             seed=int(seed), spec_digest=spec.digest())
-    draw = n_max * getattr(spec.noise, "values_per_step", 0)
-    rng = StreamRng(seed, replicate, "gaussian", draw) if spec.noise is not None else None
+    rng = None if spec.noise is None else BlockSource(
+        seed, [replicate], "gaussian", n_max * spec.noise.values_per_step)
     theta = spec.theta0.copy()
     zero = np.zeros(spec.dim)
     cps = []
@@ -361,6 +364,9 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
         np1 = k + 1.0
         r = np.asarray(remainder(k + 1), dtype=float) if remainder is not None else 0.0
         x = x @ (eye - A / np1) + r / np1
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(
+                f"mean became non-finite at step {k + 1}", first_bad_index=k + 1)
         if pi < len(plan) and plan[pi] == k + 1:
             out.append((k + 1, x.copy()))
             pi += 1

@@ -39,7 +39,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .linalg import _check_square, check_sym_psd, eigen_left_right
-from .rng import BLOCK, BlockSource, StreamRng
+from .rng import BLOCK, BlockSource
 from .sa import _checkpoint_plan
 
 # lockstep steps per noise take; rows of the step-major uniform and draw buffers
@@ -150,7 +150,7 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0):
         raise InvalidArgumentError(f"run_urn cannot draw {type(rule).__name__}")
     miss = [[0.0] * d] * d
     step = 1 + m
-    rng = StreamRng(seed, replicate, "uniform", n_max * step)
+    src = BlockSource(seed, [replicate], "uniform", n_max * step)
     Y = [float(y) for y in spec.Y0]
     N = [0] * d
     cps = []
@@ -161,7 +161,7 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0):
     buf, j = [], 0
     for n in range(1, n_max + 1):
         if j == len(buf):
-            buf, j = rng.values(min(BLOCK, n_max - n + 1) * step).tolist(), 0
+            buf, j = src.take(min(BLOCK, n_max - n + 1) * step)[0].tolist(), 0
         u = buf[j]
         s = 0.0
         for y in Y:
@@ -412,16 +412,18 @@ class UrnAsymptotics:
         return np.concatenate([np.full(d, self.alpha * n), np.full(d, float(n))])
 
     def to_dict(self):
+        """The analyze.json payload, without its kind and provenance."""
         return {
             "alpha": self.alpha,
             "v": self.v.tolist(),
             "u": self.u.tolist(),
             "lambda_sec": self.lambda_sec,
             "nu": self.nu,
-            "regime": self.regime.to_dict(),
+            "regime": self.regime.tag.lower(),
+            "scaling": self.regime.scaling,
             "Dh_star": self.Dh_star.tolist(),
             "Gamma": self.Gamma.tolist(),
-            "Sigma_tilde": None if self.Sigma_tilde is None else self.Sigma_tilde.tolist(),
+            "sigma_tilde": None if self.Sigma_tilde is None else self.Sigma_tilde.tolist(),
             "slow_descriptor": (None if self.slow_descriptor is None
                                 else self.slow_descriptor.to_dict()),
         }

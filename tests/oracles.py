@@ -12,7 +12,7 @@ import scipy.integrate
 
 from urnlab.errors import DivergenceError, InvalidArgumentError
 from urnlab.ode import integrate_flow
-from urnlab.rng import BLOCK, MASK64, REPL_SHIFT, StreamRng, stream_words
+from urnlab.rng import BLOCK, GAMMA, MASK64, REPL_SHIFT, _MIX1, _MIX2, BlockSource
 from urnlab.sa import _checkpoint_plan
 from urnlab.urn import BernoulliDiagonalRule, UrnState, urn_eigenstructure
 
@@ -101,6 +101,29 @@ def mean_closed_form_extended(a, remainder, x0, checkpoints, chunk=1 << 16):
                 for k in marks if done < k <= done + j.size]
         logP, S, done = lp[-1], s[-1], done + j.size
     return out
+
+
+def splitmix64(state):
+    """One splitmix64 step on python ints: returns (new_state, output)."""
+    state = (state + GAMMA) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    z = z ^ (z >> 31)
+    return state, z
+
+
+def stream_words(seed, stream):
+    """Four xoshiro state words for (seed, stream), as python ints: the
+    reference for urnlab.rng.stream_states."""
+    s = (seed + 4 * stream * GAMMA) & MASK64
+    words = []
+    for _ in range(4):
+        s, out = splitmix64(s)
+        words.append(out)
+    if not any(words):
+        words[0] = 1
+    return words
 
 
 class ScalarRng:
@@ -197,13 +220,13 @@ def reference_urn(spec, n_max, seed, checkpoints, replicate=0):
     """
     plan = set(_checkpoint_plan(checkpoints, n_max))
     d, rule = spec.d, spec.adding_rule
-    rng = StreamRng(seed, replicate, "uniform",
-                    n_max * (1 + rule.values_per_step))
+    src = BlockSource(seed, [replicate], "uniform",
+                      n_max * (1 + rule.values_per_step))
     Y = spec.Y0.copy()
     N = np.zeros(d, dtype=np.int64)
     out = [UrnState(Y.copy(), N.copy(), 0)] if 0 in plan else []
     for n in range(1, n_max + 1):
-        u = rng.uniform()
+        u = float(src.take(1)[0, 0])
         acc = np.cumsum(np.maximum(Y, 0.0))
         s = float(acc[-1])
         if s <= 0.0:
@@ -211,7 +234,7 @@ def reference_urn(spec, n_max, seed, checkpoints, replicate=0):
         else:
             k = min(int(np.searchsorted(acc, u * s, side="right")), d - 1)
         if isinstance(rule, BernoulliDiagonalRule):
-            D = np.diag(np.where(rng.uniforms(d) < rule.p, rule.scale, 0.0))
+            D = np.diag(np.where(src.take(d)[0] < rule.p, rule.scale, 0.0))
         else:
             D = rule.mean
         Y = Y + D[k]

@@ -458,7 +458,7 @@ def test_one_spectral_profile_per_matrix(profile_calls):
 def test_report_round_trips_to_dict():
     rep = analyze(np.diag([0.75, 1.0]), np.eye(2))
     d = rep.to_dict()
-    assert d["regime"]["tag"] == "Standard"
+    assert d["regime"] == "standard" and d["scaling"] == rep.regime.scaling
     assert d["covariance"] == rep.covariance.tolist()
     H = 0.3 * np.array([[1.0, -1.0], [1.0, 1.0]])
     d2 = analyze(H, np.eye(2)).to_dict()

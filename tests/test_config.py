@@ -42,6 +42,16 @@ def test_empty_document_is_valid():
     assert cfg.run["seed"] == 0
 
 
+@pytest.mark.parametrize("key", ["run", "analysis", "output"])
+def test_null_section_takes_defaults_and_a_non_object_fails(key):
+    cfg = validate_config(dict(MINIMAL_SA, **{key: None}))
+    assert getattr(cfg, key) == getattr(validate_config(MINIMAL_SA), key)
+    for bad in ([], 0, False, ""):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(dict(MINIMAL_SA, **{key: bad}))
+        assert exc.value.path == f"/{key}"
+
+
 def test_unknown_top_level_key_names_pointer():
     with pytest.raises(ConfigError, match=r'"/modle"') as exc:
         validate_config({"modle": {}})

@@ -12,11 +12,10 @@ from urnlab.rng import (
     BlockSource,
     bulk_gaussians,
     bulk_uniforms,
-    splitmix64,
     stream_states,
-    stream_words,
 )
-from oracles import ScalarRng, scalar_block_values
+from urnlab.errors import InvalidArgumentError
+from oracles import ScalarRng, scalar_block_values, splitmix64, stream_words
 
 
 def test_splitmix64_known_sequence():
@@ -98,7 +97,7 @@ def test_gaussian_moments():
 
 
 def test_block_source_matches_scalar_reference():
-    src = BlockSource(42, [0, 3], kind="gaussian")
+    src = BlockSource(42, [0, 3], "gaussian", 100 + BLOCK)
     a = src.take(100)
     b = src.take(BLOCK)  # crosses a block boundary
     got0 = np.concatenate([a[0], b[0]])
@@ -109,16 +108,16 @@ def test_block_source_matches_scalar_reference():
 
 def test_block_source_chunking_invariance():
     # identical values no matter how the take() calls are sliced
-    one = BlockSource(7, [1], kind="uniform").take(3 * BLOCK)
-    src = BlockSource(7, [1], kind="uniform")
+    one = BlockSource(7, [1], "uniform", 3 * BLOCK).take(3 * BLOCK)
+    src = BlockSource(7, [1], "uniform", 3 * BLOCK)
     parts = [src.take(k) for k in (5, BLOCK - 5, BLOCK + 1, BLOCK - 1)]
     assert np.concatenate([p[0] for p in parts]).tolist() == one[0].tolist()
 
 
 def test_block_source_replicate_independence():
     # a replicate's noise must not depend on which batch it sits in
-    lone = BlockSource(11, [2]).take(10)[0]
-    batch = BlockSource(11, [0, 1, 2, 3]).take(10)[2]
+    lone = BlockSource(11, [2], "gaussian", 10).take(10)[0]
+    batch = BlockSource(11, [0, 1, 2, 3], "gaussian", 10).take(10)[2]
     assert lone.tolist() == batch.tolist()
 
 
@@ -130,32 +129,37 @@ def test_block_cache_not_carried_across_blocks():
 
 
 def test_block_source_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        BlockSource(0, [0], kind="exponential")
+    with pytest.raises(InvalidArgumentError, match="exponential"):
+        BlockSource(0, [0], "exponential", 1)
 
 
-def test_stream_rng_matches_block_source():
-    from urnlab.rng import StreamRng
-
-    rng = StreamRng(21, replicate=5, kind="gaussian")
-    a = [rng.gaussian() for _ in range(7)]
-    b = rng.gaussians(BLOCK)
-    ref = scalar_block_values(21, 5, 7 + BLOCK)
-    assert a == ref[:7]
-    assert b.tolist() == ref[7:]
-
-
-def test_stream_rng_kind_guard():
-    from urnlab.rng import StreamRng
-
-    rng = StreamRng(0, 0, kind="uniform")
-    assert 0.0 <= rng.uniform() < 1.0
-    with pytest.raises(ValueError):
-        rng.gaussians(2)
+def test_block_source_rejects_a_draw_it_cannot_make():
+    # the budget is BLOCK << REPL_SHIFT values per replicate; a draw above
+    # it fails when the source is opened, not when the stepping reaches it
+    budget = BLOCK << REPL_SHIFT
+    BlockSource(0, [0], "uniform", budget)
+    with pytest.raises(InvalidArgumentError, match="budget"):
+        BlockSource(0, [0], "uniform", budget + 1)
+    src = BlockSource(0, [0, 1], "gaussian", 5)
+    src.take(3)
+    with pytest.raises(InvalidArgumentError, match="declared draw of 5"):
+        src.take(3)
+    with pytest.raises(InvalidArgumentError):
+        BlockSource(0, [0], "uniform", 0).take(1)
 
 
-def _blocks(values):
-    return -(-values // BLOCK)
+def _take_all(src, takes):
+    """The takes' values side by side, up to the first take past the
+    source's draw, which must raise."""
+    got, drawn = [], 0
+    for k in takes:
+        drawn += k
+        if drawn > src.total:
+            with pytest.raises(InvalidArgumentError):
+                src.take(k)
+            break
+        got.append(src.take(k))
+    return np.concatenate([np.empty((src.repl.size, 0))] + got, axis=1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,13 +173,11 @@ def test_known_draw_never_changes_values(seed, repl, kind, takes, known):
     total = {"none": 0, "below": draw // 2, "exact": draw,
              "above": draw + BLOCK + 1}[known]
     src = BlockSource(seed, repl, kind, total)
-    got = np.concatenate([src.take(k) for k in takes], axis=1)
+    got = _take_all(src, takes)
     for row, r in zip(got, repl):
-        assert row.tolist() == scalar_block_values(seed, r, draw, kind)
-    if total >= draw:  # refills make the known draw, and nothing beyond
-        assert src._made == total
-    else:  # past the known draw refills grow at most geometrically
-        assert _blocks(draw) <= _blocks(src._made) <= 2 * _blocks(draw)
+        assert row.tolist() == scalar_block_values(seed, r, got.shape[1], kind)
+    # refills make the declared draw, and nothing beyond
+    assert src._made == total if total >= draw else src._made <= total
 
 
 SHORT_TOTALS = [1, 2, 7, 8, TILE - 1, TILE, TILE + 1, BLOCK - 1, BLOCK,
@@ -191,16 +193,17 @@ SHORT_TOTALS = [1, 2, 7, 8, TILE - 1, TILE, TILE + 1, BLOCK - 1, BLOCK,
        data=st.data())
 def test_short_last_block_and_its_remake_never_change_values(
         seed, repl, kind, total, past, data):
-    # takes up to the known draw end in its short last block; a take past
-    # it remakes that block in full and skips what was handed out
+    # takes up to the declared draw end in its short last block; a take
+    # past it raises
     cuts = data.draw(st.lists(st.integers(0, total), max_size=3))
     ends = sorted(set(cuts) | {0, total})
     takes = [b - a for a, b in zip(ends, ends[1:])]
     takes += [past] if past else []
     src = BlockSource(seed, repl, kind, total)
-    got = np.concatenate([src.take(k) for k in takes], axis=1)
+    got = _take_all(src, takes)
+    assert got.shape[1] == total
     for row, r in zip(got, repl):
-        assert row.tolist() == scalar_block_values(seed, r, total + past, kind)
+        assert row.tolist() == scalar_block_values(seed, r, total, kind)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
@@ -218,18 +221,11 @@ def test_known_draw_is_made_and_no_more(monkeypatch, kind):
         src.take(t // 3)
         src.take(t - t // 3)
         assert sum(made) == t, t
-    # a take past the draw remakes the short block 2 in full and, growing
-    # with the blocks made so far, adds blocks 3 and 4
+    # a take past the draw raises and makes nothing
     made.clear()
-    src.take(1)
-    assert made == [3 * BLOCK]
-
-
-def test_refills_grow_past_the_known_draw():
-    src = BlockSource(3, [2], "uniform", total=0)
-    got = np.concatenate([src.take(BLOCK) for _ in range(5)], axis=1)
-    assert _blocks(src._made) == 8  # refills of 1, 1, 2 and 4 blocks
-    assert got[0].tolist() == scalar_block_values(3, 2, 5 * BLOCK, "uniform")
+    with pytest.raises(InvalidArgumentError):
+        src.take(1)
+    assert made == []
 
 
 def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
@@ -237,9 +233,9 @@ def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
     monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)
     src = BlockSource(4, [0, 6], "uniform", total=3 * BLOCK)
     first = src.take(1)
-    assert _blocks(src._made) == 1
+    assert src._made == BLOCK
     rest = src.take(2 * BLOCK)
-    assert _blocks(src._made) == 3
+    assert src._made == 3 * BLOCK
     got = np.concatenate([first, rest], axis=1)
     for row, r in zip(got, (0, 6)):
         assert row.tolist() == scalar_block_values(4, r, 2 * BLOCK + 1, "uniform")
@@ -294,12 +290,18 @@ def test_takes_into_any_layout_never_change_values(seed, R, kind, known, takes):
     # without `out`, a take that is a whole fresh refill gets the refill
     # itself; with `out`, C-order or a step-major buffer's transpose, the
     # values are copied in. Either way no take shares memory with another.
+    # A take past the draw raises.
     draw = sum(k for k, _ in takes)
     total = {"below": draw // 2, "exact": draw, "above": draw + BLOCK + 1}[known]
     repl = 5 * np.arange(R) + 2
     src = BlockSource(seed, repl, kind, total)
-    got = []
+    got, drawn = [], 0
     for k, how in takes:
+        drawn += k
+        if drawn > total:
+            with pytest.raises(InvalidArgumentError):
+                src.take(k)
+            break
         if how == "new":
             a = src.take(k)
         else:
@@ -310,9 +312,10 @@ def test_takes_into_any_layout_never_change_values(seed, R, kind, known, takes):
         got.append(a)
     for i, a in enumerate(got):
         assert not any(np.shares_memory(a, b) for b in got[i + 1:])
-    vals = np.concatenate(got, axis=1)
+    vals = np.concatenate([np.empty((R, 0))] + got, axis=1)
     for i in sorted({0, R // 2, R - 1}):
-        assert vals[i].tolist() == scalar_block_values(seed, repl[i], draw, kind)
+        assert vals[i].tolist() == scalar_block_values(
+            seed, repl[i], vals.shape[1], kind)
 
 
 @pytest.mark.parametrize("kind, order", [("gaussian", "C_CONTIGUOUS"),

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -108,6 +110,29 @@ def test_gaussian_noise_from_cov_rank_deficient():
     assert np.allclose(gn.gamma, np.diag([1.0, 0.0]), atol=1e-14)
     z = GaussianNoise.from_cov(np.zeros((2, 2)))
     assert z.values_per_step == 0
+
+
+def test_spec_rejects_noise_without_its_draw():
+    # run_sa opens the replicate's stream with the sampler's exact draw
+    with pytest.raises(InvalidArgumentError, match="values_per_step"):
+        SAProcessSpec(dim=1, drift=LinearDrift([[1.0]]), theta0=[1.0],
+                      noise=lambda rng, k, theta: rng.take(1)[0])
+
+
+@pytest.mark.parametrize("A", [[[-400.0]], np.diag([-400.0, 1.0])])
+def test_exact_mean_names_the_first_non_finite_step(A):
+    # prod_{j <= k} (1 + 400/j) first exceeds the largest double at k = 684
+    # (its log is 0.20 below at 683, 0.26 above at 684); the second
+    # coordinate of the diagonal drift is exactly 0 from step 1 on, and
+    # would turn NaN at the next step as inf * 0
+    big = math.log(sys.float_info.max)
+    gain = [math.lgamma(k + 401) - math.lgamma(401) - math.lgamma(k + 1)
+            for k in (683, 684)]
+    assert gain[0] < big < gain[1]
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
+        exact_mean_recursion(A, None, np.ones(len(A)), 2000,
+                             checkpoints=[100, 2000])
+    assert exc.value.first_bad_index == 684
 
 
 def test_exact_mean_zero_remainder():

@@ -1,14 +1,16 @@
 """Rules the package source keeps: no handler that swallows every error,
-no parameter that is accepted and then ignored, pools only where
-replicates are sharded, no noise source without its known draw, and a
-start-up that imports no scipy.
+only the typed errors of urnlab.errors raised, no parameter that is
+accepted and then ignored, pools only where replicates are sharded, no
+noise source without its known draw, and a start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
-src/ may catch only the errors a handler can act on. A parameter nothing
-reads lets a caller believe it changed the result.
+src/ may catch only the errors a handler can act on. A built-in error
+carries no code for the CLI to report and escapes its handlers. A
+parameter nothing reads lets a caller believe it changed the result.
 """
 
 import ast
+import builtins
 import json
 import os
 import pathlib
@@ -30,9 +32,59 @@ def test_no_catch_all_handlers_in_src():
     assert found == []
 
 
+# argparse reports only its own error type from a type= converter
+RAISE_EXEMPT = {("urnlab/cli.py", "_threads", "argparse.ArgumentTypeError")}
+
+
+def _foreign_raises(tree):
+    """(enclosing function or None, class, line) for every raise of a
+    built-in exception class or of a class reached through an attribute."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                cls = getattr(builtins, ast.unparse(exc), None)
+                if isinstance(exc, ast.Attribute) or (
+                        isinstance(cls, type) and issubclass(cls, BaseException)):
+                    found.append((func, ast.unparse(exc), child.lineno))
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_src_raises_only_typed_errors():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        rel = str(path.relative_to(SRC))
+        found += [f"{rel}:{line}:{name}"
+                  for func, name, line in _foreign_raises(ast.parse(path.read_text()))
+                  if (rel, func, name) not in RAISE_EXEMPT]
+    assert found == []
+
+
+def test_typed_error_rule_catches_one():
+    tree = ast.parse(
+        "def f(x):\n    if x:\n        raise ValueError('x')\n    raise KeyError\n"
+        "def g():\n    raise argparse.ArgumentTypeError('y')\n"
+        "raise InvalidArgumentError('z')\n"
+        "def h(bad):\n    raise min(bad)\n    raise\n")
+    # a typed error, a raised value and a re-raise pass
+    assert _foreign_raises(tree) == [
+        ("f", "ValueError", 3), ("f", "KeyError", 4),
+        ("g", "argparse.ArgumentTypeError", 6)]
+
+
 # a sampler is called with the protocol's arguments whether it needs them or
-# not: noise samplers as (rng, step, theta), adding rules as (rng, n, state)
-SAMPLER_PROTOCOLS = {("rng", "k", "theta"), ("rng", "n", "state")}
+# not: noise samplers as (rng, step, theta)
+SAMPLER_PROTOCOLS = {("rng", "k", "theta")}
 
 
 def _unread_parameters(tree):
@@ -144,7 +196,7 @@ def test_pool_import_rule_catches_one():
 
 # a noise source makes its known draw and no more; one opened without it
 # falls back to whole blocks, which no value shows
-NOISE_SOURCES = ("BlockSource", "StreamRng")
+NOISE_SOURCES = ("BlockSource",)
 
 
 def _undeclared_draws(tree):
@@ -175,10 +227,9 @@ def test_undeclared_draw_rule_catches_one():
     tree = ast.parse(
         "a = BlockSource(seed, repl, 'uniform')\n"
         "b = BlockSource(seed, repl, 'uniform', n)\n"
-        "c = rng.StreamRng(seed, 3, kind='gaussian')\n"
-        "d = StreamRng(seed, 3, kind='gaussian', total=n)\n"
-        "e = BlockSource(seed, repl, total=0)\n")
-    assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "StreamRng")]
+        "c = rng.BlockSource(seed, [3], kind='gaussian')\n"
+        "d = BlockSource(seed, [3], kind='gaussian', total=n)\n")
+    assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "BlockSource")]
 
 
 # scipy costs about 0.3 s to import; a command that decomposes no matrix

@@ -465,4 +465,5 @@ def test_asymptotics_report_serializes():
     rep = urn_asymptotics(friedman_spec())
     d = rep.to_dict()
     assert d["v"] == [0.5, 0.5]
-    assert d["regime"]["tag"] == "Standard"
+    assert d["regime"] == "standard" and d["scaling"] == "√n"
+    assert d["sigma_tilde"] == rep.Sigma_tilde.tolist()
