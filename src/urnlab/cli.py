@@ -255,8 +255,7 @@ def _cmd_ode(args):
     prob = cfg.build_model()
     seed = cfg.run["seed"]
     out = _outdir(cfg)
-    states = integrate_flow(prob["theta0"], prob["H"], float(n),
-                            tol=prob["tol"])
+    states = integrate_flow(prob["theta0"], prob["H"], float(n))
     files = []
     if "csv" in cfg.output["formats"]:
         _write(os.path.join(out, "flow.csv"), flow_csv(states))
@@ -264,7 +263,6 @@ def _cmd_ode(args):
     manifest = {
         "command": "ode",
         "s_max": float(n),
-        "tol": prob["tol"],
         "steps": len(states),
         "identity_residual": flow_identity_residual(states, prob["theta0"],
                                                     prob["H"]),

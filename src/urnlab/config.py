@@ -212,12 +212,10 @@ def _validate_model(m):
         out["grid"] = times
 
     else:  # ode
-        _reject_unknown(m, path, {"kind", "d", "H", "theta0", "tol"})
+        _reject_unknown(m, path, {"kind", "d", "H", "theta0"})
         out["H"] = _square(_require(m, "H", path), f"{path}/H", d)
         out["theta0"] = _vector(_require(m, "theta0", path),
                                 f"{path}/theta0", d)
-        out["tol"] = _number(m.get("tol", 1e-9), f"{path}/tol",
-                             lo=0.0, lo_open=True)
     return out
 
 
@@ -405,8 +403,8 @@ class ConfigDocument:
 
     def build_model(self):
         """Instantiate the configured process: the library spec object for
-        kinds sa/urn/gauss, a dict of arrays {"H", "theta0", "tol"} for the
-        ode flow (that API takes raw arrays)."""
+        kinds sa/urn/gauss, a dict of arrays {"H", "theta0"} for the ode
+        flow (that API takes raw arrays)."""
         if self.model is None:
             raise ConfigError('missing required section "/model"',
                               path="/model")
@@ -443,8 +441,7 @@ class ConfigDocument:
             return GaussProcessSpec(H=np.array(m["H"]), gamma_root=root,
                                     G1=np.array(m["G1"]),
                                     grid=np.array(m["grid"]))
-        return {"H": np.array(m["H"]), "theta0": np.array(m["theta0"]),
-                "tol": m["tol"]}
+        return {"H": np.array(m["H"]), "theta0": np.array(m["theta0"])}
 
 
 def validate_config(raw):

@@ -88,22 +88,6 @@ class DivergenceError(UrnlabError):
         self.first_bad_index = first_bad_index
 
 
-class SingularityError(UrnlabError):
-    """Vector field evaluated at a singular point."""
-
-    code = "singularity"
-
-
-class IntegrationAbortError(UrnlabError):
-    """ODE integration left its admissible region; diagnostic attached."""
-
-    code = "integration-abort"
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 class RefinementError(UrnlabError):
     """A grid interval is too wide: its increment covariance overflows."""
 

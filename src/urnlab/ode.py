@@ -1,25 +1,26 @@
 """The deterministic flow behind the urn limit: theta' = -theta (I - H/|theta|).
 
-|theta| is the l1 norm of the full vector. Along the flow the co-integrated
-clock f(s) = integral_0^s du/|theta(u)| ties the u-projection to its start:
-theta(s) u^T = theta_0 u^T exp(-(s - alpha f(s))) for the top eigenpair
-(alpha, u) of H, which pins every trajectory started in {theta u^T > 0} to
-the attractor alpha v. Integration is adaptive RK4 with step doubling.
+|theta| is the l1 norm. Along the flow the clock f(s) = integral_0^s
+du/|theta(u)| ties the u-projection to its start: theta(s) u^T =
+theta_0 u^T exp(-(s - alpha f(s))) for the top eigenpair (alpha, u) of H,
+which pins every trajectory to the attractor alpha v.
+
+For theta_0 >= 0 and a Metzler H (which urn_eigenstructure requires) the
+flow stays nonnegative and is solved in closed form on the clock: over a
+clock step delta, theta -> theta E / (1 + theta J 1^T) and
+s -> s + log1p(theta J 1^T), with E = exp(H delta) and
+J = integral_0^delta exp(H t) dt, both read off one exponential of
+[[H, I], [0, 0]] delta (Van Loan 1978).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .errors import (
-    IntegrationAbortError,
-    InvalidArgumentError,
-    SingularityError,
-)
-from .linalg import _check_square
+from .errors import InvalidArgumentError, NonConvergenceError
+from .linalg import _check_square, mat_exp
 from .urn import urn_eigenstructure
-
-_MAX_STEP = 2.0  # RK4 stays stable for the unit-rate contraction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,77 +33,78 @@ class FlowState:
         return {"s": self.s, "f": self.f, "theta": self.theta.tolist()}
 
 
-def flow_rhs(theta, H):
-    """-theta (I - H/|theta|) with the l1 norm; singular at |theta| = 0."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    H = _check_square(H, "H")
-    n1 = np.abs(theta).sum()
-    if n1 == 0.0:
-        raise SingularityError("flow is singular at |theta| = 0")
-    return -theta + (theta @ H) / n1
+def _step_blocks(H, delta):
+    """(E, J) = (exp(H delta), integral_0^delta exp(H t) dt)."""
+    d = H.shape[0]
+    F = mat_exp(delta * np.block([[H, np.eye(d)], [np.zeros((d, 2 * d))]]))
+    return F[:d, :d], F[:d, d:]
 
 
-def _rk4_step(y, h, H, d):
-    def g(y):
-        th = y[:d]
-        n1 = np.abs(th).sum()
-        if n1 == 0.0:
-            raise SingularityError("flow is singular at |theta| = 0")
-        out = np.empty_like(y)
-        out[:d] = -th + (th @ H) / n1
-        out[d] = 1.0 / n1
-        return out
+def _last_step(theta, H, t, E, J, target):
+    """The clock step in (0, t] on which g = theta J 1^T reaches target, and
+    the state it ends on. Newton on g (g' = theta E 1^T > 0) from the whole
+    step t, where g >= target; a step that leaves the bracket bisects it."""
+    lo, hi = 0.0, t
+    for _ in range(100):
+        g = float(theta @ J.sum(axis=1))
+        step = (g - target) / float(theta @ E.sum(axis=1))
+        if abs(step) <= 2.0 * np.finfo(float).eps * t:
+            return t, (theta @ E) / (1.0 + g)
+        if step < 0.0:
+            lo = t
+        else:
+            hi = t
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        E, J = _step_blocks(H, t)
+    raise NonConvergenceError(
+        f"last flow step did not converge (bracket [{lo:g}, {hi:g}])",
+        residual=abs(g - target))
 
-    k1 = g(y)
-    k2 = g(y + 0.5 * h * k1)
-    k3 = g(y + 0.5 * h * k2)
-    k4 = g(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+def integrate_flow(theta0, H, s_max):
+    """Flow states from s = 0 to s_max, at whole clock steps 1/alpha.
 
-def integrate_flow(theta0, H, s_max, tol=1e-9):
-    """Flow states at every accepted step up to s_max.
-
-    Step doubling: a full step is compared against two half steps, the
-    difference over 15 is the local error, and the locally extrapolated
-    value is kept. Aborts (with the offending state attached) if the
-    trajectory leaves {theta u^T > 0}, which the theory forbids and which
-    therefore flags a step-size failure.
+    Near the attractor, where |theta| is about alpha, consecutive states
+    are about one unit of s apart. A last, shorter clock step ends exactly
+    at s_max. theta0 must be nonnegative and not zero: that is the
+    nonnegative cone the urn's mean flow lives in.
     """
     H = _check_square(H, "H").astype(float)
     d = H.shape[0]
     theta0 = np.asarray(theta0, dtype=float).reshape(-1)
     if theta0.shape != (d,):
         raise InvalidArgumentError(f"theta0 must have length {d}")
+    if not np.all(np.isfinite(theta0)):
+        raise InvalidArgumentError("theta0 contains non-finite entries")
+    for i, x in enumerate(theta0):
+        if x < 0.0:
+            raise InvalidArgumentError(
+                f"theta0[{i}] = {x:g} is negative; the urn mean flow starts "
+                "at theta0 >= 0")
+    if not theta0.any():
+        raise InvalidArgumentError("theta0 is zero, where the flow is singular")
     s_max = float(s_max)
-    if s_max <= 0.0 or tol <= 0.0:
-        raise InvalidArgumentError("s_max and tol must be positive")
-    alpha, v, u, _, _ = urn_eigenstructure(H)
-    if theta0 @ u <= 0.0:
-        raise InvalidArgumentError(
-            "theta0 u^T must be positive (start outside the flow domain)")
+    if not 0.0 < s_max < math.inf:
+        raise InvalidArgumentError(f"s_max must be positive and finite, got {s_max}")
+    alpha = urn_eigenstructure(H)[0]
 
-    y = np.concatenate([theta0, [0.0]])
-    states = [FlowState(theta0.copy(), 0.0, 0.0)]
-    s = 0.0
-    h = min(0.1, s_max, _MAX_STEP)
-    while s < s_max * (1.0 - 1e-15):
-        h = min(h, s_max - s)
-        y_full = _rk4_step(y, h, H, d)
-        y_half = _rk4_step(_rk4_step(y, 0.5 * h, H, d), 0.5 * h, H, d)
-        err = float(np.linalg.norm(y_half - y_full)) / 15.0
-        if err <= tol or h <= 1e-12:
-            y = y_half + (y_half - y_full) / 15.0
-            s += h
-            th = y[:d].copy()
-            if th @ u <= 0.0:
-                raise IntegrationAbortError(
-                    f"trajectory left the domain theta u^T > 0 at s = {s:g}; "
-                    "reduce the tolerance",
-                    state=FlowState(th, float(s), float(y[d])))
-            states.append(FlowState(th, float(s), float(y[d])))
-        fac = 0.9 * (tol / max(err, 1e-300)) ** 0.2
-        h = min(h * min(5.0, max(0.2, fac)), _MAX_STEP)
+    delta = 1.0 / alpha
+    E, J = _step_blocks(H, delta)
+    j1 = J.sum(axis=1)
+    theta, s, k = theta0.copy(), 0.0, 0
+    states = [FlowState(theta, 0.0, 0.0)]
+    while True:
+        g = float(theta @ j1)
+        s_next = s + math.log1p(g)
+        if s_next >= s_max:
+            break
+        theta = (theta @ E) / (1.0 + g)
+        s, k = s_next, k + 1
+        states.append(FlowState(theta, s, k * delta))
+    t, theta = _last_step(theta, H, delta, E, J, math.expm1(s_max - s))
+    states.append(FlowState(theta, s_max, k * delta + t))
     return states
 
 
@@ -116,4 +118,3 @@ def flow_identity_residual(states, theta0, H):
         want = c0 * np.exp(-(st.s - alpha * st.f))
         worst = max(worst, abs(float(st.theta @ u) / want - 1.0))
     return worst
-

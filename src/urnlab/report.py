@@ -162,7 +162,8 @@ def gauss_csv(path):
 
 
 def flow_csv(states):
-    """Rows `s,f,theta_1..theta_d`, one per accepted integrator step."""
+    """Rows `s,f,theta_1..theta_d`, one per flow state: the start, each
+    whole clock step and the end at s_max."""
     if not states:
         raise InvalidArgumentError("flow has no states")
     d = len(states[0].theta)

@@ -394,6 +394,7 @@ class UrnAsymptotics:
     Gamma: np.ndarray
     Sigma_tilde: object = None
     slow_descriptor: object = None
+    warnings: tuple = ()  # of the spectral profiles of H/alpha and Dh_star
 
     def scale(self, n):
         """Normalisation of the scaled theta_n error under this analysis's
@@ -426,6 +427,7 @@ class UrnAsymptotics:
             "sigma_tilde": None if self.Sigma_tilde is None else self.Sigma_tilde.tolist(),
             "slow_descriptor": (None if self.slow_descriptor is None
                                 else self.slow_descriptor.to_dict()),
+            "warnings": list(self.warnings),
         }
 
 
@@ -486,6 +488,10 @@ def urn_asymptotics(spec, rho_tol=_DEFAULT_RHO_TOL):
     Sigma, slow = _limit_object(
         profile, regime, Dh_star, Gamma,
         slow=lambda: _slow_urn_descriptor(Hn, v, h_profile, lambda_sec, nu))
+    h_warnings = () if h_profile is None else h_profile.warnings
+    warnings = ([f"H/alpha: {w}" for w in h_warnings]
+                + [f"Dh_star: {w}" for w in profile.warnings])
     return UrnAsymptotics(alpha=alpha, v=v, u=u, lambda_sec=lambda_sec, nu=nu,
                           regime=regime, Dh_star=Dh_star, Gamma=Gamma,
-                          Sigma_tilde=Sigma, slow_descriptor=slow)
+                          Sigma_tilde=Sigma, slow_descriptor=slow,
+                          warnings=tuple(warnings))

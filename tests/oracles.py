@@ -3,15 +3,16 @@
 Everything here is deliberately implemented by a different method than the
 code under test: plain Taylor series instead of scipy's expm, scipy
 ``quad_vec`` quadrature instead of the closed-form (Van Loan) exp-sandwich
-integral, exact moment recursions instead of closed-form limits, and a
-generator over python ints instead of the vectorized one.
+integral, exact moment recursions instead of closed-form limits, a
+generator over python ints instead of the vectorized one, and adaptive
+RK4 on the urn mean flow instead of its closed-form clock steps.
 """
 
 import numpy as np
 import scipy.integrate
 
 from urnlab.errors import DivergenceError, InvalidArgumentError
-from urnlab.ode import integrate_flow
+from urnlab.ode import FlowState
 from urnlab.rng import BLOCK, GAMMA, MASK64, REPL_SHIFT, _MIX1, _MIX2, BlockSource
 from urnlab.sa import _checkpoint_plan
 from urnlab.urn import BernoulliDiagonalRule, UrnState, urn_eigenstructure
@@ -247,19 +248,85 @@ def reference_urn(spec, n_max, seed, checkpoints, replicate=0):
     return out
 
 
-def check_attraction(starts, H, s_max, eps, tol=1e-9):
-    """True per start iff the flow lands within eps (sup norm) of the
-    attractor alpha v. Starts outside {theta u^T > 0} are rejected."""
+class FlowError(Exception):
+    """The reference integrator reached |theta| = 0 or left the domain
+    {theta u^T > 0}."""
+
+
+_MAX_STEP = 2.0  # RK4 stays stable for the unit-rate contraction
+
+
+def flow_rhs(theta, H):
+    """-theta (I - H/|theta|) with the l1 norm; singular at |theta| = 0."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
     H = np.asarray(H, dtype=float)
-    alpha, v, u, _, _ = urn_eigenstructure(H)
-    starts = [np.asarray(t, dtype=float).reshape(-1) for t in starts]
-    for t in starts:
-        if t @ u <= 0.0:
-            raise InvalidArgumentError(
-                f"start {t.tolist()} has theta u^T <= 0")
-    target = alpha * v
-    out = []
-    for t in starts:
-        final = integrate_flow(t, H, s_max, tol)[-1].theta
-        out.append(bool(np.abs(final - target).max() <= eps))
-    return out
+    n1 = np.abs(theta).sum()
+    if n1 == 0.0:
+        raise FlowError("flow is singular at |theta| = 0")
+    return -theta + (theta @ H) / n1
+
+
+def _rk4_step(y, h, H, d):
+    def g(y):
+        out = np.empty_like(y)
+        out[:d] = flow_rhs(y[:d], H)
+        out[d] = 1.0 / np.abs(y[:d]).sum()
+        return out
+
+    k1 = g(y)
+    k2 = g(y + 0.5 * h * k1)
+    k3 = g(y + 0.5 * h * k2)
+    k4 = g(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_flow(theta0, H, s_max, tol=1e-9):
+    """Reference for urnlab.ode.integrate_flow: the flow and its clock f by
+    adaptive RK4, one FlowState per accepted step up to s_max.
+
+    Step doubling: a full step is compared against two half steps, the
+    difference over 15 is the local error, and the locally extrapolated
+    value is kept. Any start with theta_0 u^T > 0 is accepted, mixed signs
+    included; leaving that domain raises FlowError.
+    """
+    H = np.asarray(H, dtype=float)
+    d = H.shape[0]
+    theta0 = np.asarray(theta0, dtype=float).reshape(-1)
+    if theta0.shape != (d,):
+        raise InvalidArgumentError(f"theta0 must have length {d}")
+    s_max = float(s_max)
+    if s_max <= 0.0 or tol <= 0.0:
+        raise InvalidArgumentError("s_max and tol must be positive")
+    _, _, u, _, _ = urn_eigenstructure(H)
+    if theta0 @ u <= 0.0:
+        raise InvalidArgumentError(
+            f"start {theta0.tolist()} has theta u^T <= 0")
+
+    y = np.concatenate([theta0, [0.0]])
+    states = [FlowState(theta0.copy(), 0.0, 0.0)]
+    s = 0.0
+    h = min(0.1, s_max, _MAX_STEP)
+    while s < s_max * (1.0 - 1e-15):
+        h = min(h, s_max - s)
+        y_full = _rk4_step(y, h, H, d)
+        y_half = _rk4_step(_rk4_step(y, 0.5 * h, H, d), 0.5 * h, H, d)
+        err = float(np.linalg.norm(y_half - y_full)) / 15.0
+        if err <= tol or h <= 1e-12:
+            y = y_half + (y_half - y_full) / 15.0
+            s += h
+            states.append(FlowState(y[:d].copy(), float(s), float(y[d])))
+            if states[-1].theta @ u <= 0.0:
+                raise FlowError(
+                    f"trajectory left the domain theta u^T > 0 at s = {s:g}")
+        fac = 0.9 * (tol / max(err, 1e-300)) ** 0.2
+        h = min(h * min(5.0, max(0.2, fac)), _MAX_STEP)
+    return states
+
+
+def check_attraction(starts, H, s_max, eps, tol=1e-9):
+    """True per start iff the reference flow lands within eps (sup norm) of
+    the attractor alpha v. Starts outside {theta u^T > 0} are rejected."""
+    H = np.asarray(H, dtype=float)
+    alpha, v, _, _, _ = urn_eigenstructure(H)
+    finals = [rk4_flow(t, H, s_max, tol)[-1].theta for t in starts]
+    return [bool(np.abs(final - alpha * v).max() <= eps) for final in finals]

@@ -193,19 +193,34 @@ def test_gauss_command_grid(tmp_path):
     assert rows[1] == "1,0"
 
 
+ODE_MODEL = {"kind": "ode", "d": 2, "H": [[0.0, 1.0], [1.0, 0.0]],
+             "theta0": [0.9, 0.3]}
+
+
 def test_ode_command_flow(tmp_path):
-    doc = {"model": {"kind": "ode", "d": 2, "H": [[0.0, 1.0], [1.0, 0.0]],
-                     "theta0": [0.9, 0.3]},
-           "run": {"n": 40}}
+    doc = {"model": ODE_MODEL, "run": {"n": 40}}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     assert main(["ode", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "run.json").read_text())
-    assert manifest["identity_residual"] < 1e-6
+    assert manifest["identity_residual"] <= 1e-12
     assert np.allclose(manifest["final_theta"], [0.5, 0.5], atol=1e-6)
     rows = (out / "flow.csv").read_text().splitlines()
     assert rows[0] == "s,f,theta_1,theta_2"
     assert len(rows) == manifest["steps"] + 1
+    assert rows[-1].startswith("40,")
+
+
+def test_ode_refuses_a_negative_start_and_a_tolerance(tmp_path, capsys):
+    doc = {"model": dict(ODE_MODEL, theta0=[1.2, -0.1]), "run": {"n": 40}}
+    cfg = write_config(tmp_path, doc, "neg.json")
+    assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "theta0[1] = -0.1 is negative" in capsys.readouterr().err
+    # the flow is solved in closed form: there is no tolerance to set
+    doc = {"model": dict(ODE_MODEL, tol=1e-9), "run": {"n": 40}}
+    cfg = write_config(tmp_path, doc, "tol.json")
+    assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "/model/tol" in capsys.readouterr().err
 
 
 def test_verify_standard_sa_passes(tmp_path):

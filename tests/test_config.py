@@ -380,8 +380,9 @@ def test_build_ode_model():
     doc = {"model": {"kind": "ode", "d": 2, "H": [[0.0, 1.0], [1.0, 0.0]],
                      "theta0": [0.5, 0.5]}}
     prob = validate_config(doc).build_model()
+    assert set(prob) == {"H", "theta0"}
     assert np.array_equal(prob["H"], [[0.0, 1.0], [1.0, 0.0]])
-    assert prob["tol"] == 1e-9
+    assert np.array_equal(prob["theta0"], [0.5, 0.5])
 
 
 def test_build_without_model_raises():

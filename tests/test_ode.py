@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from urnlab.errors import InvalidArgumentError, SingularityError
-from urnlab.ode import (
-    FlowState,
-    flow_identity_residual,
-    flow_rhs,
-    integrate_flow,
-)
-from oracles import check_attraction
+from urnlab.errors import AssumptionViolationError, InvalidArgumentError
+from urnlab.ode import FlowState, flow_identity_residual, integrate_flow
+from urnlab.urn import urn_eigenstructure
+from oracles import FlowError, check_attraction, flow_rhs, rk4_flow
 
 FRIEDMAN = np.array([[0.0, 1.0], [1.0, 0.0]])
+THREE_TYPE = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+
+# (H, theta0): Friedman, mixing-0.25, the removal urn, a 3-type urn and
+# Friedman at Perron root 2
+PINNED = {
+    "friedman": (FRIEDMAN, [0.9, 0.1]),
+    "mixing-0.25": (np.array([[0.75, 0.25], [0.25, 0.75]]), [0.9, 0.1]),
+    "removal": (np.array([[-1.0, 2.0], [3.0, 0.0]]), [2.0, 2.0]),
+    "three-type": (THREE_TYPE, [1.0, 0.0, 0.0]),
+    "2-friedman": (2.0 * FRIEDMAN, [1.5, 0.5]),
+}
 
 
-# ==== right-hand side ====
+# ==== the reference right-hand side ====
 
 def test_rhs_equilibrium_at_v():
     v = np.array([0.5, 0.5])
@@ -30,61 +39,73 @@ def test_rhs_corner_point():
 
 
 def test_rhs_singular_origin():
-    with pytest.raises(SingularityError):
+    with pytest.raises(FlowError):
         flow_rhs(np.zeros(2), FRIEDMAN)
 
 
-# ==== integration ====
+# ==== closed-form flow ====
 
 def test_constant_trajectory_from_equilibrium():
-    states = integrate_flow(np.array([0.5, 0.5]), FRIEDMAN, 5.0, tol=1e-9)
+    states = integrate_flow(np.array([0.5, 0.5]), FRIEDMAN, 5.0)
     for st in states:
-        assert np.abs(st.theta - 0.5).max() < 1e-9
+        assert np.abs(st.theta - 0.5).max() < 1e-12
     # |theta| = 1 along the way, so the clock runs at unit rate
-    assert states[-1].f == pytest.approx(states[-1].s, abs=1e-8)
+    assert states[-1].f == pytest.approx(states[-1].s, abs=1e-12)
 
 
 def test_friedman_attraction():
-    states = integrate_flow(np.array([0.9, 0.1]), FRIEDMAN, 40.0, tol=1e-9)
-    assert states[-1].s == pytest.approx(40.0, abs=1e-9)
+    states = integrate_flow(np.array([0.9, 0.1]), FRIEDMAN, 40.0)
+    assert states[-1].s == 40.0
     assert np.abs(states[-1].theta - 0.5).max() <= 1e-6
-    assert flow_identity_residual(states, [0.9, 0.1], FRIEDMAN) <= 1e-8
+    assert flow_identity_residual(states, [0.9, 0.1], FRIEDMAN) <= 1e-12
 
 
 def test_clock_strictly_increasing():
-    states = integrate_flow(np.array([0.9, 0.1]), FRIEDMAN, 10.0, tol=1e-9)
+    states = integrate_flow(np.array([0.9, 0.1]), FRIEDMAN, 10.0)
     fs = [st.f for st in states]
     assert all(b > a for a, b in zip(fs, fs[1:]))
 
 
+def test_states_sit_at_whole_clock_steps():
+    # alpha = 2: clock steps of 1/2, about one unit of s apart once
+    # |theta| is near alpha, and a last short step that ends on s_max
+    states = integrate_flow(np.array([1.5, 0.5]), 2.0 * FRIEDMAN, 30.5)
+    steps = [0.5 * k for k in range(len(states) - 1)]
+    assert [st.f for st in states[:-1]] == pytest.approx(steps, rel=1e-15)
+    assert 0.0 < states[-1].f - states[-2].f <= 0.5
+    assert states[-1].s == 30.5
+    gaps = np.diff([st.s for st in states[1:-1]])
+    assert np.abs(gaps - 1.0).max() <= 1e-9
+
+
 def test_boundedness_along_flow():
     theta0 = np.array([0.9, 0.1])
-    states = integrate_flow(theta0, FRIEDMAN, 40.0, tol=1e-9)
+    states = integrate_flow(theta0, FRIEDMAN, 40.0)
     bound = np.abs(FRIEDMAN).max() + np.abs(theta0)
     for st in states:
         assert np.all(np.abs(st.theta) <= bound + 1e-9)
 
 
-def test_negative_coordinate_start_still_attracted():
-    states = integrate_flow(np.array([1.2, -0.1]), FRIEDMAN, 40.0, tol=1e-9)
-    assert np.abs(states[-1].theta - 0.5).max() <= 1e-6
+def test_negative_coordinate_start_refused():
+    # its l1 flow is not the mean flow of an urn, which draws by the
+    # positive parts of its composition
+    with pytest.raises(InvalidArgumentError, match=r"theta0\[1\] = -0.1"):
+        integrate_flow(np.array([1.2, -0.1]), FRIEDMAN, 40.0)
 
 
 def test_three_type_attraction():
-    H = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
-    from urnlab.urn import urn_eigenstructure
-    _, v, _, _, _ = urn_eigenstructure(H)
-    states = integrate_flow(np.array([1.0, 0.0, 0.0]), H, 40.0, tol=1e-9)
+    _, v, _, _, _ = urn_eigenstructure(THREE_TYPE)
+    states = integrate_flow(np.array([1.0, 0.0, 0.0]), THREE_TYPE, 40.0)
     assert np.abs(states[-1].theta - v).max() <= 1e-6
-    assert flow_identity_residual(states, [1.0, 0.0, 0.0], H) <= 1e-8
+    assert flow_identity_residual(states, [1.0, 0.0, 0.0], THREE_TYPE) <= 1e-12
 
 
 def test_unnormalized_top_eigenvalue():
     # alpha = 2: attractor is alpha v and the clock enters as alpha f
     H2 = 2.0 * FRIEDMAN
-    states = integrate_flow(np.array([1.5, 0.5]), H2, 40.0, tol=1e-9)
+    states = integrate_flow(np.array([1.5, 0.5]), H2, 40.0)
     assert np.abs(states[-1].theta - 1.0).max() <= 1e-6
-    assert flow_identity_residual(states, [1.5, 0.5], H2) <= 1e-8
+    assert flow_identity_residual(states, [1.5, 0.5], H2) <= 1e-12
 
 
 def test_start_outside_domain_rejected():
@@ -97,11 +118,65 @@ def test_bad_arguments():
         integrate_flow(np.array([0.5, 0.5]), FRIEDMAN, -1.0)
     with pytest.raises(InvalidArgumentError):
         integrate_flow(np.array([0.5, 0.5, 0.5]), FRIEDMAN, 1.0)
+    with pytest.raises(InvalidArgumentError, match="zero"):
+        integrate_flow(np.zeros(2), FRIEDMAN, 1.0)
+    with pytest.raises(AssumptionViolationError, match="off-diagonal"):
+        integrate_flow(np.array([0.5, 0.5]), [[1.0, -0.1], [1.0, 0.0]], 1.0)
 
 
 def test_states_are_serializable():
     st = FlowState(np.array([0.5, 0.5]), 1.0, 1.0)
     assert st.to_dict() == {"s": 1.0, "f": 1.0, "theta": [0.5, 0.5]}
+
+
+# ==== against the RK4 reference ====
+
+def assert_matches_rk4(theta0, H, s_max):
+    states = integrate_flow(theta0, H, s_max)
+    ref = rk4_flow(theta0, H, s_max, tol=1e-12)[-1]
+    last = states[-1]
+    scale = max(1.0, float(np.abs(ref.theta).max()))
+    assert np.abs(last.theta - ref.theta).max() <= 1e-10 * scale
+    assert abs(last.f - ref.f) <= 1e-10 * max(1.0, ref.f)
+    assert abs(last.s - s_max) <= 1e-12 * s_max
+    return states
+
+
+@pytest.mark.parametrize("s_max", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_urns_match_rk4(name, s_max):
+    H, theta0 = PINNED[name]
+    states = assert_matches_rk4(theta0, H, s_max)
+    assert states[-1].s == s_max
+    assert flow_identity_residual(states, theta0, H) <= 1e-12
+
+
+@st.composite
+def metzler_flows(draw):
+    """A Metzler H (positive off-diagonal, any diagonal, so removal rules
+    too) with a positive Perron root, and a start theta0 >= 0, not zero."""
+    d = draw(st.integers(2, 5))
+    H = np.array([[draw(st.floats(-2.0, 2.0)) if i == j
+                   else draw(st.floats(0.05, 3.0)) for j in range(d)]
+                  for i in range(d)])
+    alpha = float(np.linalg.eigvals(H).real.max())
+    if alpha < 0.1:
+        H += (0.1 - alpha + draw(st.floats(0.0, 2.0))) * np.eye(d)
+    theta0 = np.array([draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+                       for _ in range(d)])
+    assume(theta0.any())
+    return H, theta0
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow=metzler_flows(), s_max=st.floats(0.5, 100.0))
+def test_closed_form_matches_rk4_property(flow, s_max):
+    H, theta0 = flow
+    try:
+        urn_eigenstructure(H)
+    except AssumptionViolationError:
+        assume(False)
+    assert_matches_rk4(theta0, H, s_max)
 
 
 # ==== attraction check ====

@@ -1,7 +1,8 @@
 """Rules the package source keeps: no handler that swallows every error,
-only the typed errors of urnlab.errors raised, no parameter that is
-accepted and then ignored, pools only where replicates are sharded, no
-noise source without its known draw, and a start-up that imports no scipy.
+only the typed errors of urnlab.errors raised and each of them raised
+somewhere, no parameter that is accepted and then ignored, pools only
+where replicates are sharded, no noise source without its known draw, and
+a start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A built-in error
@@ -80,6 +81,50 @@ def test_typed_error_rule_catches_one():
     assert _foreign_raises(tree) == [
         ("f", "ValueError", 3), ("f", "KeyError", 4),
         ("g", "argparse.ArgumentTypeError", 6)]
+
+
+# an error class nothing raises is a code the CLI can never report, and
+# a handler for it catches nothing
+def _unraised_errors(errors_tree, trees):
+    """Classes defined in errors_tree that no tree raises, by name or
+    through a subclass, in definition order."""
+    bases = {node.name: [ast.unparse(b) for b in node.bases]
+             for node in errors_tree.body if isinstance(node, ast.ClassDef)}
+    pending = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                pending.append(ast.unparse(exc).rsplit(".", 1)[-1])
+    covered = set()
+    while pending:
+        name = pending.pop()
+        if name in bases and name not in covered:
+            covered.add(name)
+            pending.extend(bases[name])
+    return [name for name in bases if name not in covered]
+
+
+def test_every_error_class_is_raised_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    errors = ast.parse((SRC / "urnlab" / "errors.py").read_text())
+    assert _unraised_errors(errors, [ast.parse(p.read_text()) for p in files]) == []
+
+
+def test_unraised_error_rule_catches_one():
+    errors = ast.parse(
+        "class Base(Exception):\n    code = 'error'\n"
+        "class Used(Base):\n    pass\n"
+        "class Child(Used):\n    pass\n"
+        "class Spare(Base):\n    pass\n"
+        "class Loose(Exception):\n    pass\n")
+    src = ast.parse(
+        "def f(x):\n    if x:\n        raise errors.Child('x') from None\n"
+        "    raise ValueError\n"
+        "Spare('made, never raised')\n")
+    # Used and Base are reached as bases of the raised Child
+    assert _unraised_errors(errors, [src]) == ["Spare", "Loose"]
 
 
 # a sampler is called with the protocol's arguments whether it needs them or

@@ -467,3 +467,28 @@ def test_asymptotics_report_serializes():
     assert d["v"] == [0.5, 0.5]
     assert d["regime"] == "standard" and d["scaling"] == "√n"
     assert d["sigma_tilde"] == rep.Sigma_tilde.tolist()
+    assert d["warnings"] == []
+
+
+def _near_pair_urns():
+    # 2 types: lambda_sec = 2a - 1 = 4e-7 puts Dh_star's eigenvalues 1 and
+    # 1 - 4e-7 just outside one cluster
+    a = 0.5 + 2e-7
+    yield np.array([[a, 1.0 - a], [1.0 - a, a]]), 0
+    # 3 types: H's eigenvalues 0.3 and 0.3 + 4e-7 near-merge too
+    q = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    J = np.full((3, 3), 1.0 / 3.0)
+    yield J + 0.3 * (np.eye(3) - J) + 4e-7 * np.outer(q, q), 1
+
+
+@pytest.mark.parametrize("H,h_warnings", list(_near_pair_urns()))
+def test_asymptotics_report_carries_profile_warnings(H, h_warnings):
+    spec = UrnSpec(d=H.shape[0], Y0=np.ones(H.shape[0]),
+                   adding_rule=DeterministicRule(H))
+    rep = urn_asymptotics(spec).to_dict()
+    from_h = spectral_profile(H / rep["alpha"]).warnings
+    from_dh = spectral_profile(np.array(rep["Dh_star"])).warnings
+    assert len(from_h) == h_warnings
+    assert any("separated by 4.00e-07" in w for w in from_dh)
+    assert rep["warnings"] == ([f"H/alpha: {w}" for w in from_h]
+                               + [f"Dh_star: {w}" for w in from_dh])
