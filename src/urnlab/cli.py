@@ -255,7 +255,9 @@ def _cmd_ode(args):
     prob = cfg.build_model()
     seed = cfg.run["seed"]
     out = _outdir(cfg)
-    states = integrate_flow(prob["theta0"], prob["H"], float(n))
+    theta0, H = prob["theta0"], prob["H"]
+    structure = urn_eigenstructure(np.asarray(H, dtype=float))
+    states = integrate_flow(theta0, H, float(n), structure)
     files = []
     if "csv" in cfg.output["formats"]:
         _write(os.path.join(out, "flow.csv"), flow_csv(states))
@@ -263,9 +265,9 @@ def _cmd_ode(args):
     manifest = {
         "command": "ode",
         "s_max": float(n),
-        "steps": len(states),
-        "identity_residual": flow_identity_residual(states, prob["theta0"],
-                                                    prob["H"]),
+        "steps": len(states) - 1,  # clock steps taken; the start is a state
+        "identity_residual": flow_identity_residual(states, theta0, H,
+                                                    structure),
         "final_theta": states[-1].theta.tolist(),
         "files": files,
         "provenance": provenance(cfg.digest(), seed),

@@ -88,6 +88,21 @@ class DivergenceError(UrnlabError):
         self.first_bad_index = first_bad_index
 
 
+class NumericalOverflowError(UrnlabError):
+    """The drift h(theta) became non-finite at a finite state while the
+    state the update leads to is finite: a floating point overflow inside
+    one update, not the process diverging.
+
+    ``step`` is the step whose update it broke.
+    """
+
+    code = "numerical-overflow"
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
+
+
 class RefinementError(UrnlabError):
     """A grid interval is too wide: its increment covariance overflows."""
 

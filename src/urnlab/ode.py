@@ -63,13 +63,14 @@ def _last_step(theta, H, t, E, J, target):
         residual=abs(g - target))
 
 
-def integrate_flow(theta0, H, s_max):
+def integrate_flow(theta0, H, s_max, structure=None):
     """Flow states from s = 0 to s_max, at whole clock steps 1/alpha.
 
     Near the attractor, where |theta| is about alpha, consecutive states
     are about one unit of s apart. A last, shorter clock step ends exactly
     at s_max. theta0 must be nonnegative and not zero: that is the
-    nonnegative cone the urn's mean flow lives in.
+    nonnegative cone the urn's mean flow lives in. `structure` is
+    urn_eigenstructure(H) when the caller has it; it is computed otherwise.
     """
     H = _check_square(H, "H").astype(float)
     d = H.shape[0]
@@ -88,7 +89,7 @@ def integrate_flow(theta0, H, s_max):
     s_max = float(s_max)
     if not 0.0 < s_max < math.inf:
         raise InvalidArgumentError(f"s_max must be positive and finite, got {s_max}")
-    alpha = urn_eigenstructure(H)[0]
+    alpha = (urn_eigenstructure(H) if structure is None else structure)[0]
 
     delta = 1.0 / alpha
     E, J = _step_blocks(H, delta)
@@ -108,10 +109,12 @@ def integrate_flow(theta0, H, s_max):
     return states
 
 
-def flow_identity_residual(states, theta0, H):
+def flow_identity_residual(states, theta0, H, structure=None):
     """Worst |theta(s) u^T / (theta_0 u^T e^{-(s - alpha f)}) - 1| over the
-    states; zero for the exact flow."""
-    alpha, _, u, _, _ = urn_eigenstructure(np.asarray(H, dtype=float))
+    states; zero for the exact flow. `structure` is as in integrate_flow."""
+    if structure is None:
+        structure = urn_eigenstructure(np.asarray(H, dtype=float))
+    alpha, _, u, _, _ = structure
     c0 = float(np.asarray(theta0, dtype=float) @ u)
     worst = 0.0
     for st in states:

@@ -15,12 +15,13 @@ Box-Muller cache does not carry across blocks.
 
 Up to ``GROUP`` streams advance side by side as contiguous uint64 state
 rows, stepped by in-place ufuncs; the generator writes step-major rows
-(one row per step, one column per stream). Polar rejection is vectorised
-in rounds of ``TILE`` attempts per stream: a round keeps each stream's
-accepted pairs in order, up to its count, so temporaries stay at
+(one row per step, one column per stream), into a given destination or a
+new array. Polar rejection is vectorised in rounds of at most ``TILE``
+attempts per stream, sized to the pairs still due: a round keeps each
+stream's accepted pairs in order, up to its count, so temporaries stay at
 ``GROUP * TILE`` values.
 ``BlockSource`` is opened with each replicate's draw, an upper bound it
-enforces: a refill makes the draw's remaining blocks, under a cap, and a
+enforces: a refill covers the draw's remaining blocks, under a cap, and a
 take past the draw raises. Both bulk generators return the first
 ``count`` values of any longer draw from the same states, so the draw's
 last block is made only up to the draw.
@@ -30,7 +31,12 @@ them; uniforms step-major, as the generator writes them and the lockstep
 urn reads them. Either way a take returns an (R, k) array (for uniforms,
 the transpose of a (k, R) one). A take without ``out`` that is exactly
 one fresh refill gets the refill itself, uncopied, and the source keeps
-no reference to it.
+no reference to it. A uniform refill of one block per replicate (above
+``REFILL_VALUES / BLOCK`` replicates, or the draw's last block) is never
+stored: the source keeps its (R, 4) stream states and steps them straight
+into each take, e.g. the lockstep urn's slab, so no uniform block sits in
+memory. Gaussian refills stay whole: a polar round drops a full stream's
+surplus attempts, so a gaussian stream cannot resume mid-block.
 
 All transcendental evaluations go through numpy so that a scalar reference
 over python ints rounds identically to the vectorized path (the tests check
@@ -52,7 +58,7 @@ BLOCK = 4096
 REPL_SHIFT = 20
 # streams advanced together; bounds the temporaries of one pass
 GROUP = 1024
-# generator steps between two output passes of _fill; polar attempts per round
+# generator steps between two output passes of _fill; cap on polar attempts a round
 TILE = 128
 # values one BlockSource refill may generate beyond one block per replicate
 REFILL_VALUES = 1 << 20
@@ -114,13 +120,14 @@ def _fill(rows, dest, scale, shift):
             np.subtract(x, shift, out=x)
 
 
-def bulk_uniforms(states, count):
+def bulk_uniforms(states, count, out=None):
     """(S, count) uniforms in [0,1), advancing the given (S, 4) states.
 
-    The result is the transpose of a step-major (count, S) array: row j of
-    its base holds step j of every stream."""
+    The result is the transpose of a step-major (count, S) array, `out`
+    when given (any strides): row j of it holds step j of every stream."""
     rows = np.concatenate([states, states[:, :1]], 1).T.copy()  # s0..s3, work row
-    out = np.empty((count, states.shape[0]))
+    if out is None:
+        out = np.empty((count, states.shape[0]))
     for lo in range(0, out.shape[1], GROUP):
         _fill(rows[:, lo:lo + GROUP], out[:, lo:lo + GROUP], 2.0 ** -53, 0.0)
     states[:] = rows[:4].T
@@ -131,29 +138,40 @@ def _polar(rows, pairs, dest):
     """Write every stream's first `pairs` accepted polar pairs, transformed
     to normals, in order into dest (S, pairs, 2), advancing the (5, S) rows.
 
-    All streams draw TILE attempts per round until the last one is full;
-    a full stream's surplus attempts are dropped. Attempts are generated
-    step-major; each pair moves as one complex128 value."""
+    All streams draw the same number of attempts per round until the last
+    one is full: what the least-filled stream still lacks, plus a margin
+    for rejections (about 1 in 4.7), at most TILE. A full stream's surplus
+    attempts are dropped. Attempts are generated step-major; each pair
+    moves as one complex128 value."""
     S = rows.shape[1]
     slots = dest.reshape(-1, 2).view(np.complex128).ravel()
     base = np.arange(S) * pairs - 1  # flat slot of a stream's rank-0 pair
     filled = np.zeros(S, dtype=np.int64)
+    # the first round is the widest; every round works in slices of these
+    # arrays, so a shorter round allocates nothing of a new size
+    width = min(TILE, pairs + pairs // 4 + 8)
     # 2u - 1 with u = k 2**-53 is k 2**-52 - 1, bit for bit
-    U = np.empty((TILE, 2, S))  # attempt a of stream s: U[a, :, s]
-    uu, vv = U[:, 0], U[:, 1]
-    P = np.empty((TILE, S), dtype=np.complex128)
-    while filled.min() < pairs:
-        _fill(rows, U.reshape(2 * TILE, S), 2.0 ** -52, 1.0)
-        np.copyto(P.real, uu)
-        np.copyto(P.imag, vv)
-        ss = uu * uu + vv * vv
-        ok = (ss > 0.0) & (ss < 1.0)
-        rank = np.cumsum(ok, axis=0)
+    U = np.empty((width, 2, S))  # attempt a of stream s: U[a, :, s]
+    P = np.empty((width, S), dtype=np.complex128)
+    OK, LT = np.empty((2, width, S), dtype=bool)
+    RANK = np.empty((width, S), dtype=np.int64)
+    while (due := pairs - int(filled.min())) > 0:
+        a = min(width, due + due // 4 + 8)
+        uu, vv = U[:a, 0], U[:a, 1]
+        ok, lt, rank = OK[:a], LT[:a], RANK[:a]
+        _fill(rows, U[:a].reshape(2 * a, S), 2.0 ** -52, 1.0)
+        np.copyto(P[:a].real, uu)
+        np.copyto(P[:a].imag, vv)
+        ss = np.multiply(uu, uu, out=uu)  # the attempts live on in P
+        ss += np.multiply(vv, vv, out=vv)
+        np.greater(ss, 0.0, out=ok)
+        ok &= np.less(ss, 1.0, out=lt)
+        np.cumsum(ok, axis=0, out=rank)
         rank += filled
-        ok &= rank <= pairs
+        ok &= np.less_equal(rank, pairs, out=lt)
         idx = np.flatnonzero(ok)
         s = ss.take(idx)
-        uv = P.take(idx)
+        uv = P[:a].take(idx)
         xy = uv.view(np.float64).reshape(-1, 2)
         xy *= np.sqrt(-2.0 * np.log(s) / s)[:, None]
         np.minimum(rank[-1], pairs, out=filled)
@@ -185,10 +203,13 @@ class BlockSource:
     consumption order; each replicate's sequence depends only on (seed, its
     own index). `total` is each replicate's draw, an upper bound: a take
     past it raises, as does a draw beyond the replicate's block budget. A
-    refill makes the draw's remaining blocks, capped at REFILL_VALUES values
-    but at least one block per replicate, and the last block only up to
-    `total`; the refill size never changes a value. Refills of gaussians are
-    stored stream-major, of uniforms step-major (see the module docstring).
+    refill covers the draw's remaining blocks, capped at REFILL_VALUES
+    values but at least one block per replicate, and the last block only up
+    to `total`; the refill size never changes a value. Refills of gaussians
+    are stored stream-major, of uniforms step-major (see the module
+    docstring). A uniform refill of one block per replicate is not stored:
+    the source keeps that block's stream states and steps them into each
+    take as it comes.
     """
 
     def __init__(self, seed, replicate_indices, kind, total):
@@ -203,16 +224,14 @@ class BlockSource:
         self.repl = np.asarray(replicate_indices, dtype=np.uint64)
         self.kind = kind
         self.total = int(total)
-        self._made = 0  # values made per replicate
-        self._buf = np.empty((self.repl.size, 0))
-        self._pos = 0
+        self._made = 0  # values per replicate up to the current refill's end
+        self._buf = np.empty((self.repl.size, 0))  # the refill; None when live
+        self._live = None  # a live refill's (R, 4) stream states
+        self._len = 0  # values per replicate in the current refill
+        self._pos = 0  # of which taken
 
-    def _refill(self, need):
-        """Replace the spent buffer; `need` values per replicate are due."""
-        if self._made + need > self.total:
-            raise InvalidArgumentError(
-                f"a take runs past the declared draw of {self.total} values "
-                "per replicate")
+    def _refill(self):
+        """Open the draw's next blocks, once the current refill is spent."""
         self._buf = None
         R = self.repl.size
         b0 = self._made // BLOCK
@@ -224,6 +243,11 @@ class BlockSource:
         blocks = np.arange(b0, b0 + B, dtype=np.uint64)
         streams = (self.repl[:, None] << _U64(REPL_SHIFT)) | blocks[None, :]
         states = stream_states(self.seed, streams.ravel()).reshape(R, B, 4)
+        self._len, self._pos, self._made = end - self._made, 0, end
+        if B == 1 and self.kind == "uniform":  # stepped by each take
+            self._live = states[:, 0]
+            return
+        self._live = None
         make = bulk_gaussians if self.kind == "gaussian" else bulk_uniforms
         # each block's values are a prefix of its full block's, so a short
         # last block is one more call at its own length
@@ -236,31 +260,38 @@ class BlockSource:
         if full < B:
             parts.append(make(states[:, full], tail))
         self._buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        self._made = end
-        self._pos = 0
 
     def take(self, k, out=None):
         """Next (R, k) values per replicate, into `out` (an (R, k) float
         array or view, e.g. a step-major buffer's transpose) or a new array
-        in the stored layout.
+        in the stored layout. A take past the draw raises before it draws.
 
-        Without `out`, a take that is exactly one fresh refill gets the
+        A live refill's values are generated straight into the take. Without
+        `out`, a take that is exactly one fresh stored refill gets the
         refill itself: the source keeps no reference to it, so nothing is
         copied and nothing stays pinned."""
+        if self._made - self._len + self._pos + k > self.total:
+            raise InvalidArgumentError(
+                f"a take runs past the declared draw of {self.total} values "
+                "per replicate")
         R = self.repl.size
         if out is None:
-            if k and self._pos == self._buf.shape[1]:
-                self._refill(k)
-                if self._buf.shape[1] == k:
-                    buf, self._buf, self._pos = self._buf, np.empty((R, 0)), 0
+            if k and self._pos == self._len:
+                self._refill()
+                if self._buf is not None and self._len == k:
+                    buf, self._buf, self._pos = self._buf, np.empty((R, 0)), k
                     return buf
             out = np.empty((R, k), order="F" if self.kind == "uniform" else "C")
         filled = 0
         while filled < k:
-            if self._pos == self._buf.shape[1]:
-                self._refill(k - filled)
-            step = min(k - filled, self._buf.shape[1] - self._pos)
-            out[:, filled:filled + step] = self._buf[:, self._pos:self._pos + step]
+            if self._pos == self._len:
+                self._refill()
+            step = min(k - filled, self._len - self._pos)
+            dest = out[:, filled:filled + step]
+            if self._buf is None:
+                bulk_uniforms(self._live, step, out=dest.T)
+            else:
+                dest[...] = self._buf[:, self._pos:self._pos + step]
             self._pos += step
             filled += step
         return out

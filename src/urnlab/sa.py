@@ -34,7 +34,8 @@ import numpy as np
 
 from .asymptotics import _snap_block_form, spectral_profile
 from .errors import (ChainBasisRequiredError, DivergenceError,
-                     InvalidArgumentError, JordanIntegerEigenvalueError)
+                     InvalidArgumentError, JordanIntegerEigenvalueError,
+                     NumericalOverflowError)
 from .linalg import _check_square, check_sym_psd
 from .rng import BLOCK, BlockSource
 
@@ -183,15 +184,33 @@ def _float_drift(spec):
     return getattr(spec.drift, "scalar", None)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _raise_non_finite(k, h, prev, inc=0.0):
+    """Raise the error for step k, whose update left the finite state prev
+    non-finite. When h(prev) itself overflowed, the update is redone in
+    long double: a state within the double range makes it a
+    NumericalOverflowError, one beyond it a divergence. (Where long double
+    is no wider than double, the redone update overflows too.)"""
+    if not np.all(np.isfinite(h(prev))):
+        wide = np.asarray(prev, dtype=np.longdouble)
+        state = wide - np.asarray(h(wide), dtype=np.longdouble) / k + inc / k
+        if np.all(np.abs(state) <= np.finfo(float).max):
+            raise NumericalOverflowError(
+                f"drift h(theta) overflowed in step {k}, though the state "
+                "it leads to is finite", step=k)
+    raise DivergenceError(f"state became non-finite at step {k}",
+                          first_bad_index=k)
+
+
 def _float_path(h, th, n_max, plan):
     """run_sa's update in plain floats: the same two IEEE operations."""
-    inf, want = math.inf, set(plan)
+    inf, want, th0 = math.inf, set(plan), th
     cps = [(0, np.array([th]))] if 0 in want else []
     for k in range(1, n_max + 1):
         th = th - h(th) / k  # k converts to the double k exactly
-        if not -inf < th < inf:
-            raise DivergenceError(
-                f"state became non-finite at step {k}", first_bad_index=k)
+        if not -inf < th < inf:  # replayed to step k - 1 for the state there
+            prev = _float_path(h, th0, k - 1, [k - 1])[0][1][0]
+            _raise_non_finite(k, h, float(prev))
         if k in want:
             cps.append((k, np.array([th])))
     return tuple(cps)
@@ -202,7 +221,9 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
 
     Deterministic given (spec, seed, replicate): noise comes from the frozen
     per-replicate stream. Raises a divergence error naming the first step
-    index whose state is non-finite.
+    index whose state is non-finite, or a NumericalOverflowError naming it
+    when only the drift overflowed there and the state it leads to is
+    finite.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -229,10 +250,10 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
         dm = np.asarray(spec.noise(rng, k + 1, theta), dtype=float) if spec.noise else zero
         r = np.asarray(spec.remainder(k + 1), dtype=float) if spec.remainder else zero
         inc = dm + r
-        theta = theta - hv / np1 + inc / np1
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(
-                f"state became non-finite at step {k + 1}", first_bad_index=k + 1)
+        step = theta - hv / np1 + inc / np1
+        if not np.all(np.isfinite(step)):
+            _raise_non_finite(k + 1, spec.drift, theta, inc)
+        theta = step
         if record_increments:
             incs.append((dm.copy(), r.copy()))
         if pi < len(plan) and plan[pi] == k + 1:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from urnlab import cli
+from urnlab import cli, ode
 from urnlab.asymptotics import classify_regime
 from urnlab.cli import main
 from urnlab.errors import ConfigError
@@ -207,8 +207,24 @@ def test_ode_command_flow(tmp_path):
     assert np.allclose(manifest["final_theta"], [0.5, 0.5], atol=1e-6)
     rows = (out / "flow.csv").read_text().splitlines()
     assert rows[0] == "s,f,theta_1,theta_2"
-    assert len(rows) == manifest["steps"] + 1
+    # the header, the start, then one row per clock step taken
+    assert len(rows) == manifest["steps"] + 2
     assert rows[-1].startswith("40,")
+
+
+def test_ode_command_finds_the_eigenstructure_once(tmp_path, monkeypatch):
+    # the flow and its identity check share one urn_eigenstructure of H
+    calls = []
+
+    def counted(H, real=cli.urn_eigenstructure):
+        calls.append(H)
+        return real(H)
+
+    for module in (cli, ode):
+        monkeypatch.setattr(module, "urn_eigenstructure", counted)
+    cfg = write_config(tmp_path, {"model": ODE_MODEL, "run": {"n": 40}})
+    assert main(["ode", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_ode_refuses_a_negative_start_and_a_tolerance(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnlab import rng as rng_module
@@ -229,16 +229,28 @@ def test_known_draw_is_made_and_no_more(monkeypatch, kind):
 
 
 def test_refill_cap_keeps_one_block_per_replicate(monkeypatch):
-    # a cap below one block per replicate still makes one block per refill
+    # a cap below one block per replicate still opens one block per refill;
+    # a one-block uniform refill is made only as it is taken and is not
+    # stored, while a gaussian one is made whole
     monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)
+    made = []  # values per replicate of each bulk call
+    for name in ("bulk_gaussians", "bulk_uniforms"):
+        def counted(states, count, *args, real=getattr(rng_module, name), **kw):
+            made.append(count)
+            return real(states, count, *args, **kw)
+        monkeypatch.setattr(rng_module, name, counted)
     src = BlockSource(4, [0, 6], "uniform", total=3 * BLOCK)
     first = src.take(1)
-    assert src._made == BLOCK
+    assert made == [1] and src._buf is None
     rest = src.take(2 * BLOCK)
-    assert src._made == 3 * BLOCK
+    assert sum(made) == 2 * BLOCK + 1 and src._buf is None
     got = np.concatenate([first, rest], axis=1)
     for row, r in zip(got, (0, 6)):
         assert row.tolist() == scalar_block_values(4, r, 2 * BLOCK + 1, "uniform")
+    made.clear()
+    src = BlockSource(4, [0, 6], "gaussian", total=3 * BLOCK)
+    src.take(1)
+    assert made == [BLOCK] and src._buf.shape == (2, BLOCK)
 
 
 def _accepted(seed, stream, attempts):
@@ -322,21 +334,81 @@ def test_takes_into_any_layout_never_change_values(seed, R, kind, known, takes):
                                          ("uniform", "F_CONTIGUOUS")])
 def test_whole_refill_is_handed_over_in_its_layout(monkeypatch, kind, order):
     # gaussians are stored stream-major, uniforms step-major (the transpose
-    # of a (k, R) array); a take of exactly one fresh refill returns it
+    # of a (k, R) array). A take of exactly one fresh gaussian refill
+    # returns it; a one-block uniform refill is stepped into each take, so
+    # a take holds the generator's output and the source keeps no buffer
     monkeypatch.setattr(rng_module, "REFILL_VALUES", BLOCK)  # one block a refill
     made = []
     for name in ("bulk_gaussians", "bulk_uniforms"):
-        def recorded(states, count, real=getattr(rng_module, name)):
-            made.append(real(states, count))
+        def recorded(states, count, *args, real=getattr(rng_module, name), **kw):
+            made.append(real(states, count, *args, **kw))
             return made[-1]
         monkeypatch.setattr(rng_module, name, recorded)
     src = BlockSource(1, [0, 4, 9], kind, total=2 * BLOCK + 10)
     first = src.take(BLOCK)
     assert len(made) == 1 and np.shares_memory(first, made[0])
     assert first.flags[order]
-    assert not np.shares_memory(src._buf, first)
-    second = src.take(10)  # part of the next refill: a copy in the same layout
-    assert second.flags[order] and not np.shares_memory(second, made[1])
+    second = src.take(10)  # part of the next refill, in the same layout
+    assert second.flags[order]
+    if kind == "gaussian":  # a copy out of the stored refill
+        assert not np.shares_memory(src._buf, first)
+        assert not np.shares_memory(second, made[1])
+    else:  # made in place, ten values a replicate, nothing stored
+        assert src._buf is None and made[1].shape == (3, 10)
+        assert np.shares_memory(second, made[1])
     assert src.take(BLOCK).shape == (3, BLOCK)
     for row, r in zip(np.concatenate([first, second], axis=1), (0, 4, 9)):
         assert row.tolist() == scalar_block_values(1, r, BLOCK + 10, kind)
+
+
+# draw ends at, or one either side of, a block end
+NEAR_ENDS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       R=st.sampled_from([1, 3, 128, 129, 300, 1000]),
+       cuts=st.lists(st.one_of(st.sampled_from(NEAR_ENDS),
+                               st.integers(1, 2 * BLOCK + 300)),
+                     min_size=1, max_size=4, unique=True),
+       hows=st.lists(st.sampled_from(["new", "rows", "steps"]),
+                     min_size=4, max_size=4),
+       known=st.sampled_from(["below", "exact", "above"]))
+@example(seed=3, R=1000, cuts=[BLOCK - 1, 2 * BLOCK + 1],
+         hows=["steps"] * 4, known="exact")  # a take spans two block ends
+@example(seed=3, R=129, cuts=[BLOCK, 2 * BLOCK], hows=["new", "rows", "new", "new"],
+         known="above")  # takes end on block ends
+@example(seed=3, R=128, cuts=[5, BLOCK + 5], hows=["new"] * 4,
+         known="exact")  # a take crosses the last block's start
+def test_live_uniform_takes_never_change_values(seed, R, cuts, hows, known):
+    # uniform takes stepped from live generator rows, into a new array, a
+    # C-order one or a step-major buffer's transpose, equal the scalar
+    # reference; a take past the draw raises. Above 128 replicates every
+    # refill is one block a replicate and none is stored.
+    ends = [0] + sorted(cuts)
+    takes = [b - a for a, b in zip(ends, ends[1:])]
+    draw = ends[-1]
+    total = {"below": draw - takes[-1] // 2 - 1, "exact": draw,
+             "above": draw + BLOCK + 1}[known]
+    repl = 7 * np.arange(R) + 1
+    src = BlockSource(seed, repl, "uniform", total)
+    got, drawn = [], 0
+    for k, how in zip(takes, hows):
+        drawn += k
+        if drawn > total:
+            with pytest.raises(InvalidArgumentError, match="declared draw"):
+                src.take(k)
+            break
+        if how == "new":
+            a = src.take(k)
+        else:
+            out = np.empty((R, k)) if how == "rows" else np.empty((k, R)).T
+            assert src.take(k, out=out) is out
+            a = out
+        got.append(a)
+        assert src._buf is None or R <= 128
+    vals = np.concatenate([np.empty((R, 0))] + got, axis=1)
+    assert vals.shape[1] == (draw if total >= draw else draw - takes[-1])
+    for i in sorted({0, R // 2, R - 1}):
+        assert vals[i].tolist() == scalar_block_values(
+            seed, repl[i], vals.shape[1], "uniform")

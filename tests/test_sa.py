@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnlab.errors import (ChainBasisRequiredError, DivergenceError,
-                           InvalidArgumentError, JordanIntegerEigenvalueError)
+                           InvalidArgumentError, JordanIntegerEigenvalueError,
+                           NumericalOverflowError)
 from urnlab.golden import InverseSqrtLogRemainder, remainder_drive_spec
 from urnlab.rng import BLOCK
 from urnlab.sa import (
@@ -133,6 +134,25 @@ def test_exact_mean_names_the_first_non_finite_step(A):
         exact_mean_recursion(A, None, np.ones(len(A)), 2000,
                              checkpoints=[100, 2000])
     assert exc.value.first_bad_index == 684
+
+
+@pytest.mark.parametrize("A", [[[-400.0]], np.diag([-400.0, 1.0])])
+@pytest.mark.parametrize("record", [False, True])
+def test_drift_overflow_at_a_finite_state_is_not_a_divergence(A, record):
+    # h = -400 theta passes the largest double at step 672, twelve steps
+    # before theta does (684, above): the float loop (dim 1 without
+    # record_increments) and the array loop both name step 672 as a
+    # numerical overflow. Where long double is no wider than double it
+    # still reads as a divergence
+    wide = np.finfo(np.longdouble).max > np.finfo(float).max
+    spec = SAProcessSpec(dim=len(A), drift=LinearDrift(A), theta0=np.ones(len(A)))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalOverflowError if wide else DivergenceError) as exc:
+        run_sa(spec, 2000, seed=0, checkpoint_plan=[100, 2000],
+               record_increments=record)
+    assert getattr(exc.value, "step" if wide else "first_bad_index") == 672
+    # simulate drops a replicate for a DivergenceError only
+    assert not issubclass(NumericalOverflowError, DivergenceError)
 
 
 def test_exact_mean_zero_remainder():

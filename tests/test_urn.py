@@ -12,7 +12,7 @@ from urnlab.errors import (
     DivergenceError,
     InvalidArgumentError,
 )
-from urnlab.rng import BLOCK
+from urnlab.rng import BLOCK, TILE
 from oracles import reference_urn
 from urnlab.urn import (
     SLAB,
@@ -115,8 +115,10 @@ def test_batch_engine_matches_scalar_paths():
 
 
 def test_batch_engine_holds_one_block_and_its_slab():
-    # the step-major refill is copied into the slab contiguously, with no
-    # transposed copy beside it
+    # the uniforms are stepped from the generator rows straight into the
+    # slab: no block of them is held. What remains is the slab and the
+    # generator's (TILE, R) work arrays (three of them, plus margin), far
+    # below one block (16 MiB here)
     R = 512
     tracemalloc.start()
     try:
@@ -124,7 +126,7 @@ def test_batch_engine_holds_one_block_and_its_slab():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * R * BLOCK * 8 + SLAB * R * 8, peak
+    assert peak <= (SLAB + 5 * TILE) * R * 8 < R * BLOCK * 8 / 4, peak
 
 
 def test_batch_engine_three_colors():

@@ -12,7 +12,7 @@ import scipy.stats
 
 from urnlab.asymptotics import analyze
 from urnlab.errors import (DivergenceError, InvalidArgumentError,
-                           NonConvergenceError)
+                           NonConvergenceError, NumericalOverflowError)
 from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
                            jordan_chain_spec, remainder_drive_spec)
 from urnlab.sa import GaussianNoise, LinearDrift, SAProcessSpec, run_sa
@@ -157,10 +157,10 @@ def test_linear_refusal_is_a_fallback_not_divergence():
 SIM_PLAN = [0, 1, 17, 2000]
 
 
-def _linear_model(A):
+def _linear_model(A, theta0=1.0):
     d = len(A)
     return SAProcessSpec(dim=d, drift=LinearDrift(np.array(A)),
-                         theta0=np.ones(d), noise=GaussianNoise(np.eye(d)))
+                         theta0=np.full(d, theta0), noise=GaussianNoise(np.eye(d)))
 
 
 # route -> (model, replicates, basis, engine name, fallback code)
@@ -177,8 +177,9 @@ SA_ROUTES = {
                                 "linear", None),
     "linear-near-integer": (lambda: _linear_model([[1.0 + 1e-10]]), 2, None,
                             "linear", None),
-    # the true path overflows at step 671: every replicate diverges
-    "fallback-non-finite": (lambda: _linear_model([[-400.5]]), 2, None,
+    # theta_k = 1e306 (k + 1) passes the largest double at step 179 while
+    # h = -theta stays finite: every replicate diverges
+    "fallback-non-finite": (lambda: _linear_model([[-1.0]], 1e306), 2, None,
                             "step", "non-finite"),
     "fallback-needs-basis": (lambda: jordan_chain_spec(0.5), 2, None,
                              "step", "needs-chain-basis"),
@@ -214,6 +215,18 @@ def test_simulate_recursion_routes_match_step_reference(route):
                 np.testing.assert_allclose(x[r], th, rtol=1e-9, atol=1e-12)
             else:
                 assert np.array_equal(x[r], th, equal_nan=True)
+
+
+def test_simulate_raises_a_drift_overflow_instead_of_dropping_replicates():
+    # on [[-400.5]] h = 400.5 theta overflows at step 671, while theta stays
+    # below the largest double for about a dozen more steps: a numerical
+    # failure, not a divergence, so no replicate is dropped for it. Where
+    # long double is no wider than double it still reads as a divergence
+    wide = np.finfo(np.longdouble).max > np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalOverflowError if wide else DivergenceError) as exc:
+        simulate(_linear_model([[-400.5]]), 2000, 3, SIM_PLAN, 2)
+    assert getattr(exc.value, "step" if wide else "first_bad_index") == 671
 
 
 def _bernoulli_urn():
