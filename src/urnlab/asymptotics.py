@@ -184,8 +184,11 @@ def _block_sizes(H, lam, mult):
     count of blocks of size >= k is rank((H-lam I)^{k-1}) - rank((H-lam I)^k).
     Every power of M = (H-lam I)/|H-lam I|_2 is ranked on M's unit scale: a
     power's own largest singular value shrinks with the power, and judged
-    against it a vanishing power keeps a spurious full rank.
+    against it a vanishing power keeps a spurious full rank. A simple
+    eigenvalue is one block of order 1, with no staircase to climb.
     """
+    if mult == 1:
+        return (1,)
     d = H.shape[0]
     M = H.astype(complex) - lam * np.eye(d)
     nrm = np.linalg.norm(M, 2)

@@ -38,13 +38,18 @@ class SpectrumError(UrnlabError):
 
 
 class NonConvergenceError(UrnlabError):
-    """An iterative kernel failed to reach its tolerance."""
+    """An iterative kernel failed to reach its tolerance.
+
+    A kernel over a stack of inputs records the first failing one's flat
+    position on ``index``.
+    """
 
     code = "non-convergence"
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, index=None):
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 class RegimeError(UrnlabError):

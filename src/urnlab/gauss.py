@@ -13,6 +13,11 @@ which the substitution x = t_{k+1} e^{-u} turns into the exp-sandwich
 integral (1/t_{k+1}) integral_0^{log(t_{k+1}/t_k)} of
 e^{-u(H-I/2)^T} Gamma e^{-u(H-I/2)}. No discretization bias: statistics on
 grid points are exact in law, regardless of grid spacing.
+
+The whole grid's increments are prepared before any noise is drawn: one
+stacked exponential gives every interval's C_k, one stacked
+eigendecomposition its factor, and one stacked exponential its transition
+(t_k/t_{k+1})^H. Only the recursion G <- G P_k + z_k F_k runs per interval.
 """
 
 import dataclasses
@@ -31,7 +36,7 @@ from .linalg import (
     integral_exp_sandwich,
     mat_power,
 )
-from .rng import BlockSource
+from .rng import BlockSource, replicate_indices
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,57 +76,65 @@ class GaussProcessSpec:
 
 
 def interval_covariance(H, Gamma, t_a, t_b):
-    """Covariance of the Gaussian increment accumulated over (t_a, t_b]."""
-    if not 1.0 <= t_a < t_b:
-        raise InvalidArgumentError(f"need 1 <= t_a < t_b, got ({t_a}, {t_b})")
+    """Covariance of the Gaussian increment accumulated over (t_a, t_b];
+    for arrays of interval ends, the stack of them."""
+    t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float),
+                                   np.asarray(t_b, dtype=float))
+    ends = list(zip(t_a.ravel().tolist(), t_b.ravel().tolist()))
+    for a, b in ends:
+        if not 1.0 <= a < b:
+            raise InvalidArgumentError(f"need 1 <= t_a < t_b, got ({a}, {b})")
     H = _check_square(H, "H").astype(float)
     B = H - 0.5 * np.eye(H.shape[0])
-    C = integral_exp_sandwich(B, Gamma, math.log(t_b / t_a)) / t_b
-    return 0.5 * (C + C.T)
+    # one scalar math.log per interval, so each log rounds as a lone call does
+    logs = np.array([math.log(b / a) for a, b in ends]).reshape(t_a.shape)
+    C = integral_exp_sandwich(B, Gamma, logs)
+    C = C / t_b[..., None, None]
+    return 0.5 * (C + C.swapaxes(-1, -2))
 
 
-def _increment_factor(C, rel_clip=1e-12):
-    """Rows R with R^T R = C from the eigendecomposition; eigenvalues below
-    rel_clip of the largest are treated as zero rank."""
+def _increment_factors(C, rel_clip=1e-12):
+    """For each matrix C_k of the stack C, rows F_k with F_k^T F_k = C_k
+    from the eigendecomposition; eigenvalues below rel_clip of C_k's
+    largest are treated as zero rank."""
     w, V = np.linalg.eigh(C)
-    cut = rel_clip * max(w.max(), 0.0)
-    keep = w > cut
-    if not keep.any():
-        return np.zeros((0, C.shape[0]))
-    return (V[:, keep] * np.sqrt(w[keep])).T
+    cut = rel_clip * np.maximum(w.max(axis=-1), 0.0)
+    keep = w > cut[:, None]
+    return [(Vk[:, kk] * np.sqrt(wk[kk])).T for wk, Vk, kk in zip(w, V, keep)]
 
 
 def simulate_paths(spec, seed, replicates):
-    """Exact-law paths for the given replicate indices.
+    """Exact-law paths for the given replicate indices (or a count).
 
     Returns an array of shape (R, K+1, d) over the grid; row r depends
     only on (seed, replicate index r), never on the batch composition.
+    An interval whose increment covariance overflows raises
+    RefinementError naming it, before any noise is drawn.
     """
-    if np.isscalar(replicates):
-        repl = np.arange(int(replicates))
-    else:
-        repl = np.asarray(list(replicates), dtype=np.int64)
+    repl = replicate_indices(replicates)
     R = repl.size
     grid = spec.grid
     d = spec.H.shape[0]
-    Gamma = spec.gamma()
+    t_a, t_b = grid[:-1], grid[1:]
+    try:
+        C = interval_covariance(spec.H, spec.gamma(), t_a, t_b)
+    except NonConvergenceError as exc:
+        k = exc.index
+        raise RefinementError(
+            f"increment covariance over grid interval ({t_a[k]:g}, {t_b[k]:g}) "
+            "overflows; insert intermediate grid points") from exc
+    F = _increment_factors(C)
+    P = mat_power(spec.H, t_a / t_b)
+    ranks = [f.shape[0] for f in F]
+    z = BlockSource(seed, repl, "gaussian", (grid.size - 1) * d).take(sum(ranks))
     out = np.empty((R, grid.size, d))
     out[:, 0, :] = spec.G1
-    src = BlockSource(seed, repl, "gaussian", (grid.size - 1) * d)
     G = np.tile(spec.G1, (R, 1))
-    for k in range(grid.size - 1):
-        ta, tb = grid[k], grid[k + 1]
-        try:
-            C = interval_covariance(spec.H, Gamma, ta, tb)
-        except NonConvergenceError as exc:
-            raise RefinementError(
-                f"increment covariance over grid interval ({ta:g}, {tb:g}) "
-                "overflows; insert intermediate grid points") from exc
-        F = _increment_factor(C)
-        P = mat_power(spec.H, ta / tb)
-        G = G @ P
-        if F.shape[0]:
-            G = G + src.take(F.shape[0]) @ F
+    parts = np.split(z, np.cumsum(ranks)[:-1], axis=1)
+    for k, (Pk, Fk, zk) in enumerate(zip(P, F, parts)):
+        G = G @ Pk
+        if Fk.shape[0]:
+            G = G + zk @ Fk
         out[:, k + 1, :] = G
     return out
 

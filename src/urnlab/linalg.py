@@ -18,9 +18,10 @@ import numpy as np
 from .errors import InvalidArgumentError, NonConvergenceError, SpectrumError
 
 
-def _check_square(A, name):
+def _check_square(A, name, stack=False):
+    """A as an array; a square matrix, or with ``stack`` a stack of them."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if not (A.ndim == 2 or stack and A.ndim > 2) or A.shape[-1] != A.shape[-2]:
         raise InvalidArgumentError(f"{name} must be a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
@@ -45,19 +46,24 @@ def check_sym_psd(G, name="G", tol=1e-10):
 
 
 def mat_exp(A):
-    """Matrix exponential (scipy ``expm``) of a finite square matrix."""
+    """Matrix exponential (scipy ``expm``) of a finite square matrix, or of
+    each matrix of a stack (..., n, n)."""
     import scipy.linalg
 
-    return scipy.linalg.expm(_check_square(A, "A"))
+    return scipy.linalg.expm(_check_square(A, "A", stack=True))
 
 
 def mat_power(A, t):
-    """A^t = exp(A log t) for real t > 0."""
+    """A^t = exp(A log t) for real t > 0; for an array t, the stack of
+    A^t over its entries, in one stacked exponential."""
     A = _check_square(A, "A")
-    t = float(t)
-    if t <= 0.0:
-        raise InvalidArgumentError(f"matrix power needs t > 0, got {t}")
-    return mat_exp(A * np.log(t))
+    t = np.asarray(t, dtype=float)
+    bad = t[~(t > 0.0)]
+    if bad.size:
+        raise InvalidArgumentError(f"matrix power needs t > 0, got {bad[0]}")
+    # one scalar np.log per entry, so each log rounds as a lone call does
+    logs = np.array([np.log(x) for x in t.ravel().tolist()]).reshape(t.shape)
+    return mat_exp(A * logs[..., None, None])
 
 
 def solve_lyapunov(B, G, residual_tol=1e-10):
@@ -179,37 +185,48 @@ def numerical_rank(A, tol=1e-8):
 
 
 def integral_exp_sandwich(B, G, upper):
-    """integral_0^upper exp(-B^T u) G exp(-B u) du, in closed form.
+    """integral_0^upper exp(-B^T u) G exp(-B u) du, in closed form; for an
+    array of limits, the stack of the integrals over its entries.
 
     Over a step h with h ||B||_1 <= 1, the exponential of
     h [[B^T, G], [0, -B]] has E = exp(-B h) as its lower-right block and
     E^T times its upper-right block is I(h) (Van Loan 1978). The step is
-    doubled up to ``upper`` with I(2h) = I(h) + E^T I(h) E, E <- E E.
-    A result that overflows raises NonConvergenceError.
+    doubled up to ``upper`` with I(2h) = I(h) + E^T I(h) E, E <- E E. All
+    limits share one stacked exponential; each slice doubles only as often
+    as its own limit needs. A result that overflows raises
+    NonConvergenceError naming the first overflowing limit, whose flat
+    position is its ``index``.
     """
     B = _check_square(B, "B").astype(float)
     G = _check_square(G, "G").astype(float)
     if B.shape != G.shape:
         raise InvalidArgumentError(f"shape mismatch: B {B.shape} vs G {G.shape}")
-    upper = float(upper)
-    if not 0.0 < upper < math.inf:
-        raise InvalidArgumentError(
-            f"upper limit must be positive and finite, got {upper}")
+    upper = np.asarray(upper, dtype=float)
+    limits = upper.ravel().tolist()
+    for u in limits:
+        if not 0.0 < u < math.inf:
+            raise InvalidArgumentError(
+                f"upper limit must be positive and finite, got {u}")
     nrm = float(np.linalg.norm(B, 1))
-    doublings = 0
+    doublings = np.zeros(len(limits), dtype=int)
     if nrm > 0.0:
-        doublings = max(0, math.ceil(math.log2(upper) + math.log2(nrm)))
-    h = math.ldexp(upper, -doublings)
-    F = mat_exp(h * np.block([[B.T, G], [np.zeros_like(B), -B]]))
+        doublings[:] = [max(0, math.ceil(math.log2(u) + math.log2(nrm)))
+                        for u in limits]
+    h = np.array([math.ldexp(u, -n) for u, n in zip(limits, doublings.tolist())])
+    M = np.block([[B.T, G], [np.zeros_like(B), -B]])
+    F = mat_exp(h[:, None, None] * M)
     d = B.shape[0]
-    E = F[d:, d:]
-    out = E.T @ F[:d, d:]
+    E = F[:, d:, d:]
+    out = E.swapaxes(1, 2) @ F[:, :d, d:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(doublings):
-            out = out + E.T @ out @ E
-            E = E @ E
-    if not np.all(np.isfinite(out)):
+        for j in range(doublings.max(initial=0)):
+            due = doublings > j
+            Ed = E[due]
+            out[due] = out[due] + Ed.swapaxes(1, 2) @ out[due] @ Ed
+            E[due] = Ed @ Ed
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if bad.size:
         raise NonConvergenceError(
-            f"exp-sandwich integral overflows on [0, {upper:g}]",
-            residual=float("inf"))
-    return out
+            f"exp-sandwich integral overflows on [0, {limits[bad[0]]:g}]",
+            residual=float("inf"), index=int(bad[0]))
+    return out.reshape(upper.shape + (d, d))

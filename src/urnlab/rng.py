@@ -8,7 +8,9 @@ Box-Muller (two uniforms per attempt, second value cached) because it needs
 no platform-dependent special functions beyond log and sqrt.
 
 Noise for simulations is produced in fixed blocks of ``BLOCK`` values. The
-noise for replicate ``r``, block ``b`` comes from stream ``(r << 20) | b``.
+noise for replicate ``r``, block ``b`` comes from stream ``(r << 20) | b``,
+so a replicate index lies in [0, 2**44) (``replicate_indices`` refuses any
+other).
 The block size and layout are frozen: results never depend on worker count,
 on how replicates are batched, or on which engine consumes the values. The
 Box-Muller cache does not carry across blocks.
@@ -43,6 +45,8 @@ over python ints rounds identically to the vectorized path (the tests check
 this bitwise).
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -66,6 +70,34 @@ REFILL_VALUES = 1 << 20
 _U64 = np.uint64
 _C11, _C17, _C19, _C23, _C41, _C45 = (
     np.array(k, dtype=np.uint64) for k in (11, 17, 19, 23, 41, 45))
+
+
+def replicate_indices(replicates):
+    """Replicate indices as an int64 array: ``range(replicates)`` for a
+    count, else the given indices. An index must be an integer in
+    [0, 2**(64 - REPL_SHIFT)): the stream index space holds no other, and
+    one outside it would alias another replicate's streams."""
+    if np.isscalar(replicates):
+        if not _is_index(replicates, math.inf):
+            raise InvalidArgumentError(
+                f"replicate count must be a non-negative integer, got {replicates!r}")
+        return np.arange(int(replicates))
+    items = replicates if isinstance(replicates, np.ndarray) else list(replicates)
+    repl = np.asarray(items)
+    limit = 1 << (64 - REPL_SHIFT)
+    if repl.size and (repl.dtype.kind not in "iu"
+                      or repl.min() < 0 or repl.max() >= limit):
+        flat = items.ravel().tolist() if items is replicates else items
+        bad = next(r for r in flat if not _is_index(r, limit))
+        raise InvalidArgumentError(
+            f"replicate index {bad!r} is not an integer in "
+            f"[0, 2**{64 - REPL_SHIFT})")
+    return repl.astype(np.int64)
+
+
+def _is_index(r, limit):
+    return (isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+            and 0 <= r < limit)
 
 
 def stream_states(seed, streams):
@@ -212,7 +244,7 @@ class BlockSource:
     take as it comes.
     """
 
-    def __init__(self, seed, replicate_indices, kind, total):
+    def __init__(self, seed, replicates, kind, total):
         if kind not in ("gaussian", "uniform"):
             raise InvalidArgumentError(
                 f"noise kind must be gaussian or uniform, got {kind!r}")
@@ -221,7 +253,7 @@ class BlockSource:
                 f"a draw of {total} values per replicate exceeds the block "
                 f"budget of {BLOCK << REPL_SHIFT}")
         self.seed = seed
-        self.repl = np.asarray(replicate_indices, dtype=np.uint64)
+        self.repl = replicate_indices(replicates).astype(np.uint64)
         self.kind = kind
         self.total = int(total)
         self._made = 0  # values per replicate up to the current refill's end

@@ -37,7 +37,7 @@ from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError,
                      NumericalOverflowError)
 from .linalg import _check_square, check_sym_psd
-from .rng import BLOCK, BlockSource
+from .rng import BLOCK, BlockSource, replicate_indices
 
 
 def _as_row(x, dim, name):
@@ -486,10 +486,7 @@ def linear_paths(A, theta0, n_max, seed, checkpoints, replicates=1,
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = [c for c in _checkpoint_plan(checkpoints, n_max) if c >= 1]
-    if np.isscalar(replicates):
-        repl = np.arange(int(replicates))
-    else:
-        repl = np.asarray(list(replicates), dtype=np.int64)
+    repl = replicate_indices(replicates)
     R = repl.size
 
     T, Tinv, blocks = _slot_structure(A, basis)

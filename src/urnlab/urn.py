@@ -39,7 +39,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .linalg import _check_square, check_sym_psd, eigen_left_right
-from .rng import BLOCK, BlockSource
+from .rng import BLOCK, BlockSource, replicate_indices
 from .sa import _checkpoint_plan
 
 # lockstep steps per noise take; rows of the step-major uniform and draw buffers
@@ -217,10 +217,7 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
         raise InvalidArgumentError("batch engine requires a deterministic rule")
     n_max = int(n_max)
     plan = [c for c in _checkpoint_plan(checkpoints, n_max) if c >= 1]
-    if np.isscalar(replicates):
-        repl = np.arange(int(replicates))
-    else:
-        repl = np.asarray(list(replicates), dtype=np.int64)
+    repl = replicate_indices(replicates)
     R = repl.size
     src = BlockSource(seed, repl, "uniform", n_max)
     d = spec.d

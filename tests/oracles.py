@@ -8,10 +8,13 @@ generator over python ints instead of the vectorized one, and adaptive
 RK4 on the urn mean flow instead of its closed-form clock steps.
 """
 
+import math
+
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
-from urnlab.errors import DivergenceError, InvalidArgumentError
+from urnlab.errors import DivergenceError, InvalidArgumentError, RefinementError
 from urnlab.ode import FlowState
 from urnlab.rng import BLOCK, GAMMA, MASK64, REPL_SHIFT, _MIX1, _MIX2, BlockSource
 from urnlab.sa import _checkpoint_plan
@@ -245,6 +248,50 @@ def reference_urn(spec, n_max, seed, checkpoints, replicate=0):
                                   first_bad_index=n)
         if n in plan:
             out.append(UrnState(Y.copy(), N.copy(), n))
+    return out
+
+
+def reference_gauss_paths(spec, seed, replicates):
+    """Reference for simulate_paths: the per-interval loop on scalar
+    kernels of its own. Interval k makes its covariance (one Van Loan
+    exponential over a step of math.log(t_b / t_a) halved n times, then n
+    doublings), its eigendecomposition, its transition
+    expm(H np.log(t_a / t_b)) and its noise take, in grid order; an
+    overflowing interval raises after the earlier intervals' noise is
+    drawn."""
+    repl = np.asarray(replicates, dtype=np.int64).reshape(-1)
+    H, grid, Gamma = spec.H, spec.grid, spec.gamma()
+    d = H.shape[0]
+    B = H - 0.5 * np.eye(d)
+    M = np.block([[B.T, Gamma], [np.zeros_like(B), -B]])
+    nrm = float(np.linalg.norm(B, 1))
+    out = np.empty((repl.size, grid.size, d))
+    out[:, 0, :] = spec.G1
+    src = BlockSource(seed, repl, "gaussian", (grid.size - 1) * d)
+    G = np.tile(spec.G1, (repl.size, 1))
+    for k in range(grid.size - 1):
+        ta, tb = grid[k], grid[k + 1]
+        upper = math.log(tb / ta)
+        n = max(0, math.ceil(math.log2(upper) + math.log2(nrm))) if nrm > 0.0 else 0
+        F = scipy.linalg.expm(math.ldexp(upper, -n) * M)
+        E = F[d:, d:]
+        C = E.T @ F[:d, d:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n):
+                C = C + E.T @ C @ E
+                E = E @ E
+        if not np.all(np.isfinite(C)):
+            raise RefinementError(
+                f"increment covariance over grid interval ({ta:g}, {tb:g}) "
+                "overflows; insert intermediate grid points")
+        C = C / tb
+        C = 0.5 * (C + C.T)
+        w, V = np.linalg.eigh(C)
+        keep = w > 1e-12 * max(w.max(), 0.0)
+        G = G @ scipy.linalg.expm(H * np.log(ta / tb))
+        if keep.any():
+            G = G + src.take(int(keep.sum())) @ (V[:, keep] * np.sqrt(w[keep])).T
+        out[:, k + 1, :] = G
     return out
 
 

@@ -116,6 +116,25 @@ def test_profile_warns_on_block_size_fallback():
         assert sum(g.block_sizes) == g.algebraic_multiplicity
 
 
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_profile_of_simple_eigenvalues_needs_no_svd(monkeypatch, d):
+    # distinct eigenvalues are one block of order 1 each; the profile is
+    # read off the spectrum without the rank staircase's SVDs
+    H = np.random.default_rng(d).standard_normal((d, d)) + 2.0 * np.eye(d)
+    w = np.linalg.eigvals(H)
+    svds = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+    p = spectral_profile(H)
+    assert svds == []
+    assert len(p.groups) == d and p.warnings == ()
+    for g in p.groups:
+        assert g.algebraic_multiplicity == 1 and g.block_sizes == (1,)
+    assert p.nu == 1 and p.rho == float(w.real.min())
+    assert sorted(g.value.real for g in p.groups) == sorted(w.real.tolist())
+
+
 # ==== regime classification ====
 
 def test_classify_standard():

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from urnlab.errors import InvalidArgumentError, RefinementError
 from urnlab.gauss import (
@@ -11,6 +14,8 @@ from urnlab.gauss import (
     simulate_paths,
 )
 from urnlab.linalg import mat_power
+from urnlab.rng import BlockSource
+from oracles import reference_gauss_paths
 
 
 def scalar_spec(grid, g1=0.0):
@@ -206,7 +211,7 @@ def test_noise_factor_choice_does_not_change_law():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_refinement_error_on_untamed_interval():
+def test_refinement_error_on_untamed_interval(monkeypatch):
     # eigenvalue far left of 1/2 makes the increment integrand explode
     H = np.array([[-2.0]])
     spec = GaussProcessSpec(H=H, gamma_root=np.array([[1.0]]),
@@ -214,3 +219,84 @@ def test_refinement_error_on_untamed_interval():
                             grid=np.array([1.0, math.exp(150.0)]))
     with pytest.raises(RefinementError):
         simulate_paths(spec, seed=0, replicates=2)
+    # only the last of two intervals overflows: it is the one named, and
+    # the error comes before any noise is taken
+    spec = GaussProcessSpec(H=H, gamma_root=np.array([[1.0]]),
+                            G1=np.zeros(1),
+                            grid=np.array([1.0, 2.0, math.exp(150.0)]))
+    takes = []
+    monkeypatch.setattr(BlockSource, "take",
+                        lambda self, k, out=None: takes.append(k))
+    with pytest.raises(RefinementError,
+                       match=r"interval \(2, 1\.39\d*e\+65\)"):
+        simulate_paths(spec, seed=0, replicates=2)
+    assert takes == []
+
+
+# ==== the stacked grid against the per-interval loop ====
+
+@hst.composite
+def gauss_runs(draw):
+    """A process and grid: d = 1..3; a full-rank, a rank-deficient or the
+    Jordan-style diag(1, 0, ...) Gamma root; interval ratios from 1 + 1e-3
+    to e^5, so most intervals need several sandwich doublings."""
+    d = draw(hst.integers(1, 3))
+    entry = hst.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
+    H = np.array(draw(hst.lists(entry, min_size=d * d, max_size=d * d)))
+    H = H.reshape(d, d) + draw(hst.floats(0.0, 1.5)) * np.eye(d)
+    kind = draw(hst.sampled_from(["full", "deficient", "jordan"]))
+    if kind == "jordan":
+        root = np.diag([1.0] + [0.0] * (d - 1))
+    else:
+        rows = d if kind == "full" else max(1, d - 1)
+        root = np.array(draw(hst.lists(entry, min_size=rows * d,
+                                       max_size=rows * d))).reshape(rows, d)
+    logs = draw(hst.lists(hst.floats(1e-3, 5.0), min_size=1, max_size=8))
+    grid = np.concatenate([[1.0], np.cumprod(np.exp(logs))])
+    G1 = np.array(draw(hst.lists(entry, min_size=d, max_size=d)))
+    return GaussProcessSpec(H=H, gamma_root=root, G1=G1, grid=grid)
+
+
+# every interval ratio t_b/t_a and t_a/t_b of this grid has a math.log
+# and an np.log that differ in the last bit: it pins each kernel to the
+# scalar log its interval has always used
+SPLIT_LOG_GRID = np.array([1.0, 2.5584228231238297, 4.656155020679774,
+                           10.365212553811029, 20.256557712134164])
+
+
+def test_split_log_grid_splits_every_log():
+    for a, b in zip(SPLIT_LOG_GRID[:-1], SPLIT_LOG_GRID[1:]):
+        assert math.log(b / a) != np.log(b / a)
+        assert math.log(a / b) != np.log(a / b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=gauss_runs(), seed=hst.integers(0, 2 ** 32),
+       R=hst.sampled_from([1, 3, 16]))
+@example(spec=GaussProcessSpec(H=np.array([[0.9, 0.4], [-0.3, 0.7]]),
+                               gamma_root=np.array([[1.0, 0.5]]),
+                               G1=np.array([0.3, -1.0]), grid=SPLIT_LOG_GRID),
+         seed=7, R=3)
+def test_stacked_grid_matches_interval_loop_property(spec, seed, R):
+    try:
+        want = reference_gauss_paths(spec, seed, range(R))
+    except RefinementError as exc:
+        with pytest.raises(RefinementError, match=re.escape(str(exc))):
+            simulate_paths(spec, seed, R)
+        return
+    assert np.array_equal(simulate_paths(spec, seed, R), want)
+
+
+def test_jordan_grid_matches_interval_loop():
+    # the Jordan process of `urnlab gauss` in the bench: Gamma = diag(1, 0),
+    # on a 40-point log grid to 1e4
+    spec = GaussProcessSpec(H=np.array([[0.5, -1.0], [0.0, 0.5]]),
+                            gamma_root=np.diag([1.0, 0.0]), G1=np.zeros(2),
+                            grid=np.logspace(0.0, 4.0, 40))
+    assert np.array_equal(simulate_paths(spec, 3, 16),
+                          reference_gauss_paths(spec, 3, range(16)))
+
+
+def test_single_point_grid_draws_nothing():
+    spec = scalar_spec([1.0], g1=0.25)
+    assert np.array_equal(simulate_paths(spec, 0, 3), np.full((3, 1, 1), 0.25))

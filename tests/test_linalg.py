@@ -62,6 +62,8 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.ones((2, 3)))
     with pytest.raises(InvalidArgumentError):
         mat_exp([[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(InvalidArgumentError):
+        mat_exp(np.ones((2, 2, 3)))
 
 
 def test_mat_power_jordan_block():
@@ -86,6 +88,8 @@ def test_mat_power_rejects_nonpositive_t():
     for t in (0.0, -1.0):
         with pytest.raises(InvalidArgumentError):
             mat_power(np.eye(2), t)
+    with pytest.raises(InvalidArgumentError, match="got -1.0"):
+        mat_power(np.eye(2), [2.0, -1.0])
 
 
 def test_lyapunov_diagonal_known_answer():
@@ -221,6 +225,44 @@ def test_integral_sandwich_polynomial_growth():
 def test_integral_sandwich_rejects_bad_upper():
     with pytest.raises(InvalidArgumentError):
         integral_exp_sandwich(np.eye(2), np.eye(2), 0.0)
-    # e^{5 u} integrated to 150 exceeds the largest double
+    with pytest.raises(InvalidArgumentError, match="got 0.0"):
+        integral_exp_sandwich(np.eye(2), np.eye(2), [1.0, 0.0])
+    # e^{5 u} integrated to 150 exceeds the largest double; in a stack
+    # the first overflowing limit is the one named
     with pytest.raises(NonConvergenceError):
         integral_exp_sandwich([[-2.5]], [[1.0]], 150.0)
+    with pytest.raises(NonConvergenceError, match=r"\[0, 150\]") as info:
+        integral_exp_sandwich([[-2.5]], [[1.0]], [1.0, 150.0, 200.0])
+    assert info.value.index == 1
+
+
+# ==== stacks ====
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+def test_stacked_kernels_equal_their_slices(d):
+    # a stack of limits or powers is the stack of the scalar calls, bit for
+    # bit, with each slice doubling only as often as its own limit needs
+    rng = np.random.default_rng(d)
+    A = rand_matrix(rng, d, 0.7)
+    root = rng.standard_normal((d, d))
+    G = root.T @ root
+    upper = np.array([1e-3, 0.3, 2.0, 9.5, 40.0])
+    got = integral_exp_sandwich(A, G, upper)
+    assert got.shape == (5, d, d)
+    for k, u in enumerate(upper):
+        assert np.array_equal(got[k], integral_exp_sandwich(A, G, u))
+    t = np.array([[0.05, 0.5], [1.0, 7.0]])
+    P = mat_power(A, t)
+    assert P.shape == (2, 2, d, d)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(P[i, j], mat_power(A, t[i, j]))
+    stack = np.stack([A * c for c in (0.1, 1.0, 4.0)])
+    E = mat_exp(stack)
+    for k in range(3):
+        assert np.array_equal(E[k], mat_exp(stack[k]))
+
+
+def test_stacked_kernels_accept_an_empty_stack():
+    assert integral_exp_sandwich(np.eye(2), np.eye(2), []).shape == (0, 2, 2)
+    assert mat_power(np.eye(3), []).shape == (0, 3, 3)

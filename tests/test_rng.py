@@ -12,6 +12,7 @@ from urnlab.rng import (
     BlockSource,
     bulk_gaussians,
     bulk_uniforms,
+    replicate_indices,
     stream_states,
 )
 from urnlab.errors import InvalidArgumentError
@@ -412,3 +413,61 @@ def test_live_uniform_takes_never_change_values(seed, R, cuts, hows, known):
     for i in sorted({0, R // 2, R - 1}):
         assert vals[i].tolist() == scalar_block_values(
             seed, repl[i], vals.shape[1], "uniform")
+
+
+# ==== replicate indices ====
+
+def test_replicate_indices_normalizes_counts_and_indices():
+    assert np.array_equal(replicate_indices(3), [0, 1, 2])
+    assert replicate_indices(np.int32(2)).dtype == np.int64
+    top = (1 << (64 - REPL_SHIFT)) - 1
+    got = replicate_indices(np.array([top, 0], dtype=np.uint64))
+    assert got.dtype == np.int64 and got.tolist() == [top, 0]
+    assert replicate_indices(range(2, 4)).tolist() == [2, 3]
+    assert replicate_indices([]).size == 0
+
+
+@pytest.mark.parametrize("bad, named", [
+    ([-1], "-1"),
+    ([0, 1 << (64 - REPL_SHIFT)], str(1 << (64 - REPL_SHIFT))),
+    ([(1 << (65 - REPL_SHIFT)) - 1], str((1 << (65 - REPL_SHIFT)) - 1)),
+    ([1 << 70], str(1 << 70)),
+    ([0, 1.5], "1.5"),
+    ([True], "True"),
+    (np.array([2.0]), "2.0"),
+])
+def test_replicate_indices_refuse_what_would_alias(bad, named):
+    with pytest.raises(InvalidArgumentError, match=rf"index {named} is not"):
+        replicate_indices(bad)
+    with pytest.raises(InvalidArgumentError, match=rf"index {named} is not"):
+        BlockSource(0, bad, "uniform", 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True])
+def test_replicate_count_must_be_a_non_negative_integer(bad):
+    with pytest.raises(InvalidArgumentError, match="replicate count"):
+        replicate_indices(bad)
+
+
+def test_top_replicate_index_has_streams_of_its_own():
+    top = (1 << (64 - REPL_SHIFT)) - 1
+    got = BlockSource(3, [top], "uniform", 5).take(5)[0]
+    assert got.tolist() == scalar_block_values(3, top, 5, "uniform")
+    other = BlockSource(3, [top - 1], "uniform", 5).take(5)[0]
+    assert not np.array_equal(got, other)
+
+
+def test_engines_refuse_a_negative_replicate_index():
+    from urnlab.gauss import GaussProcessSpec, simulate_paths
+    from urnlab.golden import friedman_urn
+    from urnlab.sa import linear_paths
+    from urnlab.urn import run_urn_batch
+
+    spec = GaussProcessSpec(H=np.eye(1), gamma_root=np.eye(1), G1=np.zeros(1),
+                            grid=np.array([1.0, 2.0]))
+    calls = [lambda: run_urn_batch(friedman_urn(), 5, 0, [5], [-1]),
+             lambda: linear_paths([[1.0]], [0.0], 5, 0, [5], [-1], [[1.0]]),
+             lambda: simulate_paths(spec, 0, [-1])]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="index -1 is not"):
+            call()
