@@ -7,7 +7,11 @@ Exit status 0 on success, 1 when a verification ran and failed, 2 for any
 configuration problem.
 
 Artifacts are byte-deterministic in (config, seed): reports embed the
-config digest and tool version but never timestamps or host data.
+config digest and tool version but never timestamps or host data. Every
+artifact reaches disk through report.emit_report. The trajectory commands
+share one run-manifest writer (_emit_run) that takes its CSV rows and json
+payload straight from the engines' arrays; analyze and verify share one
+limit prediction (_prediction).
 --threads N caps the worker processes that run replicate batches
 (simulate, urn, verify, suite; the other commands start none); no artifact
 depends on it.
@@ -26,10 +30,9 @@ from .config import load_config, validate_config
 from .errors import ConfigError, DivergenceError, UrnlabError
 from .gauss import simulate_paths
 from .ode import flow_identity_residual, integrate_flow
-from .report import (emit_report, flow_csv, gauss_csv, matrix_csv,
-                     provenance, trajectory_csv, urn_csv, write_text)
-from .sa import Trajectory, run_sa  # noqa: F401  (run_sa stays importable here)
-from .urn import UrnState, UrnTrajectory, urn_asymptotics, urn_eigenstructure
+from .report import emit_report, provenance
+from .sa import run_sa  # noqa: F401  (run_sa stays importable here)
+from .urn import urn_asymptotics, urn_eigenstructure
 from .verify import MCConfig, golden_suite, make_mc_report, mc_sample, simulate
 
 _FORMAT_FLAG = {"json": ["json"], "csv": ["csv"], "both": ["json", "csv"]}
@@ -95,14 +98,33 @@ def _need_n(cfg):
     return n
 
 
-def _emit(payload, path):
-    emit_report(payload, "json", path)
+def _emit(report, format, path):
+    emit_report(report, format, path)
     print(path)
 
 
-def _write(path, text):
-    write_text(path, text)
-    print(path)
+def _emit_run(cfg, manifest, tables, payload):
+    """run.json of a trajectory command, after its CSV tables.
+
+    tables yields (file name, (header, rows)) and is read only when csv is
+    selected; payload holds the keys that only the json format carries.
+    """
+    out = _outdir(cfg)
+    files = []
+    if "csv" in cfg.output["formats"]:
+        for name, table in tables:
+            _emit(table, "csv", os.path.join(out, name))
+            files.append(name)
+    manifest["files"] = files
+    manifest["provenance"] = provenance(cfg.digest(), cfg.run["seed"])
+    if "json" in cfg.output["formats"]:
+        manifest.update(payload)
+    _emit(manifest, "json", os.path.join(out, "run.json"))
+    return 0
+
+
+def _columns(name, d):
+    return [f"{name}_{j + 1}" for j in range(d)]
 
 
 # ==== analyze ====
@@ -112,46 +134,48 @@ def _chain_basis(analysis):
     return None if basis is None else np.array(basis)
 
 
-def _drift_report(A, Gamma, analysis):
-    return analyze_drift(A, Gamma, rho_tol=analysis["rho_tol"],
-                         chain_basis=_chain_basis(analysis))
+def _prediction(cfg, kind, what):
+    """The limit report of an sa, gauss or urn model and the covariance it
+    predicts (None in the slow regime); `what` names the refusing command
+    in the message for a non-linear drift."""
+    m = cfg.model
+    if kind == "urn":
+        rep = urn_asymptotics(cfg.build_model(),
+                              rho_tol=cfg.analysis["rho_tol"])
+        return rep, rep.Sigma_tilde
+    if kind == "gauss":
+        A, Gamma = m["H"], m["gamma"]
+    elif isinstance(m["drift"], dict):
+        raise ConfigError(f'"/model/drift": {what} needs a linear '
+                          "coefficient matrix", path="/model/drift")
+    else:
+        A = m["drift"]
+        Gamma = np.zeros((m["d"], m["d"])) if m["noise"] is None else m["noise"]
+    rep = analyze_drift(np.array(A), np.array(Gamma),
+                        rho_tol=cfg.analysis["rho_tol"],
+                        chain_basis=_chain_basis(cfg.analysis))
+    return rep, rep.covariance
 
 
 def _cmd_analyze(args):
     cfg = _resolve(args)
     kind = _need_model(cfg, {"sa", "urn", "gauss", "ode"}, "analyze")
-    m = cfg.model
-    d = m["d"]
-    matrix = None
-    if kind == "sa":
-        if isinstance(m["drift"], dict):
-            raise ConfigError('"/model/drift": limit analysis needs a linear '
-                              "coefficient matrix", path="/model/drift")
-        Gamma = (np.zeros((d, d)) if m["noise"] is None
-                 else np.array(m["noise"]))
-        rep = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
-        payload, matrix = rep.to_dict(), rep.covariance
-    elif kind == "gauss":
-        rep = _drift_report(np.array(m["H"]), np.array(m["gamma"]),
-                            cfg.analysis)
-        payload, matrix = rep.to_dict(), rep.covariance
-    elif kind == "urn":
-        rep = urn_asymptotics(cfg.build_model(),
-                              rho_tol=cfg.analysis["rho_tol"])
-        payload, matrix = rep.to_dict(), rep.Sigma_tilde
-    else:
-        alpha, v, u, lambda_sec, nu = urn_eigenstructure(np.array(m["H"]))
+    if kind == "ode":
+        alpha, v, u, lambda_sec, nu = urn_eigenstructure(
+            np.array(cfg.model["H"]))
         payload = {"alpha": alpha, "v": v.tolist(), "u": u.tolist(),
                    "lambda_sec": lambda_sec, "nu": nu}
+        matrix = None
+    else:
+        rep, matrix = _prediction(cfg, kind, "limit analysis")
+        payload = rep.to_dict()
     payload["kind"] = kind
     payload["provenance"] = provenance(cfg.digest(), cfg.run["seed"])
     out = _outdir(cfg)
     if "json" in cfg.output["formats"]:
-        _emit(payload, os.path.join(out, "analyze.json"))
+        _emit(payload, "json", os.path.join(out, "analyze.json"))
     if "csv" in cfg.output["formats"] and matrix is not None:
-        path = os.path.join(out, "covariance.csv")
-        emit_report(matrix, "csv", path)
-        print(path)
+        _emit(matrix, "csv", os.path.join(out, "covariance.csv"))
     return 0
 
 
@@ -159,8 +183,8 @@ def _cmd_analyze(args):
 
 def _cmd_trajectories(args):
     """simulate and urn: every replicate's checkpointed path, from the engine
-    verify.simulate picks; they differ in model kind, CSV writer and file
-    prefix, and only simulate's manifest carries a model digest."""
+    verify.simulate picks, with rows taken straight from its arrays; only
+    simulate's manifest carries a model digest."""
     sa = args.command == "simulate"
     cfg = _resolve(args)
     _need_model(cfg, {"sa" if sa else "urn"}, args.command)
@@ -169,7 +193,6 @@ def _cmd_trajectories(args):
     plan = cfg.checkpoint_plan()
     seed = cfg.run["seed"]
     R = cfg.run["replicates"]
-    out = _outdir(cfg)
     paths, engine = simulate(spec, n, seed, plan, R,
                              basis=_chain_basis(cfg.analysis),
                              workers=args.threads)
@@ -178,74 +201,46 @@ def _cmd_trajectories(args):
         raise DivergenceError(f"replicate {drop['replicate']} became non-finite "
                               f"at step {drop['first_bad_index']}",
                               first_bad_index=drop["first_bad_index"])
-    if sa:
-        trajs = [Trajectory(tuple((k, x[r]) for k, x in paths), seed,
-                            spec.digest()) for r in range(R)]
-        prefix, to_csv = "trajectory", trajectory_csv
-        cp_json = lambda cp: [int(cp[0]), cp[1].tolist()]  # noqa: E731
-    else:
-        trajs = [UrnTrajectory(tuple(UrnState(Y[r], N[r], k)
-                                     for k, Y, N in paths), seed)
-                 for r in range(R)]
-        prefix, to_csv, cp_json = "urn", urn_csv, UrnState.to_dict
-    files = []
-    if "csv" in cfg.output["formats"]:
-        for r, traj in enumerate(trajs):
-            name = f"{prefix}-{r}.csv"
-            _write(os.path.join(out, name), to_csv(traj))
-            files.append(name)
-    manifest = {
-        "command": args.command,
-        "n": n,
-        "replicates": R,
-        "seed": seed,
-        "checkpoints": plan,
-        "files": files,
-        "engine": engine,
-        "provenance": provenance(cfg.digest(), seed),
-    }
+    ks = [int(cp[0]) for cp in paths]
+    # (R, checkpoints, d) nested lists of python numbers, per state array
+    X, *C = [np.stack(a, axis=1).tolist() for a in list(zip(*paths))[1:]]
+    manifest = {"command": args.command, "n": n, "replicates": R,
+                "seed": seed, "checkpoints": plan, "engine": engine}
     if sa:
         manifest["model_digest"] = spec.digest()
-    if "json" in cfg.output["formats"]:
-        manifest["trajectories"] = [
-            {"replicate": r,
-             "checkpoints": [cp_json(cp) for cp in traj.checkpoints]}
-            for r, traj in enumerate(trajs)]
-    _emit(manifest, os.path.join(out, "run.json"))
-    return 0
+        prefix, header = "trajectory", ["n"] + _columns("theta", spec.dim)
+        rows = [[[k] + x for k, x in zip(ks, X[r])] for r in range(R)]
+        cps = [[[k, x] for k, x in zip(ks, X[r])] for r in range(R)]
+    else:
+        prefix = "urn"
+        header = ["n"] + _columns("Y", spec.d) + _columns("N", spec.d)
+        rows = [[[k] + y + c for k, y, c in zip(ks, X[r], C[0][r])]
+                for r in range(R)]
+        cps = [[{"n": k, "Y": y, "N": c} for k, y, c in zip(ks, X[r], C[0][r])]
+               for r in range(R)]
+    tables = ((f"{prefix}-{r}.csv", (header, rows[r])) for r in range(R))
+    payload = {"trajectories": [{"replicate": r, "checkpoints": cp}
+                                for r, cp in enumerate(cps)]}
+    return _emit_run(cfg, manifest, tables, payload)
 
 
 def _cmd_gauss(args):
     cfg = _resolve(args)
     _need_model(cfg, {"gauss"}, "gauss")
     spec = cfg.build_model()
-    seed = cfg.run["seed"]
     R = cfg.run["replicates"]
-    out = _outdir(cfg)
-    paths = simulate_paths(spec, seed, R)
-    files = []
-    if "csv" in cfg.output["formats"]:
-        for r in range(R):
-            name = f"gauss-{r}.csv"
-            pairs = [(float(t), paths[r, k]) for k, t in enumerate(spec.grid)]
-            _write(os.path.join(out, name), gauss_csv(pairs))
-            files.append(name)
-    manifest = {
-        "command": "gauss",
-        "grid": spec.grid.tolist(),
-        "replicates": R,
-        "seed": seed,
-        "files": files,
-        "provenance": provenance(cfg.digest(), seed),
-    }
-    if "json" in cfg.output["formats"]:
-        manifest["paths"] = [
-            {"replicate": r,
-             "path": [[float(t), paths[r, k].tolist()]
-                      for k, t in enumerate(spec.grid)]}
-            for r in range(R)]
-    _emit(manifest, os.path.join(out, "run.json"))
-    return 0
+    grid = spec.grid.tolist()
+    paths = simulate_paths(spec, cfg.run["seed"], R).tolist()
+    header = ["t"] + _columns("G", spec.H.shape[0])
+    tables = ((f"gauss-{r}.csv",
+               (header, [[t] + G for t, G in zip(grid, paths[r])]))
+              for r in range(R))
+    manifest = {"command": "gauss", "grid": grid, "replicates": R,
+                "seed": cfg.run["seed"]}
+    payload = {"paths": [{"replicate": r,
+                          "path": [[t, G] for t, G in zip(grid, paths[r])]}
+                         for r in range(R)]}
+    return _emit_run(cfg, manifest, tables, payload)
 
 
 def _cmd_ode(args):
@@ -253,15 +248,12 @@ def _cmd_ode(args):
     _need_model(cfg, {"ode"}, "ode")
     n = _need_n(cfg)
     prob = cfg.build_model()
-    seed = cfg.run["seed"]
-    out = _outdir(cfg)
     theta0, H = prob["theta0"], prob["H"]
     structure = urn_eigenstructure(np.asarray(H, dtype=float))
     states = integrate_flow(theta0, H, float(n), structure)
-    files = []
-    if "csv" in cfg.output["formats"]:
-        _write(os.path.join(out, "flow.csv"), flow_csv(states))
-        files.append("flow.csv")
+    header = ["s", "f"] + _columns("theta", len(theta0))
+    tables = [("flow.csv", (header, [[st.s, st.f] + st.theta.tolist()
+                                     for st in states]))]
     manifest = {
         "command": "ode",
         "s_max": float(n),
@@ -269,13 +261,9 @@ def _cmd_ode(args):
         "identity_residual": flow_identity_residual(states, theta0, H,
                                                     structure),
         "final_theta": states[-1].theta.tolist(),
-        "files": files,
-        "provenance": provenance(cfg.digest(), seed),
     }
-    if "json" in cfg.output["formats"]:
-        manifest["states"] = [st.to_dict() for st in states]
-    _emit(manifest, os.path.join(out, "run.json"))
-    return 0
+    payload = {"states": [st.to_dict() for st in states]}
+    return _emit_run(cfg, manifest, tables, payload)
 
 
 # ==== verification commands ====
@@ -287,19 +275,7 @@ def _cmd_verify(args):
     seed = cfg.run["seed"]
     mc = MCConfig(replicates=cfg.run["replicates"], horizons=(n,), seed=seed)
     spec = cfg.build_model()
-    if kind == "sa":
-        m = cfg.model
-        if isinstance(m["drift"], dict):
-            raise ConfigError('"/model/drift": verification needs a linear '
-                              "coefficient matrix", path="/model/drift")
-        d = m["d"]
-        Gamma = (np.zeros((d, d)) if m["noise"] is None
-                 else np.array(m["noise"]))
-        rep = _drift_report(np.array(m["drift"]), Gamma, cfg.analysis)
-        predicted = rep.covariance
-    else:
-        rep = urn_asymptotics(spec, rho_tol=cfg.analysis["rho_tol"])
-        predicted = rep.Sigma_tilde
+    rep, predicted = _prediction(cfg, kind, "verification")
     if predicted is None:
         raise ConfigError("the configured model is in the slow regime and "
                           "has no limit covariance to verify against",
@@ -314,11 +290,9 @@ def _cmd_verify(args):
     payload["engine"] = sample.engine
     payload["provenance"] = provenance(cfg.digest(), seed)
     out = _outdir(cfg)
-    _emit(payload, os.path.join(out, "verify.json"))
+    _emit(payload, "json", os.path.join(out, "verify.json"))
     if "csv" in cfg.output["formats"]:
-        path = os.path.join(out, "samples.csv")
-        write_text(path, matrix_csv(sample.errors))
-        print(path)
+        _emit(sample.errors, "csv", os.path.join(out, "samples.csv"))
     if report.verdict["passed"]:
         return 0
     print(f"verify: failed (rel_frobenius {report.rel_frobenius:.4g}, "
@@ -342,7 +316,7 @@ def _cmd_suite(args):
     payload["horizons"] = list(horizons)
     payload["provenance"] = provenance(cfg.digest(), seed)
     out = _outdir(cfg)
-    _emit(payload, os.path.join(out, "suite.json"))
+    _emit(payload, "json", os.path.join(out, "suite.json"))
     if report.passed:
         return 0
     print(f"suite: {len(report.failures)} of {len(report.criteria)} criteria "

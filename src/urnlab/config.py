@@ -267,15 +267,22 @@ def _validate_analysis(a, model):
     path = "/analysis"
     _object(a, path)
     _reject_unknown(a, path, {"rho_tol", "tolerances", "chain_basis"})
-    d, kind = (None, None) if model is None else (model["d"], model["kind"])
-    read, what = _ANALYSIS_READ.get(kind), f'kind "{kind}"'
-    if kind == "sa" and isinstance(model["drift"], dict):
-        # analyze and verify refuse a non-linear drift; simulate reads none
-        read, what = set(), f'{what} with the "{model["drift"]["name"]}" drift'
+    if model is None:
+        # only the suite runs without a model, and it reads no key;
+        # chain_basis keeps its own refusal below
+        d, read, what = None, {"chain_basis"}, "without a model"
+    else:
+        kind = model["kind"]
+        d, read = model["d"], _ANALYSIS_READ[kind]
+        what = f'for a model of kind "{kind}"'
+        if kind == "sa" and isinstance(model["drift"], dict):
+            # analyze and verify refuse a non-linear drift; simulate reads none
+            read = set()
+            what += f' with the "{model["drift"]["name"]}" drift'
     for key in a:
-        if read is not None and key not in read:
-            raise ConfigError(f'"{path}/{key}" is read by no command for a '
-                              f'model of {what}', path=f"{path}/{key}")
+        if key not in read:
+            raise ConfigError(f'"{path}/{key}" is read by no command {what}',
+                              path=f"{path}/{key}")
     out = {"rho_tol": 1e-9,
            "tolerances": {"rel_frobenius": 0.15, "p_min": 0.005},
            "chain_basis": None}

@@ -1,4 +1,5 @@
-"""Canonical artifact serialization: stable JSON text and CSV tables.
+"""Canonical artifact serialization: stable JSON text and CSV tables,
+written by emit_report, the one way an artifact reaches disk.
 
 Identical structures must serialize to identical bytes on every run and
 platform, so floats are rendered at a fixed 17 significant digits (enough
@@ -88,19 +89,34 @@ def write_text(path, text):
         fh.write(text)
 
 
+def _csv(table):
+    """A matrix as rows of floats, or a (header, rows) table whose int
+    cells print as integers and other numbers through format_float."""
+    if isinstance(table, tuple):
+        header, rows = table
+        if not rows:
+            raise InvalidArgumentError("table has no rows")
+        lines = [",".join(header)]
+    else:
+        M = np.asarray(table, dtype=float)
+        if M.ndim != 2:
+            raise InvalidArgumentError(
+                f"csv format needs a matrix, got ndim {M.ndim}")
+        rows, lines = M.tolist(), []
+    lines.extend(",".join(str(v) if isinstance(v, (int, np.integer))
+                          else format_float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(report, format, path):
-    """Write one artifact: "json" for any report structure (objects with a
-    to_dict method are unwrapped), "csv" for a matrix as d rows of
-    comma-separated floats. IO errors propagate untouched."""
+    """Write one artifact, the only way one reaches disk: "json" for any
+    report structure (objects with a to_dict method are unwrapped), "csv"
+    for a matrix or a (header, rows) table. IO errors propagate untouched."""
     if format == "json":
         data = report.to_dict() if hasattr(report, "to_dict") else report
         write_text(path, canonical_json(data) + "\n")
     elif format == "csv":
-        M = np.asarray(report, dtype=float)
-        if M.ndim != 2:
-            raise InvalidArgumentError(
-                f"csv format needs a matrix, got ndim {M.ndim}")
-        write_text(path, matrix_csv(M))
+        write_text(path, _csv(report))
     else:
         raise InvalidArgumentError(f"unsupported report format {format!r}")
 
@@ -113,61 +129,3 @@ def provenance(config_digest, seed):
         "config_digest": config_digest,
         "seed": int(seed),
     }
-
-
-def matrix_csv(M):
-    M = np.asarray(M, dtype=float)
-    lines = [",".join(format_float(v) for v in row) for row in M]
-    return "\n".join(lines) + "\n"
-
-
-def _table(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_csv(traj):
-    """Rows `n,theta_1..theta_d` straight off the checkpoints."""
-    if not traj.checkpoints:
-        raise InvalidArgumentError("trajectory has no checkpoints")
-    d = len(traj.checkpoints[0][1])
-    header = ["n"] + [f"theta_{j + 1}" for j in range(d)]
-    rows = [[str(int(n))] + [format_float(v) for v in th]
-            for n, th in traj.checkpoints]
-    return _table(header, rows)
-
-
-def urn_csv(traj):
-    """Rows `n,Y_1..Y_d,N_1..N_d`; counts stay integers."""
-    if not traj.checkpoints:
-        raise InvalidArgumentError("trajectory has no checkpoints")
-    d = len(traj.checkpoints[0].Y)
-    header = (["n"] + [f"Y_{j + 1}" for j in range(d)]
-              + [f"N_{j + 1}" for j in range(d)])
-    rows = [[str(int(st.n))] + [format_float(v) for v in st.Y]
-            + [str(int(c)) for c in st.N] for st in traj.checkpoints]
-    return _table(header, rows)
-
-
-def gauss_csv(path):
-    """Rows `t,G_1..G_d` from a list of (t, value) pairs."""
-    if not path:
-        raise InvalidArgumentError("path has no points")
-    d = len(path[0][1])
-    header = ["t"] + [f"G_{j + 1}" for j in range(d)]
-    rows = [[format_float(t)] + [format_float(v) for v in G]
-            for t, G in path]
-    return _table(header, rows)
-
-
-def flow_csv(states):
-    """Rows `s,f,theta_1..theta_d`, one per flow state: the start, each
-    whole clock step and the end at s_max."""
-    if not states:
-        raise InvalidArgumentError("flow has no states")
-    d = len(states[0].theta)
-    header = ["s", "f"] + [f"theta_{j + 1}" for j in range(d)]
-    rows = [[format_float(st.s), format_float(st.f)]
-            + [format_float(v) for v in st.theta] for st in states]
-    return _table(header, rows)

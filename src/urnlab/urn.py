@@ -113,9 +113,6 @@ class UrnState:
     N: np.ndarray
     n: int
 
-    def to_dict(self):
-        return {"n": self.n, "Y": self.Y.tolist(), "N": self.N.tolist()}
-
 
 @dataclasses.dataclass(frozen=True)
 class UrnTrajectory:

@@ -239,6 +239,249 @@ def test_ode_refuses_a_negative_start_and_a_tolerance(tmp_path, capsys):
     assert "/model/tol" in capsys.readouterr().err
 
 
+def literal_run(tmp_path, command, doc, first_csv):
+    """The first CSV table and run.json of one command, as bytes."""
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--seed", "0"]) == 0
+    return ((out / first_csv).read_bytes(),
+            (out / "run.json").read_bytes())
+
+
+def test_simulate_literal_bytes(tmp_path):
+    doc = {"model": SA_MODEL,
+           "run": {"n": 2, "replicates": 1, "checkpoints": [0, 2]}}
+    table, run = literal_run(tmp_path, "simulate", doc, "trajectory-0.csv")
+    assert table == b"n,theta_1\n0,0\n2,-1.2878808157398915\n"
+    assert run == b"""{
+  "checkpoints": [
+    0,
+    2
+  ],
+  "command": "simulate",
+  "engine": {
+    "dropped": [],
+    "fallback": null,
+    "name": "linear"
+  },
+  "files": [
+    "trajectory-0.csv"
+  ],
+  "model_digest": "112c491258f4af64e29722cb58e8af0365bec71f9cb96c90310ddd6c4a4413f2",
+  "n": 2,
+  "provenance": {
+    "config_digest": "662ec9b39a37d683b8e7b9df8263978913f0df84f0e6c9456d3e9c330722d4fe",
+    "seed": 0,
+    "tool": "urnlab",
+    "tool_version": "0.1.0"
+  },
+  "replicates": 1,
+  "seed": 0,
+  "trajectories": [
+    {
+      "checkpoints": [
+        [
+          0,
+          [
+            0
+          ]
+        ],
+        [
+          2,
+          [
+            -1.2878808157398915
+          ]
+        ]
+      ],
+      "replicate": 0
+    }
+  ]
+}
+"""
+
+
+def test_urn_literal_bytes(tmp_path):
+    doc = {"model": FRIEDMAN_MODEL, "run": {"n": 2, "replicates": 2}}
+    table, run = literal_run(tmp_path, "urn", doc, "urn-0.csv")
+    assert table == b"n,Y_1,Y_2,N_1,N_2\n1,1,2,1,0\n2,2,2,1,1\n"
+    assert run == b"""{
+  "checkpoints": [
+    1,
+    2
+  ],
+  "command": "urn",
+  "engine": {
+    "dropped": [],
+    "fallback": null,
+    "name": "lockstep-urn"
+  },
+  "files": [
+    "urn-0.csv",
+    "urn-1.csv"
+  ],
+  "n": 2,
+  "provenance": {
+    "config_digest": "d8910bfca5db4c05f0969f1c30674108d2f5d06b5ed093535346a293e2679ac4",
+    "seed": 0,
+    "tool": "urnlab",
+    "tool_version": "0.1.0"
+  },
+  "replicates": 2,
+  "seed": 0,
+  "trajectories": [
+    {
+      "checkpoints": [
+        {
+          "N": [
+            1,
+            0
+          ],
+          "Y": [
+            1,
+            2
+          ],
+          "n": 1
+        },
+        {
+          "N": [
+            1,
+            1
+          ],
+          "Y": [
+            2,
+            2
+          ],
+          "n": 2
+        }
+      ],
+      "replicate": 0
+    },
+    {
+      "checkpoints": [
+        {
+          "N": [
+            1,
+            0
+          ],
+          "Y": [
+            1,
+            2
+          ],
+          "n": 1
+        },
+        {
+          "N": [
+            2,
+            0
+          ],
+          "Y": [
+            1,
+            3
+          ],
+          "n": 2
+        }
+      ],
+      "replicate": 1
+    }
+  ]
+}
+"""
+
+
+def test_gauss_literal_bytes(tmp_path):
+    doc = {"model": {"kind": "gauss", "d": 1, "H": [[1.0]],
+                     "gamma": [[1.0]], "grid": [1.0, 2.0]},
+           "run": {"replicates": 1}}
+    table, run = literal_run(tmp_path, "gauss", doc, "gauss-0.csv")
+    assert table == b"t,G_1\n1,0\n2,-0.77059130361153605\n"
+    assert run == b"""{
+  "command": "gauss",
+  "files": [
+    "gauss-0.csv"
+  ],
+  "grid": [
+    1,
+    2
+  ],
+  "paths": [
+    {
+      "path": [
+        [
+          1,
+          [
+            0
+          ]
+        ],
+        [
+          2,
+          [
+            -0.77059130361153605
+          ]
+        ]
+      ],
+      "replicate": 0
+    }
+  ],
+  "provenance": {
+    "config_digest": "ac27d0eda256722367486e222c276e5abe6912e86f7774efa2c2a56f5145193e",
+    "seed": 0,
+    "tool": "urnlab",
+    "tool_version": "0.1.0"
+  },
+  "replicates": 1,
+  "seed": 0
+}
+"""
+
+
+def test_ode_literal_bytes(tmp_path):
+    doc = {"model": ODE_MODEL, "run": {"n": 1}}
+    table, run = literal_run(tmp_path, "ode", doc, "flow.csv")
+    assert table == (b"s,f,theta_1,theta_2\n"
+                     b"0,0,0.90000000000000002,0.29999999999999999\n"
+                     b"1,0.88867347139095654,0.58216964698428986,"
+                     b"0.49140624124999838\n")
+    assert run == b"""{
+  "command": "ode",
+  "files": [
+    "flow.csv"
+  ],
+  "final_theta": [
+    0.58216964698428986,
+    0.49140624124999838
+  ],
+  "identity_residual": 0,
+  "provenance": {
+    "config_digest": "6b1ebcccda70cca5057ba0e847723e7b3f7012d67eda8c50a47edd82c65c1a3d",
+    "seed": 0,
+    "tool": "urnlab",
+    "tool_version": "0.1.0"
+  },
+  "s_max": 1,
+  "states": [
+    {
+      "f": 0,
+      "s": 0,
+      "theta": [
+        0.90000000000000002,
+        0.29999999999999999
+      ]
+    },
+    {
+      "f": 0.88867347139095654,
+      "s": 1,
+      "theta": [
+        0.58216964698428986,
+        0.49140624124999838
+      ]
+    }
+  ],
+  "steps": 1
+}
+"""
+
+
 def test_verify_standard_sa_passes(tmp_path):
     doc = {"model": SA_MODEL, "run": {"n": 2000, "replicates": 400}}
     cfg = write_config(tmp_path, doc)
@@ -435,6 +678,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert main(["urn", "--config", urn_cfg,
                  "--out", str(tmp_path / "o")]) == 2  # missing /run/n
     assert 'missing required key "/run/n"' in capsys.readouterr().err
+
+
+def test_suite_refuses_an_analysis_key_it_does_not_read(tmp_path, capsys):
+    doc = {"analysis": {"rho_tol": 0.1, "tolerances": {"p_min": 0.5}}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["suite", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "/analysis/rho_tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_command_rejected():

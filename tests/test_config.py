@@ -261,6 +261,23 @@ def test_analysis_key_no_command_reads_is_rejected(doc, key, value):
         assert "log-damped-decay" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rho_tol", 0.1), ("tolerances", {"p_min": 0.5})])
+def test_analysis_key_without_a_model_is_rejected(key, value):
+    # only the suite runs without a model, and it reads no analysis key
+    with pytest.raises(ConfigError, match=f"/analysis/{key}") as exc:
+        validate_config({"analysis": {key: value}})
+    assert exc.value.path == f"/analysis/{key}"
+    assert "without a model" in str(exc.value)
+
+
+def test_documents_without_a_model_still_load():
+    assert validate_config({}).model is None
+    cfg = validate_config({"run": {"n": 100, "seed": 3},
+                           "analysis": {"chain_basis": None}})
+    assert cfg.run["n"] == 100 and cfg.analysis["chain_basis"] is None
+
+
 @pytest.mark.parametrize("doc, keys", [
     (FRIEDMAN, {"rho_tol": 1e-6, "tolerances": {"p_min": 0.01}}),
     (GAUSS, {"rho_tol": 1e-6, "chain_basis": BASIS}),

@@ -1,4 +1,5 @@
-"""Canonical serialization: stable bytes, fixed float text, CSV tables."""
+"""Canonical serialization: stable bytes, fixed float text, CSV tables,
+all written through emit_report."""
 
 import json
 import math
@@ -7,12 +8,7 @@ import numpy as np
 import pytest
 
 from urnlab.errors import InvalidArgumentError
-from urnlab.ode import FlowState
-from urnlab.report import (canonical_json, emit_report, flow_csv,
-                           format_float, gauss_csv, matrix_csv, provenance,
-                           trajectory_csv, urn_csv)
-from urnlab.sa import Trajectory
-from urnlab.urn import UrnState, UrnTrajectory
+from urnlab.report import canonical_json, emit_report, format_float, provenance
 
 
 def test_format_float_roundtrips():
@@ -59,42 +55,41 @@ def test_canonical_json_rejects_odd_values():
         canonical_json({"v": float("nan")})
 
 
-def test_trajectory_csv_rows():
-    traj = Trajectory(checkpoints=((0, np.array([0.5])),
-                                   (2, np.array([0.25]))),
-                      seed=0, spec_digest="x")
-    assert trajectory_csv(traj) == "n,theta_1\n0,0.5\n2,0.25\n"
+def csv_bytes(tmp_path, table):
+    path = tmp_path / "t.csv"
+    emit_report(table, "csv", str(path))
+    return path.read_bytes()
 
 
-def test_urn_csv_rows():
-    traj = UrnTrajectory(checkpoints=(
-        UrnState(np.array([1.0, 2.0]), np.array([0, 1]), 1),), seed=0)
-    assert urn_csv(traj) == "n,Y_1,Y_2,N_1,N_2\n1,1,2,0,1\n"
+def test_trajectory_csv_rows(tmp_path):
+    table = (["n", "theta_1"], [[0, 0.5], [2, 0.25]])
+    assert csv_bytes(tmp_path, table) == b"n,theta_1\n0,0.5\n2,0.25\n"
 
 
-def test_gauss_csv_rows():
-    out = gauss_csv([(1.0, np.array([0.0, 1.5]))])
-    assert out == "t,G_1,G_2\n1,0,1.5\n"
+def test_urn_csv_rows(tmp_path):
+    # counts stay integers; the composition prints as floats
+    table = (["n", "Y_1", "Y_2", "N_1", "N_2"],
+             [[1] + np.array([1.0, 2.0]).tolist() + [0, np.int64(1)]])
+    assert csv_bytes(tmp_path, table) == b"n,Y_1,Y_2,N_1,N_2\n1,1,2,0,1\n"
 
 
-def test_flow_csv_rows():
-    st = FlowState(np.array([0.5, 0.25]), 0.0, 0.0)
-    assert flow_csv([st]) == "s,f,theta_1,theta_2\n0,0,0.5,0.25\n"
+def test_gauss_csv_rows(tmp_path):
+    table = (["t", "G_1", "G_2"], [[1.0, 0.0, 1.5]])
+    assert csv_bytes(tmp_path, table) == b"t,G_1,G_2\n1,0,1.5\n"
 
 
-def test_matrix_csv_rows():
-    assert matrix_csv(np.eye(2)) == "1,0\n0,1\n"
+def test_flow_csv_rows(tmp_path):
+    table = (["s", "f", "theta_1", "theta_2"], [[0.0, 0.0, 0.5, 0.25]])
+    assert csv_bytes(tmp_path, table) == b"s,f,theta_1,theta_2\n0,0,0.5,0.25\n"
 
 
-def test_empty_tables_rejected():
-    with pytest.raises(InvalidArgumentError):
-        trajectory_csv(Trajectory(checkpoints=(), seed=0, spec_digest="x"))
-    with pytest.raises(InvalidArgumentError):
-        urn_csv(UrnTrajectory(checkpoints=(), seed=0))
-    with pytest.raises(InvalidArgumentError):
-        gauss_csv([])
-    with pytest.raises(InvalidArgumentError):
-        flow_csv([])
+def test_matrix_csv_rows(tmp_path):
+    assert csv_bytes(tmp_path, np.eye(2)) == b"1,0\n0,1\n"
+
+
+def test_empty_tables_rejected(tmp_path):
+    with pytest.raises(InvalidArgumentError, match="no rows"):
+        emit_report((["n", "theta_1"], []), "csv", str(tmp_path / "t.csv"))
 
 
 def test_emit_report_json_bytes(tmp_path):
@@ -120,7 +115,7 @@ def test_emit_report_unwraps_to_dict(tmp_path):
 def test_emit_report_csv_matrix(tmp_path):
     path = tmp_path / "m.csv"
     emit_report(np.eye(2), "csv", str(path))
-    assert path.read_text() == "1,0\n0,1\n"
+    assert path.read_bytes() == b"1,0\n0,1\n"
     with pytest.raises(InvalidArgumentError, match="needs a matrix"):
         emit_report(np.zeros(3), "csv", str(path))
 

@@ -1,8 +1,8 @@
 """Rules the package source keeps: no handler that swallows every error,
 only the typed errors of urnlab.errors raised and each of them raised
 somewhere, no parameter that is accepted and then ignored, pools only
-where replicates are sharded, no noise source without its known draw, and
-a start-up that imports no scipy.
+where replicates are sharded, no noise source without its known draw, one
+artifact writer, and a start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A built-in error
@@ -275,6 +275,75 @@ def test_undeclared_draw_rule_catches_one():
         "c = rng.BlockSource(seed, [3], kind='gaussian')\n"
         "d = BlockSource(seed, [3], kind='gaussian', total=n)\n")
     assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "BlockSource")]
+
+
+# every artifact reaches disk through report.emit_report: one encoding of
+# floats and newlines, and one span for the stage timing to see
+WRITER_MODULE = "urnlab/report.py"
+WRITER_ENTRY = (WRITER_MODULE, "emit_report")
+
+
+def _opens_for_writing(call):
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return False
+    # a mode only known at run time may write
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value)
+                                                     for c in "wax+")
+
+
+def _stray_writes(tree, rel):
+    """(enclosing function or None, call, line) for every open for writing
+    outside the writer module and every write_text call outside
+    emit_report."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "write_text" and (rel, func) != WRITER_ENTRY:
+                    found.append((func, name, child.lineno))
+                elif (name == "open" and rel != WRITER_MODULE
+                        and _opens_for_writing(child)):
+                    found.append((func, name, child.lineno))
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_artifacts_reach_disk_only_through_emit_report():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        rel = str(path.relative_to(SRC))
+        found += [f"{rel}:{line}:{func}:{name}" for func, name, line
+                  in _stray_writes(ast.parse(path.read_text()), rel)]
+    assert found == []
+
+
+def test_one_writer_rule_catches_one():
+    tree = ast.parse(
+        "def load(p):\n    return open(p, encoding='utf-8')\n"
+        "def dump(p, t, m):\n    open(p, 'w').write(t)\n"
+        "    open(p, mode='ab')\n    open(p, m)\n    open(p, 'r')\n"
+        "def _write(p, t):\n    write_text(p, t)\n"
+        "    pathlib.Path(p).write_text(t)\n"
+        "def emit_report(r, f, p):\n    write_text(p, r)\n")
+    # reading is free; outside the writer module every write is stray
+    assert _stray_writes(tree, "urnlab/cli.py") == [
+        ("dump", "open", 4), ("dump", "open", 5), ("dump", "open", 6),
+        ("_write", "write_text", 9), ("_write", "write_text", 10),
+        ("emit_report", "write_text", 12)]
+    # in it, files open for writing, and emit_report alone calls write_text
+    assert _stray_writes(tree, "urnlab/report.py") == [
+        ("_write", "write_text", 9), ("_write", "write_text", 10)]
 
 
 # scipy costs about 0.3 s to import; a command that decomposes no matrix
