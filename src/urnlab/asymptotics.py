@@ -30,6 +30,8 @@ from .errors import (
     RegimeError,
 )
 from .linalg import (
+    CLUSTER_RTOL,
+    RANK_RTOL,
     _check_square,
     check_sym_psd,
     eigen_left_right,
@@ -38,9 +40,8 @@ from .linalg import (
     solve_lyapunov,
 )
 
-_CLUSTER_RTOL = 1e-7
-_RANK_TOL = 1e-8
-_DEFAULT_RHO_TOL = 1e-9
+# the default rho_tol: |rho - 1/2| at or below it counts as Critical
+DEFAULT_RHO_TOL = 1e-9
 
 
 # ==== domain types ====
@@ -70,15 +71,20 @@ class SpectralProfile:
     dim: int
     warnings: tuple = ()
 
+    @property
+    def layer_tol(self):
+        """Absolute tolerance of a layer and of a cluster: CLUSTER_RTOL
+        times the largest |value| (at least 1)."""
+        return CLUSTER_RTOL * max(
+            1.0, max((abs(g.value) for g in self.groups), default=1.0))
+
     def layer(self, real_part=None, tol=None):
-        """Groups whose Re(value) matches real_part (default: rho)."""
+        """Groups whose Re(value) matches real_part (default: rho) within
+        tol (default: layer_tol)."""
         target = self.rho if real_part is None else real_part
         if tol is None:
-            tol = _CLUSTER_RTOL * self._scale()
+            tol = self.layer_tol
         return [g for g in self.groups if abs(g.value.real - target) <= tol]
-
-    def _scale(self):
-        return max(1.0, max((abs(g.value) for g in self.groups), default=1.0))
 
     def to_dict(self):
         return {
@@ -200,7 +206,7 @@ def _block_sizes(H, lam, mult):
     floor = d - mult
     for _ in range(mult):
         P = P @ M
-        r = max(int(np.sum(np.linalg.svd(P, compute_uv=False) > _RANK_TOL)),
+        r = max(int(np.sum(np.linalg.svd(P, compute_uv=False) > RANK_RTOL)),
                 floor)
         ranks.append(r)
         if r == floor:
@@ -217,15 +223,15 @@ def _block_sizes(H, lam, mult):
 def spectral_profile(H):
     """Cluster the spectrum of H and derive (rho, nu, lambda_sec).
 
-    Eigenvalues closer than 1e-7 (relative to spectral radius) are merged
-    into one group; near-merges are reported in ``warnings`` rather than
-    split, since block structure is discontinuous there.
+    Eigenvalues closer than CLUSTER_RTOL (relative to the spectral radius)
+    are merged into one group; near-merges are reported in ``warnings``
+    rather than split, since block structure is discontinuous there.
     """
     H = _check_square(H, "H").astype(float)
     d = H.shape[0]
     w = np.linalg.eigvals(H)
     scale = max(1.0, float(np.abs(w).max()))
-    tol = _CLUSTER_RTOL * scale
+    tol = CLUSTER_RTOL * scale
 
     warnings = []
     reps = []
@@ -271,7 +277,7 @@ def spectral_profile(H):
 
 # ==== regime classification ====
 
-def classify_regime(profile, rho_tol=_DEFAULT_RHO_TOL):
+def classify_regime(profile, rho_tol=DEFAULT_RHO_TOL):
     """Trichotomy on rho vs 1/2; |rho - 1/2| <= rho_tol counts as Critical."""
     if rho_tol < 0:
         raise InvalidArgumentError(f"rho_tol must be >= 0, got {rho_tol}")
@@ -350,7 +356,7 @@ def _snap_block_form(Dh, T):
 
     diag = np.diag(J_hat)
     scale = max(1.0, float(np.abs(diag).max()))
-    tol = _CLUSTER_RTOL * scale
+    tol = CLUSTER_RTOL * scale
     snapped = np.array(diag, dtype=complex)
     for idx in _cluster_indices(list(diag), tol):
         lam = complex(np.mean(diag[idx]))
@@ -389,7 +395,7 @@ def _semisimple_projector(Dh, lam, tol):
     return V @ np.linalg.solve(W @ V, W)
 
 
-def critical_covariance(Dh, Gamma, chain_basis=None, rho_tol=_DEFAULT_RHO_TOL):
+def critical_covariance(Dh, Gamma, chain_basis=None, rho_tol=DEFAULT_RHO_TOL):
     """Limit covariance on the critical layer (rho = 1/2).
 
     With nu the largest block order among eigenvalues at Re(lambda) = rho,
@@ -419,7 +425,7 @@ def _layer_covariance(profile, Dh, Gamma, chain_basis):
     Gs = check_sym_psd(Gamma, "Gamma")
     nu = profile.nu
     d = Dh.shape[0]
-    tol = _CLUSTER_RTOL * profile._scale()
+    tol = profile.layer_tol
     coeff = 1.0 / (math.factorial(nu - 1) ** 2 * (2 * nu - 1))
 
     if chain_basis is not None:
@@ -461,7 +467,7 @@ def _layer_covariance(profile, Dh, Gamma, chain_basis):
     return 0.5 * (out + out.T)
 
 
-def limit_covariance_quadrature(Dh, Gamma, L, rho_tol=_DEFAULT_RHO_TOL):
+def limit_covariance_quadrature(Dh, Gamma, L, rho_tol=DEFAULT_RHO_TOL):
     """Finite-horizon version of the critical limit covariance:
     (1/L^{2 nu - 1}) * integral_0^L exp(-(Dh-I/2)u)^T Gamma exp(-(Dh-I/2)u) du,
     with nu the largest block order among eigenvalues at Re(lambda) = 1/2
@@ -487,7 +493,7 @@ def _left_null_rows(H, lam):
     _, s, vh = np.linalg.svd(M)
     if s[0] == 0.0:
         return np.eye(d, dtype=complex)
-    null = s <= 1e-8 * s[0]
+    null = s <= RANK_RTOL * s[0]
     rows = vh[null.nonzero()[0], :].conj()
     return rows
 
@@ -551,7 +557,7 @@ def _limit_object(profile, regime, Dh, Gamma, chain_basis=None, slow=None):
     return None, slow() if slow else slow_regime_descriptor(profile, Dh)
 
 
-def analyze(Dh, Gamma, rho_tol=_DEFAULT_RHO_TOL, chain_basis=None):
+def analyze(Dh, Gamma, rho_tol=DEFAULT_RHO_TOL, chain_basis=None):
     """Full pipeline: profile and regime, decided once, and the regime's
     limit object."""
     Dh = _check_square(Dh, "Dh").astype(float)

@@ -107,7 +107,8 @@ def _emit_run(cfg, manifest, tables, payload):
     """run.json of a trajectory command, after its CSV tables.
 
     tables yields (file name, (header, rows)) and is read only when csv is
-    selected; payload holds the keys that only the json format carries.
+    selected; payload() returns the keys that only the json format carries
+    and is called only when json is selected.
     """
     out = _outdir(cfg)
     files = []
@@ -118,7 +119,7 @@ def _emit_run(cfg, manifest, tables, payload):
     manifest["files"] = files
     manifest["provenance"] = provenance(cfg.digest(), cfg.run["seed"])
     if "json" in cfg.output["formats"]:
-        manifest.update(payload)
+        manifest.update(payload())
     _emit(manifest, "json", os.path.join(out, "run.json"))
     return 0
 
@@ -206,22 +207,24 @@ def _cmd_trajectories(args):
     X, *C = [np.stack(a, axis=1).tolist() for a in list(zip(*paths))[1:]]
     manifest = {"command": args.command, "n": n, "replicates": R,
                 "seed": seed, "checkpoints": plan, "engine": engine}
+    # a state's CSV row and json checkpoint, each made only for its format
     if sa:
         manifest["model_digest"] = spec.digest()
         prefix, header = "trajectory", ["n"] + _columns("theta", spec.dim)
-        rows = [[[k] + x for k, x in zip(ks, X[r])] for r in range(R)]
-        cps = [[[k, x] for k, x in zip(ks, X[r])] for r in range(R)]
+        row, entry = (lambda k, x: [k] + x), (lambda k, x: [k, x])
     else:
         prefix = "urn"
         header = ["n"] + _columns("Y", spec.d) + _columns("N", spec.d)
-        rows = [[[k] + y + c for k, y, c in zip(ks, X[r], C[0][r])]
-                for r in range(R)]
-        cps = [[{"n": k, "Y": y, "N": c} for k, y, c in zip(ks, X[r], C[0][r])]
-               for r in range(R)]
-    tables = ((f"{prefix}-{r}.csv", (header, rows[r])) for r in range(R))
-    payload = {"trajectories": [{"replicate": r, "checkpoints": cp}
-                                for r, cp in enumerate(cps)]}
-    return _emit_run(cfg, manifest, tables, payload)
+        row, entry = ((lambda k, y, c: [k] + y + c),
+                      (lambda k, y, c: {"n": k, "Y": y, "N": c}))
+
+    def states(r):
+        return zip(ks, X[r], *(c[r] for c in C))
+    tables = ((f"{prefix}-{r}.csv", (header, [row(*s) for s in states(r)]))
+              for r in range(R))
+    return _emit_run(cfg, manifest, tables, lambda: {"trajectories": [
+        {"replicate": r, "checkpoints": [entry(*s) for s in states(r)]}
+        for r in range(R)]})
 
 
 def _cmd_gauss(args):
@@ -237,10 +240,9 @@ def _cmd_gauss(args):
               for r in range(R))
     manifest = {"command": "gauss", "grid": grid, "replicates": R,
                 "seed": cfg.run["seed"]}
-    payload = {"paths": [{"replicate": r,
-                          "path": [[t, G] for t, G in zip(grid, paths[r])]}
-                         for r in range(R)]}
-    return _emit_run(cfg, manifest, tables, payload)
+    return _emit_run(cfg, manifest, tables, lambda: {"paths": [
+        {"replicate": r, "path": [[t, G] for t, G in zip(grid, paths[r])]}
+        for r in range(R)]})
 
 
 def _cmd_ode(args):
@@ -262,8 +264,8 @@ def _cmd_ode(args):
                                                     structure),
         "final_theta": states[-1].theta.tolist(),
     }
-    payload = {"states": [st.to_dict() for st in states]}
-    return _emit_run(cfg, manifest, tables, payload)
+    return _emit_run(cfg, manifest, tables,
+                     lambda: {"states": [st.to_dict() for st in states]})
 
 
 # ==== verification commands ====

@@ -35,6 +35,7 @@ from .linalg import (
     check_sym_psd,
     integral_exp_sandwich,
     mat_power,
+    psd_factor,
 )
 from .rng import BlockSource, replicate_indices
 
@@ -93,16 +94,6 @@ def interval_covariance(H, Gamma, t_a, t_b):
     return 0.5 * (C + C.swapaxes(-1, -2))
 
 
-def _increment_factors(C, rel_clip=1e-12):
-    """For each matrix C_k of the stack C, rows F_k with F_k^T F_k = C_k
-    from the eigendecomposition; eigenvalues below rel_clip of C_k's
-    largest are treated as zero rank."""
-    w, V = np.linalg.eigh(C)
-    cut = rel_clip * np.maximum(w.max(axis=-1), 0.0)
-    keep = w > cut[:, None]
-    return [(Vk[:, kk] * np.sqrt(wk[kk])).T for wk, Vk, kk in zip(w, V, keep)]
-
-
 def simulate_paths(spec, seed, replicates):
     """Exact-law paths for the given replicate indices (or a count).
 
@@ -123,7 +114,7 @@ def simulate_paths(spec, seed, replicates):
         raise RefinementError(
             f"increment covariance over grid interval ({t_a[k]:g}, {t_b[k]:g}) "
             "overflows; insert intermediate grid points") from exc
-    F = _increment_factors(C)
+    F = psd_factor(C)
     P = mat_power(spec.H, t_a / t_b)
     ranks = [f.shape[0] for f in F]
     z = BlockSource(seed, repl, "gaussian", (grid.size - 1) * d).take(sum(ranks))

@@ -49,7 +49,7 @@ def rotation_spec(lam=0.3):
 
 
 @functools.lru_cache(maxsize=1)
-def _phi_grid(step=1e-3, lo=math.e ** 2, hi=100.0):
+def _phi_grid():
     """Grid of phi(L) = e^L * integral_L^inf e^{-w}/log(w) dw.
 
     Backward in L: phi(L) = I(L) + e^{-step} phi(L + step), with each panel
@@ -58,6 +58,7 @@ def _phi_grid(step=1e-3, lo=math.e ** 2, hi=100.0):
     hi by the two-term tail expansion, whose error decays like e^{-(hi-L)}
     by the time it reaches usable L.
     """
+    step, lo, hi = 1e-3, math.e ** 2, 100.0
     n = int(round((hi - lo) / step))
     L = lo + step * np.arange(n + 1)
     mid = L[:-1] + 0.5 * step

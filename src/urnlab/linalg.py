@@ -17,6 +17,11 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonConvergenceError, SpectrumError
 
+# eigenvalues within CLUSTER_RTOL times the spectral radius (at least 1) are one
+# cluster; singular values at or below RANK_RTOL times the largest are zero
+CLUSTER_RTOL = 1e-7
+RANK_RTOL = 1e-8
+
 
 def _check_square(A, name, stack=False):
     """A as an array; a square matrix, or with ``stack`` a stack of them."""
@@ -28,21 +33,32 @@ def _check_square(A, name, stack=False):
     return A
 
 
-def check_sym_psd(G, name="G", tol=1e-10):
-    """Validate symmetry and positive semidefiniteness; returns symmetrized G."""
+def check_sym_psd(G, name="G"):
+    """Validate symmetry and positive semidefiniteness, both to 1e-10
+    relative; returns symmetrized G."""
     G = _check_square(G, name)
     if np.iscomplexobj(G):
         raise InvalidArgumentError(f"{name} must be real")
     G = G.astype(float)
     gnorm = np.linalg.norm(G, "fro")
-    if np.linalg.norm(G - G.T, "fro") > tol * (1.0 + gnorm):
+    if np.linalg.norm(G - G.T, "fro") > 1e-10 * (1.0 + gnorm):
         raise InvalidArgumentError(f"{name} must be symmetric")
     Gs = 0.5 * (G + G.T)
     ev = np.linalg.eigvalsh(Gs)
-    if ev[0] < -tol * (1.0 + max(ev[-1], 0.0)):
+    if ev[0] < -1e-10 * (1.0 + max(ev[-1], 0.0)):
         raise InvalidArgumentError(
             f"{name} must be positive semidefinite, min eigenvalue {ev[0]:.3e}")
     return Gs
+
+
+def psd_factor(C):
+    """For each PSD matrix C_k of the stack C (K, n, n), rows F_k with
+    F_k^T F_k = C_k: one per eigenvalue above 1e-12 of C_k's largest. A
+    single matrix is the length-1 stack."""
+    w, V = np.linalg.eigh(C)
+    cut = 1e-12 * np.maximum(w.max(axis=-1), 0.0)
+    keep = w > cut[:, None]
+    return [(Vk[:, kk] * np.sqrt(wk[kk])).T for wk, Vk, kk in zip(w, V, keep)]
 
 
 def mat_exp(A):
@@ -66,12 +82,13 @@ def mat_power(A, t):
     return mat_exp(A * logs[..., None, None])
 
 
-def solve_lyapunov(B, G, residual_tol=1e-10):
+def solve_lyapunov(B, G):
     """Solve B^T X + X B = G for symmetric PSD G.
 
     Requires every eigenvalue of B to have positive real part, so that
     X = integral_0^inf exp(-B^T u) G exp(-B u) du exists and is the unique
-    solution. Bartels-Stewart on the complex Schur form of B^T.
+    solution. Bartels-Stewart on the complex Schur form of B^T; a residual
+    above 1e-10 relative raises NonConvergenceError.
     """
     B = _check_square(B, "B")
     G = _check_square(G, "G")
@@ -111,7 +128,7 @@ def solve_lyapunov(B, G, residual_tol=1e-10):
     X = X.real
 
     resid = np.linalg.norm(B.T @ X + X @ B - Gs, "fro")
-    if resid > residual_tol * (1.0 + gnorm):
+    if resid > 1e-10 * (1.0 + gnorm):
         raise NonConvergenceError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance", residual=resid)
     return X
@@ -124,9 +141,9 @@ class ComplexSpectrum:
     ``A @ right[:, i] = values[i] * right[:, i]`` and
     ``left[i, :] @ A = values[i] * left[i, :]``. Values are sorted by
     descending real part, ties by descending imaginary part. Pairs whose
-    eigenvalue is simple (relative gap 1e-7) are scaled so that
-    ``left[i] @ right[:, i] = 1``. ``residual`` is the worst normalized
-    defect over all reported pairs.
+    eigenvalue is simple (relative gap above CLUSTER_RTOL) are scaled so
+    that ``left[i] @ right[:, i] = 1``. ``residual`` is the worst normalized
+    defect over all reported pairs; above 1e-6 it raises.
     """
 
     values: np.ndarray
@@ -135,7 +152,7 @@ class ComplexSpectrum:
     residual: float
 
 
-def eigen_left_right(A, residual_tol=1e-6):
+def eigen_left_right(A):
     """Eigenvalues with matched right columns and left rows."""
     import scipy.linalg
 
@@ -153,7 +170,7 @@ def eigen_left_right(A, residual_tol=1e-6):
     for i in range(w.size):
         gaps = np.abs(w - w[i])
         gaps[i] = np.inf
-        if gaps.min() > 1e-7 * scale:
+        if gaps.min() > CLUSTER_RTOL * scale:
             dot = left[i] @ vr[:, i]
             if abs(dot) > 1e-12:
                 left[i] = left[i] / dot
@@ -166,22 +183,22 @@ def eigen_left_right(A, residual_tol=1e-6):
         resid = max(resid,
                     dr / (anorm * np.linalg.norm(vr[:, i])),
                     dl / (anorm * np.linalg.norm(left[i])))
-    if resid > residual_tol:
+    if resid > 1e-6:
         raise NonConvergenceError(
-            f"eigenpair residual {resid:.3e} exceeds {residual_tol:.1e}",
+            f"eigenpair residual {resid:.3e} exceeds 1.0e-06",
             residual=resid)
     return ComplexSpectrum(values=w, right=vr, left=left, residual=resid)
 
 
-def numerical_rank(A, tol=1e-8):
-    """Number of singular values above tol * sigma_max."""
+def numerical_rank(A):
+    """Number of singular values above RANK_RTOL * sigma_max."""
     A = np.asarray(A)
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def integral_exp_sandwich(B, G, upper):

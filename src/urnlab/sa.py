@@ -5,11 +5,10 @@
 with pluggable drift h, martingale-difference noise, and deterministic
 remainder schedule. The engines share the same frozen noise streams:
 
-  run_sa                step reference loop, any drift, optionally recording
-                        every increment; a dim-1 model without noise or
-                        remainder whose drift is linear or has a float entry
-                        point `scalar` runs in plain floats, with the same
-                        states bit for bit;
+  run_sa                step reference loop, any drift; a dim-1 model without
+                        noise or remainder whose drift is linear or has a
+                        float entry point `scalar` runs in plain floats,
+                        with the same states bit for bit;
   linear_paths          closed form for linear drift h = theta A,
                         theta_n = theta_0 Phi(0, n) + sum_k dM_k Phi(k, n)/k
                         with Phi(k, n) = prod_{j=k+1..n} (I - A/j): one
@@ -22,8 +21,7 @@ remainder schedule. The engines share the same frozen noise streams:
                         n = 1e8 takes about a second and a half.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
-same (seed, replicate) to float-summation error. run_sa can record every
-increment; tests/oracles.py replays such a trajectory bit for bit.
+same (seed, replicate) to float-summation error.
 """
 
 import dataclasses
@@ -36,7 +34,7 @@ from .asymptotics import _snap_block_form, spectral_profile
 from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError,
                      NumericalOverflowError)
-from .linalg import _check_square, check_sym_psd
+from .linalg import _check_square, check_sym_psd, psd_factor
 from .rng import BLOCK, BlockSource, replicate_indices
 
 
@@ -78,11 +76,7 @@ class GaussianNoise:
 
     @classmethod
     def from_cov(cls, gamma):
-        Gs = check_sym_psd(gamma, "Gamma")
-        w, V = np.linalg.eigh(Gs)
-        keep = w > 1e-12 * max(w[-1], 0.0)
-        root = np.sqrt(w[keep])[:, None] * V[:, keep].T
-        return cls(root)
+        return cls(psd_factor(check_sym_psd(gamma, "Gamma")[None])[0])
 
     def __call__(self, rng, k, theta):
         z = rng.take(self.values_per_step)[0]
@@ -152,13 +146,9 @@ class SAProcessSpec:
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """Checkpointed path of one run; optionally carries every increment so
-    the recursion can be replayed and checked bit for bit."""
+    """Checkpointed path of one run: (n, theta_n) pairs."""
 
     checkpoints: tuple
-    seed: int
-    spec_digest: str
-    increments: object = None
 
     def __post_init__(self):
         ns = [n for n, _ in self.checkpoints]
@@ -216,7 +206,7 @@ def _float_path(h, th, n_max, plan):
     return tuple(cps)
 
 
-def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=False):
+def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
     """Iterate the recursion once, step by step.
 
     Deterministic given (spec, seed, replicate): noise comes from the frozen
@@ -229,17 +219,14 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = _checkpoint_plan(checkpoint_plan, n_max)
-    h = None if record_increments else _float_drift(spec)
+    h = _float_drift(spec)
     if h is not None:
-        return Trajectory(
-            checkpoints=_float_path(h, float(spec.theta0[0]), n_max, plan),
-            seed=int(seed), spec_digest=spec.digest())
+        return Trajectory(_float_path(h, float(spec.theta0[0]), n_max, plan))
     rng = None if spec.noise is None else BlockSource(
         seed, [replicate], "gaussian", n_max * spec.noise.values_per_step)
     theta = spec.theta0.copy()
     zero = np.zeros(spec.dim)
     cps = []
-    incs = [] if record_increments else None
     pi = 0
     if pi < len(plan) and plan[pi] == 0:
         cps.append((0, theta.copy()))
@@ -254,13 +241,10 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0, record_increments=Fa
         if not np.all(np.isfinite(step)):
             _raise_non_finite(k + 1, spec.drift, theta, inc)
         theta = step
-        if record_increments:
-            incs.append((dm.copy(), r.copy()))
         if pi < len(plan) and plan[pi] == k + 1:
             cps.append((k + 1, theta.copy()))
             pi += 1
-    return Trajectory(checkpoints=tuple(cps), seed=int(seed),
-                      spec_digest=spec.digest(), increments=incs)
+    return Trajectory(tuple(cps))
 
 
 # ==== deterministic mean recursion ====

@@ -24,7 +24,7 @@ from math import isfinite
 import numpy as np
 
 from .asymptotics import (
-    _DEFAULT_RHO_TOL,
+    DEFAULT_RHO_TOL,
     SlowComponent,
     SlowDescriptor,
     _fix_phase,
@@ -67,7 +67,7 @@ class BernoulliDiagonalRule:
     at (q, q), zero elsewhere.
     """
 
-    def __init__(self, d, p=0.5, scale=2.0):
+    def __init__(self, d, p, scale):
         self.d = int(d)
         self.values_per_step = self.d
         self.p = float(p)
@@ -117,7 +117,6 @@ class UrnState:
 @dataclasses.dataclass(frozen=True)
 class UrnTrajectory:
     checkpoints: tuple  # of UrnState
-    seed: int
 
 
 def run_urn(spec, n_max, seed, checkpoints, replicate=0):
@@ -189,7 +188,7 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0):
         if pi < len(plan) and plan[pi] == n:
             cps.append(UrnState(np.array(Y), np.array(N, dtype=np.int64), n))
             pi += 1
-    return UrnTrajectory(checkpoints=tuple(cps), seed=int(seed))
+    return UrnTrajectory(checkpoints=tuple(cps))
 
 
 # a replicate that overflows gives inf or NaN silently, as python floats do in
@@ -333,11 +332,9 @@ def _eigenstructure(H):
         raise AssumptionViolationError("right Perron vector is not strictly positive")
 
     profile = spectral_profile(H / alpha)
-    rest = [g for g in profile.groups if abs(g.value.real - 1.0) > 1e-9]
-    lambda_sec = max(g.value.real for g in rest)
-    layer_tol = 1e-7 * profile._scale()
-    nu = max(max(g.block_sizes) for g in rest
-             if abs(g.value.real - lambda_sec) <= layer_tol)
+    lambda_sec = max(g.value.real for g in profile.groups
+                     if abs(g.value.real - 1.0) > 1e-9)
+    nu = max(max(g.block_sizes) for g in profile.layer(lambda_sec))
     return alpha, v, u, float(lambda_sec), int(nu), profile
 
 
@@ -425,19 +422,18 @@ class UrnAsymptotics:
         }
 
 
-def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
+def _slow_urn_descriptor(H, v, profile, lambda_sec, nu):
     """Slow-regime limit components: for each eigenvalue on the lambda_sec
     layer of profile (the spectral profile of H) with a block of order nu,
-    direction l_a (I - 1^T v) from the left eigenvector l_a of H."""
+    direction l_a (I - 1^T v) from the left eigenvector l_a of H, kept when
+    l_a solves its eigenproblem to 1e-8 relative."""
     d = H.shape[0]
     es = eigen_left_right(H)
     proj = np.eye(d) - np.outer(np.ones(d), v)
-    layer_tol = 1e-7 * profile._scale()
+    layer_tol = profile.layer_tol
     comps = []
     seen = set()
-    for g in profile.groups:
-        if abs(g.value.real - lambda_sec) > layer_tol:
-            continue
+    for g in profile.layer(lambda_sec):
         if max(g.block_sizes) != nu:
             continue
         if nu > 1 and len(g.block_sizes) > 1:
@@ -450,7 +446,8 @@ def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
         for i in take:
             seen.add(i)
             l_a = es.left[i]
-            if np.linalg.norm(l_a @ H - es.values[i] * l_a) > tol * np.linalg.norm(l_a):
+            resid = np.linalg.norm(l_a @ H - es.values[i] * l_a)
+            if resid > 1e-8 * np.linalg.norm(l_a):
                 continue
             comps.append(SlowComponent(
                 value=complex(g.value),
@@ -459,7 +456,7 @@ def _slow_urn_descriptor(H, v, profile, lambda_sec, nu, tol=1e-8):
     return SlowDescriptor(components=tuple(comps), rho=1.0 - lambda_sec, nu=nu)
 
 
-def urn_asymptotics(spec, rho_tol=_DEFAULT_RHO_TOL):
+def urn_asymptotics(spec, rho_tol=DEFAULT_RHO_TOL):
     """Full limit analysis of an urn: eigenstructure of the rule's mean H,
     SA embedding with the rule's V_q, regime (Dh_star's profile against 1/2
     within rho_tol), and the regime's limit object (covariance or slow

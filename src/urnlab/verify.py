@@ -323,7 +323,7 @@ def ks_normal(samples, mu, sigma2):
     return stat, float(kolmogorov(math.sqrt(n) * stat))
 
 
-def make_mc_report(sample, predicted_cov, rel_tol=0.15, p_min=0.005):
+def make_mc_report(sample, predicted_cov, rel_tol, p_min):
     """Aggregate an MCSample against the predicted limit covariance."""
     X = sample.errors
     predicted_cov = np.asarray(predicted_cov, dtype=float)

@@ -5,9 +5,12 @@ code under test: plain Taylor series instead of scipy's expm, scipy
 ``quad_vec`` quadrature instead of the closed-form (Van Loan) exp-sandwich
 integral, exact moment recursions instead of closed-form limits, a
 generator over python ints instead of the vectorized one, and adaptive
-RK4 on the urn mean flow instead of its closed-form clock steps.
+RK4 on the urn mean flow instead of its closed-form clock steps. The
+generic array loop of run_sa, recording every increment, is the reference
+for its plain-float loop and for the closed-form linear engine.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -17,7 +20,7 @@ import scipy.linalg
 from urnlab.errors import DivergenceError, InvalidArgumentError, RefinementError
 from urnlab.ode import FlowState
 from urnlab.rng import BLOCK, GAMMA, MASK64, REPL_SHIFT, _MIX1, _MIX2, BlockSource
-from urnlab.sa import _checkpoint_plan
+from urnlab.sa import _checkpoint_plan, _raise_non_finite
 from urnlab.urn import BernoulliDiagonalRule, UrnState, urn_eigenstructure
 
 
@@ -189,13 +192,47 @@ def scalar_block_values(seed, replicate, count, kind="gaussian"):
     return vals[:count]
 
 
+RecordedPath = collections.namedtuple("RecordedPath", "checkpoints increments")
+
+
+def reference_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
+    """Reference for run_sa: its generic array loop for every model, the
+    dim-1 noise-free ones included, recording each step's (dM, r).
+
+    Returns a RecordedPath of the checkpoint (n, theta_n) pairs and the
+    increments; a non-finite state raises as run_sa does.
+    """
+    plan = set(_checkpoint_plan(checkpoint_plan, n_max))
+    rng = None if spec.noise is None else BlockSource(
+        seed, [replicate], "gaussian", n_max * spec.noise.values_per_step)
+    theta = spec.theta0.copy()
+    zero = np.zeros(spec.dim)
+    cps = [(0, theta.copy())] if 0 in plan else []
+    incs = []
+    for k in range(n_max):
+        np1 = k + 1.0
+        hv = np.asarray(spec.drift(theta), dtype=float)
+        dm = np.asarray(spec.noise(rng, k + 1, theta), dtype=float) if spec.noise else zero
+        r = np.asarray(spec.remainder(k + 1), dtype=float) if spec.remainder else zero
+        inc = dm + r
+        step = theta - hv / np1 + inc / np1
+        if not np.all(np.isfinite(step)):
+            _raise_non_finite(k + 1, spec.drift, theta, inc)
+        theta = step
+        incs.append((dm.copy(), r.copy()))
+        if k + 1 in plan:
+            cps.append((k + 1, theta.copy()))
+    return RecordedPath(tuple(cps), incs)
+
+
 def replay(spec, traj):
-    """Re-apply the recursion from theta_0 using the recorded increments.
+    """Re-apply the recursion from theta_0 using the recorded increments of
+    a RecordedPath.
 
     Returns True when every checkpoint is reproduced bit-exactly; raises
     otherwise. The arithmetic mirrors run_sa operation for operation.
     """
-    if traj.increments is None:
+    if getattr(traj, "increments", None) is None:
         raise InvalidArgumentError("trajectory was recorded without increments")
     theta = spec.theta0.copy()
     by_n = dict((n, th) for n, th in traj.checkpoints)

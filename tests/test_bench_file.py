@@ -48,10 +48,61 @@ def test_bench_file_from_two_records(tmp_path):
             # lower is better for both, as BENCHMARK.json declares
             "peak_rss_mb": {"change_median": 60.0, "change_wins": 1,
                             "parent_iqr": [70.0, 70.0],
-                            "parent_median": 70.0, "unit": "MiB"},
+                            "parent_median": 70.0, "parent_spread": 0.0,
+                            "status": "within", "unit": "MiB",
+                            "worse_by": -0.142857},
+            # 25% slower is at the bound, not past it
             "wall_s": {"change_median": 0.625, "change_wins": 0,
                        "parent_iqr": [0.5, 0.5], "parent_median": 0.5,
-                       "unit": "s"}},
+                       "parent_spread": 0.0, "status": "within",
+                       "unit": "s", "worse_by": 0.25}},
         "pairs": 1,
         "seed": 0}}
     assert "traced" not in bench
+
+
+def _verdicts(tmp_path, parent_walls, change_walls):
+    """wall_s (bound 0.25, lower is better) over paired runs: the parent's
+    and the change's, with peak_rss_mb equal on both sides."""
+    for side, walls in (("parent", parent_walls), ("change", change_walls)):
+        (tmp_path / side).mkdir()
+        for i, wall in enumerate(walls):
+            (tmp_path / side / f"{i:02d}-verify-urn.json").write_text(
+                json.dumps(_record(wall, 70.0, 4444, "ab")))
+    out = tmp_path / "BENCH.json"
+    assert _tool().main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "-o", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["verify-urn-seed0"][
+        "metrics"]
+    assert metrics["peak_rss_mb"]["status"] == "within"
+    wall = metrics["wall_s"]
+    return wall["status"], wall["worse_by"], wall["parent_spread"]
+
+
+# a parent whose quartiles are 1.0 and 1.5 around its median 1.0
+SPREAD = [0.5, 1.0, 1.0, 1.5, 2.0]
+
+
+def test_bench_file_status_worse(tmp_path):
+    # 30% slower in the median is past the 25% bound, however tight
+    assert _verdicts(tmp_path, [1.0] * 5, [1.3] * 5) == ("worse", 0.3, 0.0)
+
+
+def test_bench_file_status_unresolved(tmp_path):
+    # 10% slower is within the bound, but the parent spreads over 50% of
+    # its median and the change does not beat every parent run
+    assert _verdicts(tmp_path, SPREAD, [1.1] * 5) == ("unresolved", 0.1, 0.5)
+
+
+def test_bench_file_status_within_when_every_run_is_better(tmp_path):
+    # as wide a parent, but every change run beats every parent run
+    assert _verdicts(tmp_path, SPREAD, [0.4] * 5) == ("within", -0.6, 0.5)
+
+
+def test_bench_file_verdict_for_a_higher_is_better_metric():
+    verdict = _tool()._verdict
+    # 30% fewer steps per second is worse; 30% more is better
+    assert verdict([100.0] * 3, [70.0] * 3, False, 0.25) == (
+        0.3, 0.0, "worse")
+    assert verdict([100.0] * 3, [130.0] * 3, False, 0.25) == (
+        -0.3, 0.0, "within")

@@ -121,6 +121,36 @@ def test_simulate_format_selection(tmp_path):
     assert "trajectories" not in manifest
 
 
+@pytest.mark.parametrize("command, model", [("urn", FRIEDMAN_MODEL),
+                                            ("simulate", SA_MODEL)])
+def test_one_format_writes_what_both_write(tmp_path, command, model):
+    # each output is built only for its format, and built the same way
+    doc = {"model": model, "run": {"n": 40, "replicates": 3}}
+    cfg = write_config(tmp_path, doc)
+    out = {f: tmp_path / f for f in ("both", "csv", "json")}
+    for f, d in out.items():
+        assert main([command, "--config", cfg, "--out", str(d),
+                     "--format", f]) == 0
+    csvs = sorted(p.name for p in out["both"].glob("*.csv"))
+    assert len(csvs) == 3
+    assert sorted(p.name for p in out["csv"].glob("*.csv")) == csvs
+    for name in csvs:
+        assert (out["csv"] / name).read_bytes() == \
+            (out["both"] / name).read_bytes()
+    both = json.loads((out["both"] / "run.json").read_text())
+    alone = json.loads((out["json"] / "run.json").read_text())
+    assert alone["trajectories"] == both["trajectories"]
+    assert len(alone["trajectories"]) == 3
+
+
+def test_seed_override_is_checked_as_the_run_section_is(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": SA_MODEL, "run": {"n": 8}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    assert '"/run/seed": expected an integer >= 0, got -1' in \
+        capsys.readouterr().err
+
+
 def test_seed_priority_chain(tmp_path, monkeypatch):
     plain = write_config(tmp_path, {"model": SA_MODEL, "run": {"n": 8}},
                          "plain.json")

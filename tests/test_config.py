@@ -190,7 +190,8 @@ def test_checkpoints_dyadic_plan():
     # default anchor 1; a power-of-two horizon needs no extra endpoint
     cfg = validate_config({**MINIMAL_SA, "run": {"n": 8}})
     assert cfg.checkpoint_plan() == [1, 2, 4, 8]
-    assert validate_config(MINIMAL_SA).checkpoint_plan(10) == [1, 2, 4, 8, 10]
+    cfg = validate_config({**MINIMAL_SA, "run": {"n": 10}})
+    assert cfg.checkpoint_plan() == [1, 2, 4, 8, 10]
 
 
 def test_dyadic_anchor_above_horizon_keeps_endpoint():
@@ -319,6 +320,30 @@ def test_with_seed_is_immutable_and_validates():
         cfg.with_seed(-1)
     with pytest.raises(ConfigError):
         cfg.with_output(formats=["tsv"])
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (-1, "an integer >= 0"), (True, "an integer"), (1.5, "an integer")])
+def test_with_seed_checks_as_the_run_section_does(seed, expected):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(MINIMAL_SA).with_seed(seed)
+    assert exc.value.path == "/run/seed"
+    assert str(exc.value) == f'"/run/seed": expected {expected}, got {seed!r}'
+
+
+def test_with_output_checks_formats_as_the_output_section_does():
+    cfg = validate_config(MINIMAL_SA)
+    for formats in (["json", "json"], [], ["tsv"]):
+        with pytest.raises(ConfigError) as via_override:
+            cfg.with_output(formats=formats)
+        with pytest.raises(ConfigError) as via_document:
+            validate_config({**MINIMAL_SA, "output": {"formats": formats}})
+        assert str(via_override.value) == str(via_document.value)
+        assert via_override.value.path == via_document.value.path
+    with pytest.raises(ConfigError, match="distinct format names"):
+        cfg.with_output(formats=["json", "json"])
+    assert cfg.with_output(formats=["csv", "json"]).output["formats"] == [
+        "csv", "json"]
 
 
 def test_build_sa_model():

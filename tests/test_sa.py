@@ -24,7 +24,9 @@ from urnlab.sa import (
     linear_paths,
     run_sa,
 )
-from oracles import mean_closed_form_extended, mean_recursion, replay
+from urnlab.verify import simulate
+from oracles import (mean_closed_form_extended, mean_recursion, reference_sa,
+                     replay)
 
 
 def linear_drift(A):
@@ -52,7 +54,7 @@ def test_checkpoint_plan_validation():
     with pytest.raises(InvalidArgumentError):
         run_sa(spec, 10, seed=0, checkpoint_plan=[11])
     with pytest.raises(InvalidArgumentError):
-        Trajectory(checkpoints=((2, np.zeros(1)), (2, np.zeros(1))), seed=0, spec_digest="")
+        Trajectory(checkpoints=((2, np.zeros(1)), (2, np.zeros(1))))
 
 
 def test_linear_decay_monotone():
@@ -88,12 +90,13 @@ def test_replay_reproduces_bit_exact():
     spec = SAProcessSpec(dim=2, drift=linear_drift(A), theta0=[0.0, 0.0],
                          noise=GaussianNoise([[1.0, 0.0]]),
                          remainder=lambda n: np.array([0.1 / n, 0.0]))
-    traj = run_sa(spec, 250, seed=4, checkpoint_plan=[0, 1, 17, 250],
-                  record_increments=True)
+    traj = reference_sa(spec, 250, seed=4, checkpoint_plan=[0, 1, 17, 250])
+    # the recording reference steps exactly as run_sa does
+    assert all(n == m and np.array_equal(x, y) for (n, x), (m, y) in zip(
+        traj.checkpoints, run_sa(spec, 250, 4, [0, 1, 17, 250]).checkpoints))
     assert replay(spec, traj) is True
-    bad = Trajectory(checkpoints=traj.checkpoints[:-1] + ((250, traj.checkpoints[-1][1] + 1e-12),),
-                     seed=traj.seed, spec_digest=traj.spec_digest,
-                     increments=traj.increments)
+    bad = traj._replace(checkpoints=traj.checkpoints[:-1] + (
+        (250, traj.checkpoints[-1][1] + 1e-12),))
     with pytest.raises(InvalidArgumentError):
         replay(spec, bad)
 
@@ -137,19 +140,27 @@ def test_exact_mean_names_the_first_non_finite_step(A):
 
 
 @pytest.mark.parametrize("A", [[[-400.0]], np.diag([-400.0, 1.0])])
-@pytest.mark.parametrize("record", [False, True])
-def test_drift_overflow_at_a_finite_state_is_not_a_divergence(A, record):
+@pytest.mark.parametrize("simulated", [False, True])
+def test_drift_overflow_at_a_finite_state_is_not_a_divergence(A, simulated):
     # h = -400 theta passes the largest double at step 672, twelve steps
-    # before theta does (684, above): the float loop (dim 1 without
-    # record_increments) and the array loop both name step 672 as a
-    # numerical overflow. Where long double is no wider than double it
-    # still reads as a divergence
+    # before theta does (684, above): the float loop (dim 1) and the array
+    # loop both name step 672 as a numerical overflow, and so does
+    # simulate, whose linear engine gives non-finite output and falls back
+    # to run_sa. Where long double is no wider than double it still reads
+    # as a divergence, which simulate records as a dropped replicate
     wide = np.finfo(np.longdouble).max > np.finfo(float).max
     spec = SAProcessSpec(dim=len(A), drift=LinearDrift(A), theta0=np.ones(len(A)))
-    with np.errstate(over="ignore"), pytest.raises(
+    if simulated and not wide:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, record = simulate(spec, 2000, 0, [100, 2000], 1)
+        assert record["dropped"] == [{"replicate": 0, "first_bad_index": 672}]
+        return
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalOverflowError if wide else DivergenceError) as exc:
-        run_sa(spec, 2000, seed=0, checkpoint_plan=[100, 2000],
-               record_increments=record)
+        if simulated:
+            simulate(spec, 2000, 0, [100, 2000], 1)
+        else:
+            run_sa(spec, 2000, seed=0, checkpoint_plan=[100, 2000])
     assert getattr(exc.value, "step" if wide else "first_bad_index") == 672
     # simulate drops a replicate for a DivergenceError only
     assert not issubclass(NumericalOverflowError, DivergenceError)
@@ -404,8 +415,7 @@ def test_linear_paths_near_integer_eigenvalue_matches_step_engine():
     got = linear_paths(A, [1.0], 100, seed=0, checkpoints=[1, 2, 100],
                        replicates=2, gamma_root=[[1.0]])
     for r in range(2):
-        ref = run_sa(spec, 100, 0, [1, 2, 100], replicate=r,
-                     record_increments=True).checkpoints
+        ref = reference_sa(spec, 100, 0, [1, 2, 100], replicate=r).checkpoints
         for (na, xa), (nb, xb) in zip(ref, got):
             assert na == nb
             np.testing.assert_allclose(xb[r], xa, rtol=1e-9, atol=1e-12)
@@ -470,8 +480,7 @@ def test_linear_paths_match_run_sa_property(model, R, seed, cuts):
     got = linear_paths(A, spec.theta0, n, seed, plan, replicates=R,
                        gamma_root=root, basis=basis)
     for r in range(R):
-        ref = run_sa(spec, n, seed, plan, replicate=r,
-                     record_increments=True).checkpoints
+        ref = reference_sa(spec, n, seed, plan, replicate=r).checkpoints
         for (na, xa), (nb, xb) in zip(ref, got):
             assert na == nb
             np.testing.assert_allclose(xb[r], xa, rtol=1e-9, atol=1e-12)

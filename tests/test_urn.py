@@ -373,6 +373,56 @@ def test_asymptotics_slow_urn_descriptor():
     assert comps[0].frequency == 0.0
 
 
+def _slow_urn_3(H):
+    rep = urn_asymptotics(UrnSpec(d=3, Y0=np.ones(3),
+                                  adding_rule=DeterministicRule(H)))
+    assert rep.regime.tag == "Slow" and rep.nu == 1
+    comps = rep.slow_descriptor.components
+    for c in comps:
+        # each direction solves the left eigenproblem of H
+        l = c.direction
+        assert np.linalg.norm(l @ H - c.value * l) <= 1e-12
+        assert c.frequency == c.value.imag
+    return rep, comps
+
+
+def test_asymptotics_slow_cyclic_urn_d3():
+    # 0.8 I + 0.2 P, P the cyclic shift: a conjugate pair at
+    # 0.8 + 0.2 e^{+-2 pi i/3} = 0.7 +- 0.1 sqrt(3) i sets lambda_sec
+    P = np.roll(np.eye(3), 1, axis=1)
+    rep, comps = _slow_urn_3(0.8 * np.eye(3) + 0.2 * P)
+    assert rep.lambda_sec == pytest.approx(0.7, abs=1e-12)
+    assert rep.slow_descriptor.rho == pytest.approx(0.3, abs=1e-12)
+    assert rep.regime.scaling == "n^{0.3}"
+    assert len(comps) == 2
+    assert comps[0].value == pytest.approx(0.7 + 0.17320508075688762j, abs=1e-12)
+    assert comps[1].value == pytest.approx(0.7 - 0.17320508075688762j, abs=1e-12)
+    assert [c.frequency for c in comps] == pytest.approx(
+        [0.17320508075688762, -0.17320508075688762], abs=1e-12)
+    for c in comps:
+        # l (I - 1^T v) with v uniform: the directions sum to 0
+        assert abs(c.direction.sum()) <= 1e-12
+    want = np.array([-0.2886751345948136 - 0.49999999999999983j,
+                     -0.2886751345948124 + 0.49999999999999983j,
+                     0.5773502691896261])
+    np.testing.assert_allclose(comps[0].direction, want, atol=1e-12)
+    np.testing.assert_allclose(comps[1].direction, want.conj(), atol=1e-12)
+
+
+def test_asymptotics_slow_urn_repeated_eigenvalue_d3():
+    # 0.8 I + 0.2 1^T (1/3, 1/3, 1/3): the eigenvalue 0.8 twice, semisimple,
+    # so its layer carries two independent components
+    H = 0.8 * np.eye(3) + 0.2 * np.outer(np.ones(3), np.full(3, 1.0 / 3.0))
+    rep, comps = _slow_urn_3(H)
+    assert rep.lambda_sec == pytest.approx(0.8, abs=1e-12)
+    assert rep.slow_descriptor.rho == pytest.approx(0.2, abs=1e-12)
+    assert len(comps) == 2
+    for c in comps:
+        assert c.value == pytest.approx(0.8, abs=1e-12) and c.frequency == 0.0
+    dirs = np.array([c.direction for c in comps])
+    assert np.linalg.matrix_rank(dirs) == 2
+
+
 def test_asymptotics_rejects_second_eigenvalue_at_one():
     # block-diagonal H keeps two eigenvalues at the top: not simple
     H = np.array([[1.0, 0.0], [0.0, 1.0]])

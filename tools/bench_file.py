@@ -11,6 +11,17 @@ change medians, the parent's quartiles, and the number of pairs the change
 wins, with the better direction read from BENCHMARK.json; whether every
 artifact digest matches the parent's; and the failed operations on each
 side. Traced records give per-layer medians. Standard library only.
+
+Each end-to-end metric also carries the no-regression verdict against its
+`bound` in BENCHMARK.json:
+
+    worse_by       relative change of the median in the metric's worse
+                   direction (negative when the change is better)
+    parent_spread  the parent's interquartile range over its median
+    status         "worse" when worse_by exceeds the bound; otherwise
+                   "unresolved" when parent_spread exceeds the bound and
+                   not every change run beats every parent run; otherwise
+                   "within"
 """
 
 import argparse
@@ -62,7 +73,24 @@ def _only(values, what):
     return values.pop()
 
 
-def _paired(parent, change, better):
+def _verdict(p, c, lower, bound):
+    """(worse_by, parent_spread, status) of parent runs p and change runs
+    c; see the module docstring."""
+    pm, cm = statistics.median(p), statistics.median(c)
+    q1, q3 = _quartiles(p)
+    worse_by = (cm - pm if lower else pm - cm) / pm
+    spread = (q3 - q1) / pm
+    beats = max(c) < min(p) if lower else min(c) > max(p)
+    if worse_by > bound:
+        status = "worse"
+    elif spread > bound and not beats:
+        status = "unresolved"
+    else:
+        status = "within"
+    return worse_by, spread, status
+
+
+def _paired(parent, change, end_to_end):
     if len(parent) != len(change):
         sys.exit(f"bench_file: {parent[0]['workload']} seed "
                  f"{parent[0]['seed']} has {len(parent)} parent and "
@@ -71,14 +99,19 @@ def _paired(parent, change, better):
     for name, rec in sorted(parent[0]["metrics"].items()):
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
-        lower = better[name] == "lower"
+        lower = end_to_end[name]["better"] == "lower"
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        worse_by, spread, status = _verdict(p, c, lower,
+                                            end_to_end[name]["bound"])
         metrics[name] = {
             "change_median": _round(statistics.median(c)),
             "change_wins": wins,
             "parent_iqr": [_round(q) for q in _quartiles(p)],
             "parent_median": _round(statistics.median(p)),
+            "parent_spread": _round(spread),
+            "status": status,
             "unit": rec["unit"],
+            "worse_by": _round(worse_by),
         }
     digests = parent[0]["digests"]
     return {
@@ -101,7 +134,7 @@ def _traced(parent, change):
 
 def bench_file(parent_dir, change_dir, benchmark):
     parent, change = _records(parent_dir), _records(change_dir)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     pg, cg = _groups(parent), _groups(change)
     if set(pg) != set(cg):
         sys.exit("bench_file: the two directories hold different workloads: "
@@ -120,7 +153,7 @@ def bench_file(parent_dir, change_dir, benchmark):
             "change": _only((r["src_lines"] for r in change), "src_lines"),
             "parent": _only((r["src_lines"] for r in parent), "src_lines")},
         "workloads": {label: _paired(pg[trace, label], cg[trace, label],
-                                     better)
+                                     end_to_end)
                       for trace, label in sorted(pg) if not trace},
     }
     traced = {label: _traced(pg[trace, label], cg[trace, label])
