@@ -12,9 +12,9 @@ artifact reaches disk through report.emit_report. The trajectory commands
 share one run-manifest writer (_emit_run) that takes its CSV rows and json
 payload straight from the engines' arrays; analyze and verify share one
 limit prediction (_prediction).
---threads N caps the worker processes that run replicate batches
-(simulate, urn, verify, suite; the other commands start none); no artifact
-depends on it.
+--threads N caps the worker processes that run replicate batches and
+suite's long mean recursions (simulate, urn, verify, suite; the other
+commands start none); no artifact depends on it.
 """
 
 import argparse
@@ -375,8 +375,8 @@ def _parser():
         q.add_argument("--threads", type=_threads, default=1,
                        metavar="N",
                        help="cap on the worker processes that run replicate "
-                            "batches (at most the usable CPUs); artifacts "
-                            "do not depend on it")
+                            "batches and long mean recursions (at most the "
+                            "usable CPUs); artifacts do not depend on it")
         q.add_argument("--format", choices=["json", "csv", "both"],
                        help="artifact formats (overrides output.formats)")
         q.set_defaults(handler=handler)

@@ -151,8 +151,13 @@ class InverseSqrtLogRemainder:
     """r_k = 1/sqrt(k log(k+1)); the +1 keeps the k = 1 term finite."""
 
     def __call__(self, k):
-        j = np.asarray(k, dtype=float)
-        return np.atleast_1d(1.0 / np.sqrt(j * np.log1p(j)))
+        # one buffer, worked in place: a temporary per operation would be
+        # freed and faulted in again on every chunk of a long mean recursion
+        j = np.atleast_1d(np.asarray(k, dtype=float))
+        out = np.log1p(j)
+        out *= j
+        np.sqrt(out, out=out)
+        return np.divide(1.0, out, out=out)
 
     def digest_parts(self):
         return "inv-sqrt-log"
@@ -165,8 +170,13 @@ class InverseSqrtLogLogRemainder:
     def __call__(self, k):
         j = np.atleast_1d(np.asarray(k, dtype=float))
         # below 2 the double log is undefined; loglog 2 < 1 clamps it to 1
-        ll = np.maximum(np.log(np.log(np.maximum(j, 2.0))), 1.0)
-        return 1.0 / (np.sqrt(j) * ll)
+        ll = np.maximum(j, 2.0)
+        np.log(ll, out=ll)
+        np.log(ll, out=ll)
+        np.maximum(ll, 1.0, out=ll)
+        out = np.sqrt(j)  # two buffers, worked in place (see above)
+        out *= ll
+        return np.divide(1.0, out, out=out)
 
     def digest_parts(self):
         return "inv-sqrt-loglog"

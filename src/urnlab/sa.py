@@ -17,16 +17,22 @@ remainder schedule. The engines share the same frozen noise streams:
                         closed form over lanes of steps (a chunk is an
                         (L, B) array whose columns are runs of L steps):
                         log P is prefix-summed by row adds over B lanes, the
-                        weighted remainder sum is never prefix-summed, and
-                        n = 1e8 takes about a second and a half.
+                        weighted remainder sum is never prefix-summed. A
+                        long horizon runs in two parts of chunks, the second
+                        in a forked worker (the helper that shards verify's
+                        replicates, _sharded), which sends back one float
+                        per block; n = 1e8 takes about 0.6 s on two CPUs,
+                        0.9 s on one.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
 same (seed, replicate) to float-summation error.
 """
 
+import bisect
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 
@@ -247,6 +253,54 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
     return Trajectory(tuple(cps))
 
 
+# ==== forked parts ====
+
+def worker_count(workers, replicates):
+    """Processes a batch runs on: the requested count, capped at the
+    replicates (or a horizon's parts) and at the CPUs this process may run
+    on."""
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    return min(int(workers), int(replicates), len(os.sched_getaffinity(0)))
+
+
+# the shard runner of a forked worker, set in that worker only (by _adopt)
+_ADOPTED = None
+
+
+def _adopt(run):
+    global _ADOPTED
+    _ADOPTED = run
+
+
+def _run_adopted(shard):
+    return _ADOPTED(shard)
+
+
+def _sharded(run, R, workers):
+    """[run(shard)] over contiguous shards of the replicates (or a horizon's
+    parts) 0..R-1, one shard per worker: the first runs in this process,
+    the others in forked worker processes that are gone when this returns.
+    run(shard) depends on its shard's indices alone, so no output depends
+    on `workers`. A shard's exception is raised here, the lowest shard's
+    first. Forking is safe only from a process that runs no other thread."""
+    shards = np.array_split(np.arange(R), worker_count(workers, R))
+    if len(shards) == 1:
+        return [run(shards[0])]
+    # imported here: the one place that parallelises, and no start-up cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, named: each worker inherits `run`, closures and all, unpickled.
+    # A worker that dies fails its future instead of leaving this call
+    # waiting; leaving the block joins every worker.
+    with ProcessPoolExecutor(len(shards) - 1,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(run,)) as pool:
+        pending = [pool.submit(_run_adopted, s) for s in shards[1:]]
+        return [run(shards[0])] + [f.result() for f in pending]
+
+
 # ==== deterministic mean recursion ====
 
 # lanes of the scalar closed form (see exact_mean_recursion): _LANE - 1 row
@@ -256,6 +310,15 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
 # n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
 _LANE = 32
 _LANES = 1024
+# the two parts of a horizon with a remainder (see _part_edges): the second
+# recomputes the log P carry of the chunks before it, a third of their whole
+# work (3.2 of 9.4 ns per step on the inv-sqrt-log schedule), so a split at
+# 3/5 of the chunks evens the parts (3/5 = 3/5 / 3 + 2/5). The process
+# pool's round trip costs 10-20 ms (40-65 ms the first time in a process):
+# two parts lose at 2^21 steps (25-43 vs 24-26 ms in one), tie or win at
+# 2^22 (40-46 vs 40-54 ms) and win at 2^23 (69 vs 96 ms) on two CPUs
+_SPLIT = 3 / 5
+_SPLIT_STEPS = 1 << 22
 
 
 def _compensated(hi, lo, x):
@@ -267,7 +330,105 @@ def _compensated(hi, lo, x):
     return s, lo + ((x - s) + hi)
 
 
-def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
+def _log_p_lanes(a, jb, cb):
+    """cb[i, b] = log P over lane b's steps up to its i-th, from the step
+    indices jb; returns the cumsum of the lane totals."""
+    np.divide(-a, jb, out=cb)
+    np.log1p(cb, out=cb)
+    steps = list(cb)  # row i: the i-th step of every lane
+    for prev, row in zip(steps, steps[1:]):
+        row += prev
+    return np.cumsum(cb[-1])
+
+
+def _part_edges(chunks, n_max, remainder, workers):
+    """Chunk indices where the parts of the horizon start, and its end: two
+    parts split at _SPLIT of the chunks when `workers` and the usable CPUs
+    allow two. One part for a horizon too short to repay a fork, or with no
+    remainder (where the recompute would be the whole work)."""
+    if (remainder is None or n_max < _SPLIT_STEPS
+            or worker_count(workers, 2) < 2):
+        return [0, chunks]
+    return [0, round(chunks * _SPLIT), chunks]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _first_bad_step(cb, scale, base, carried):
+    """The first step of a block at which the carried sum plus the block's
+    running sum of scaled terms r_k / (k P_k), in step order, is
+    non-finite; else the block's last."""
+    bad = ~np.isfinite(carried + np.cumsum((cb * scale).T))
+    return base + 1 + (int(bad.argmax()) if bad.any() else cb.size - 1)
+
+
+def _mean_chunks(a, remainder, n_max, lanes, first, stop, plan, carried=None):
+    """Chunks first..stop-1 of the scalar closed form, as (totals, marks):
+    totals holds each block of lanes' sum of r_k / (k P_k), in an array so
+    that a worker sends it back as one buffer, and marks holds
+    (block, k, P_k, prefix) for each checkpoint k, prefix its block's part
+    of that sum.
+
+    The log P carry into chunk `first` is recomputed from chunk 0 with the
+    same additions, so it is the same bit for bit in any part. `carried` is
+    the high part of the weighted sum carried into chunk `first`, where it
+    is known: the sum is then carried on as the caller does, and a
+    DivergenceError is raised at the first step where it is non-finite. A
+    part that does not know it (None) checks nothing; its caller does."""
+    # j[i, b] = b*_LANE + i + 1: the chunk's step indices, exact
+    j = np.ascontiguousarray(
+        np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
+    c = np.empty_like(j)
+    logP, logP_lo = 0.0, 0.0
+    for _ in range(first):
+        logP, logP_lo = _compensated(logP, logP_lo,
+                                     float(_log_p_lanes(a, j, c)[-1]))
+        j += j.size
+    done = first * j.size
+    pi = bisect.bisect_right(plan, done)
+    totals, marks = [], []
+    while done < min(n_max, stop * j.size):
+        whole, short = divmod(min(j.size, n_max - done), _LANE)
+        for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
+            if rows == 0 or b1 == b0:
+                continue
+            jb, cb = j[:rows, b0:b1], c[:rows, b0:b1]
+            ends = _log_p_lanes(a, jb, cb)  # log P over the block to lane ends
+            # log P at each lane's start, the carry added last
+            start = (np.concatenate(([0.0], ends[:-1])) + logP_lo) + logP
+            base = done + b0 * _LANE
+            here = []  # read before cb is overwritten below
+            while pi < len(plan) and plan[pi] <= base + cb.size:
+                b, i = divmod(plan[pi] - base - 1, rows)
+                here.append((plan[pi], b, i, np.exp(cb[i, b] + start[b])))
+                pi += 1
+            total = 0.0
+            if remainder is not None:
+                # cb becomes r_k / (k P_k) times P at the lane's start
+                np.exp(cb, out=cb)
+                cb *= jb
+                np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
+                scale = np.exp(-start)
+                sums = cb.sum(axis=0)
+                sums *= scale
+                total = float(sums.sum())
+                if carried is not None:
+                    if not math.isfinite(carried + total):
+                        k = _first_bad_step(cb, scale, base, carried)
+                        raise DivergenceError(
+                            f"mean became non-finite at step {k}",
+                            first_bad_index=k)
+                    carried += total
+            marks += [(len(totals), k, P, 0.0 if remainder is None else
+                       sums[:b].sum() + cb[:i + 1, b].sum() * scale[b])
+                      for k, b, i, P in here]
+            totals.append(total)
+            logP, logP_lo = _compensated(logP, logP_lo, float(ends[-1]))
+        done += j.size
+        j += j.size
+    return np.array(totals), marks
+
+
+def _mean_recursion_scalar(a, remainder, x0, n_max, plan, workers):
     """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k) in lanes.
 
     Per block of lanes, log P_k is a prefix sum down each lane plus the
@@ -278,61 +439,50 @@ def _mean_recursion_scalar(a, remainder, x0, n_max, plan):
     compensated. The chunk that ends the horizon is its whole lanes, then
     one short lane, so the remainder sees each index 1..n_max once and none
     beyond. Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
+
+    The chunks may be split into two consecutive parts (see _part_edges),
+    the first run here and the second in a forked worker; each part returns
+    one float per block and its checkpoints' prefixes, and the weighted sum
+    is carried over them here in block order: the same additions in the
+    same order at any part count. Where the carried sum becomes non-finite
+    a DivergenceError names the step.
     """
-    out = []
-    pi = 0
-    if pi < len(plan) and plan[pi] == 0:
-        out.append((0, np.array([x0])))
-        pi += 1
+    out = [(0, np.array([x0]))] if plan[:1] == [0] else []
     lanes = min(_LANES, -(-n_max // _LANE))
-    # j[i, b] = b*_LANE + i + 1: the chunk's step indices, exact
-    j = np.ascontiguousarray(
-        np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
-    c = np.empty_like(j)
-    logP, logP_lo = 0.0, 0.0
+    chunks = -(-n_max // (_LANE * lanes))
+    edges = _part_edges(chunks, n_max, remainder, workers)
+
+    def part(shard):
+        p = int(shard[0])
+        # the first part knows the sum carried into it: none
+        return _mean_chunks(a, remainder, n_max, lanes, edges[p], edges[p + 1],
+                            plan, 0.0 if p == 0 else None)
+
     S, S_lo = 0.0, 0.0  # sum of r_k / (k P_k)
-    done = 0
-    while done < n_max:
-        whole, short = divmod(min(j.size, n_max - done), _LANE)
-        for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
-            if rows == 0 or b1 == b0:
-                continue
-            jb, cb = j[:rows, b0:b1], c[:rows, b0:b1]
-            np.divide(-a, jb, out=cb)
-            np.log1p(cb, out=cb)
-            steps = list(cb)  # row i: the i-th step of every lane
-            for prev, row in zip(steps, steps[1:]):
-                row += prev
-            ends = np.cumsum(cb[-1])  # log P over the block to each lane's end
-            # log P at each lane's start, the carry added last
-            start = (np.concatenate(([0.0], ends[:-1])) + logP_lo) + logP
-            base = done + b0 * _LANE
-            marks = []  # read before cb is overwritten below
-            while pi < len(plan) and plan[pi] <= base + cb.size:
-                b, i = divmod(plan[pi] - base - 1, rows)
-                marks.append((plan[pi], b, i, np.exp(cb[i, b] + start[b])))
-                pi += 1
-            if remainder is not None:
-                # cb becomes r_k / (k P_k) times P at the lane's start
-                np.exp(cb, out=cb)
-                cb *= jb
-                np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
-                scale = np.exp(-start)
-                sums = cb.sum(axis=0)
-                sums *= scale
-            for k, b, i, P in marks:
-                part = 0.0 if remainder is None else (
-                    (sums[:b].sum() + cb[:i + 1, b].sum() * scale[b] + S_lo) + S)
-                out.append((k, np.array([P * (x0 + part)])))
-            logP, logP_lo = _compensated(logP, logP_lo, float(ends[-1]))
-            if remainder is not None:
-                S, S_lo = _compensated(S, S_lo, float(sums.sum()))
-        done += j.size
-        j += j.size
+    before = []  # the carried sum before each block; chunk c's first is c
+    for totals, marks in _sharded(part, len(edges) - 1, len(edges) - 1):
+        first = len(before)
+        for total in totals.tolist():
+            before.append((S, S_lo))
+            S, S_lo = _compensated(S, S_lo, total)
+            if not math.isfinite(S):
+                # in the worker's part: its chunk again, here, with the sum
+                # carried into it, raises at the step (at the chunk's last,
+                # should an impure remainder not repeat its values)
+                c = min(len(before) - 1, chunks - 1)
+                _mean_chunks(a, remainder, n_max, lanes, c, c + 1, [],
+                             before[c][0])
+                k = min(n_max, (c + 1) * lanes * _LANE)
+                raise DivergenceError(f"mean became non-finite at step {k}",
+                                      first_bad_index=k)
+        for block, k, P, prefix in marks:
+            hi, lo = before[first + block]
+            out.append((k, np.array([P * (x0 + ((prefix + lo) + hi))])))
     return out
 
 
-def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
+def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None,
+                         workers=2):
     """Mean path of the linear recursion:
     E theta_{n+1} = E theta_n (I - A/(n+1)) + r_{n+1}/(n+1).
 
@@ -342,10 +492,19 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
     evaluated in lanes: chunks of _LANE * _LANES steps held as a
     (_LANE, _LANES) array whose column b is the run of steps b*_LANE + 1 ..
     (b + 1)*_LANE, small enough to stay in cache, so horizons up to 1e8
-    take seconds and memory does not grow with n_max. The remainder
-    schedule must then be elementwise on an index array of any shape and
-    order: it is called on each block's (steps, lanes) float array of step
-    indices and sees each index 1..n_max exactly once and none beyond.
+    take about a second and memory does not grow with n_max. The remainder
+    schedule must then be a pure elementwise function of an index array of
+    any shape and order: it is called on each block's (steps, lanes) float
+    array of step indices and sees each index 1..n_max exactly once and
+    none beyond. From _SPLIT_STEPS steps on, with a remainder, the horizon
+    runs in two parts when `workers` (a cap, as in verify.simulate) and the
+    usable CPUs allow, the second in a forked worker process, so the
+    schedule may run there: a side effect does not reach this process, and
+    an exception it raises is raised here. Call it with workers=1 from a
+    process that runs other threads, which a fork would not copy. The
+    values are the same bit for bit for any `workers`. A weighted sum that
+    becomes non-finite raises DivergenceError at its step, as the step loop
+    of the other cases does.
     """
     A = _check_square(A, "A").astype(float)
     d = A.shape[0]
@@ -357,7 +516,7 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None):
 
     if d == 1 and 0.0 <= A[0, 0] < 1.0:
         return _mean_recursion_scalar(float(A[0, 0]), remainder, float(x[0]),
-                                      n_max, plan)
+                                      n_max, plan, workers)
 
     out = []
     pi = 0

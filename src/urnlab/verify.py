@@ -10,7 +10,6 @@ stream no matter how the work is scheduled.
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError,
                      NonConvergenceError)
 from .sa import (GaussianNoise, LinearDrift, SAProcessSpec, _checkpoint_plan,
-                 exact_mean_recursion, linear_paths, run_sa)
+                 _sharded, exact_mean_recursion, linear_paths, run_sa)
 from .urn import UrnSpec, DeterministicRule, run_urn, run_urn_batch, urn_asymptotics
 
 
@@ -94,50 +93,6 @@ class RateFit:
         }
 
 
-def worker_count(workers, replicates):
-    """Processes `simulate` runs a batch on: the requested count, capped at
-    the replicates and at the CPUs this process may run on."""
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    return min(int(workers), int(replicates), len(os.sched_getaffinity(0)))
-
-
-# the shard runner of a forked worker, set in that worker only (by _adopt)
-_ADOPTED = None
-
-
-def _adopt(run):
-    global _ADOPTED
-    _ADOPTED = run
-
-
-def _run_adopted(replicates):
-    return _ADOPTED(replicates)
-
-
-def _sharded(run, R, workers):
-    """[run(shard)] over contiguous shards of the replicates 0..R-1, one
-    shard per worker: the first runs in this process, the others in forked
-    worker processes that are gone when this returns. run(shard) depends on
-    its shard's replicate indices alone, so no output depends on `workers`.
-    A shard's exception is raised here, the lowest shard's first."""
-    shards = np.array_split(np.arange(R), worker_count(workers, R))
-    if len(shards) == 1:
-        return [run(shards[0])]
-    # imported here: the one place that parallelises, and no start-up cost
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, named: each worker inherits `run`, closures and all, unpickled.
-    # A worker that dies fails its future instead of leaving this call
-    # waiting; leaving the block joins every worker.
-    with ProcessPoolExecutor(len(shards) - 1,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(run,)) as pool:
-        pending = [pool.submit(_run_adopted, s) for s in shards[1:]]
-        return [run(shards[0])] + [f.result() for f in pending]
-
-
 def _joined(parts):
     """One checkpoint list from consecutive shards' lists [(k, arrays...)]:
     each checkpoint's arrays concatenated in replicate order."""
@@ -162,7 +117,7 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     step where any replicate is, as run_urn does for one.
 
     The replicates are split into contiguous shards over at most `workers`
-    processes (see worker_count); each replicate reads its own noise
+    processes (see sa.worker_count); each replicate reads its own noise
     streams and the fallbacks are decided on the whole batch, so paths,
     record and errors are the same at any worker count.
 
@@ -450,7 +405,8 @@ def golden_suite(config, workers=1):
     Monte Carlo effort (replicates, horizons, seed) comes from config; the
     deterministic long-horizon checks run at their pinned scales (single
     paths to 2^22, exact means to 1e8, the damped decay to 1e7). `workers`
-    caps the processes of each `simulate` call and changes no value. The
+    caps the processes of each `simulate` and `exact_mean_recursion` call
+    and changes no value. The
     report names every failing criterion.
     """
     from .golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
@@ -558,7 +514,8 @@ def golden_suite(config, workers=1):
     decades = [10 ** k for k in range(4, 9)]
     spec_r = remainder_drive_spec("inv-sqrt-log")
     ms = exact_mean_recursion(spec_r.drift.matrix, spec_r.remainder,
-                              spec_r.theta0, decades[-1], checkpoints=decades)
+                              spec_r.theta0, decades[-1], checkpoints=decades,
+                              workers=workers)
     n_f, x_f = ms[-1]
     mean_ratio = float(x_f[0]) / (2.0 * math.sqrt(math.log(n_f) / n_f))
     grade("remainder-mean-sqrt-log", 0.9 <= mean_ratio <= 1.05,
@@ -566,7 +523,8 @@ def golden_suite(config, workers=1):
 
     spec_ll = remainder_drive_spec("inv-sqrt-loglog")
     ms = exact_mean_recursion(spec_ll.drift.matrix, spec_ll.remainder,
-                              spec_ll.theta0, decades[-1], checkpoints=decades)
+                              spec_ll.theta0, decades[-1], checkpoints=decades,
+                              workers=workers)
     series = [math.sqrt(n / math.log(n)) * float(x[0]) for n, x in ms]
     grade("remainder-mean-loglog",
           all(b > a for a, b in zip(series, series[1:])),

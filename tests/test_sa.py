@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import sys
 import tracemalloc
 
@@ -19,7 +21,9 @@ from urnlab.sa import (
     Trajectory,
     _LANE,
     _LANES,
+    _SPLIT_STEPS,
     _block_weights,
+    _part_edges,
     exact_mean_recursion,
     linear_paths,
     run_sa,
@@ -261,9 +265,11 @@ def test_exact_mean_scalar_matches_extended_precision():
     assert max(rel) <= 1e-14, rel
 
 
-def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon():
+def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # the last horizon runs in two parts, even on a one-CPU box
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     spec = remainder_drive_spec("inv-sqrt-log")
-    for n in (10 ** 6, 4 * 10 ** 6):
+    for n in (10 ** 6, 4 * 10 ** 6, _SPLIT_STEPS):
         tracemalloc.start()
         try:
             exact_mean_recursion(spec.drift.matrix, spec.remainder, spec.theta0, n)
@@ -271,6 +277,164 @@ def test_exact_mean_scalar_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20, (n, peak)
+
+
+# ==== the scalar mean recursion in parts ====
+
+def _use_cpus(monkeypatch, count):
+    # the part count is capped at the usable CPUs; fake any count on any box
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _chunks(n):
+    return -(-n // CHUNK)
+
+
+# (usable CPUs, workers) -> parts of a horizon with a remainder
+PART_COUNTS = {(1, 2): 1, (2, 2): 2, (3, 2): 2, (3, 1): 1, (3, 3): 2}
+
+
+@pytest.mark.parametrize("kind", sorted(REMAINDERS))
+@pytest.mark.parametrize("end", ["inside-a-lane", "chunk-end",
+                                 "one-past-a-chunk-end"])
+def test_exact_mean_scalar_is_the_same_at_any_part_count(kind, end,
+                                                         monkeypatch):
+    n = _SPLIT_STEPS + {"inside-a-lane": 17, "chunk-end": CHUNK,
+                        "one-past-a-chunk-end": 1}[end]
+    remainder = REMAINDERS[kind]
+    # both sides of every chunk end, the part boundary among them
+    plan = sorted({0, n} | {k for e in range(1, _chunks(n) + 1)
+                            for k in (e * CHUNK - 1, e * CHUNK, e * CHUNK + 1)
+                            if k <= n})
+    runs = []
+    for (cpus, workers), parts in PART_COUNTS.items():
+        _use_cpus(monkeypatch, cpus)
+        edges = _part_edges(_chunks(n), n, remainder, workers)
+        assert len(edges) - 1 == (1 if remainder is None else parts)
+        runs.append(exact_mean_recursion([[0.5]], remainder, [0.25], n,
+                                         checkpoints=plan, workers=workers))
+        assert multiprocessing.active_children() == []
+    want = runs[0]
+    assert [k for k, _ in want] == plan
+    for got in runs[1:]:
+        assert [k for k, _ in got] == plan
+        for (_, x), (_, y) in zip(want, got):
+            assert np.array_equal(x, y)
+
+
+def test_exact_mean_scalar_one_worker_never_forks(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    exact_mean_recursion([[0.5]], REMAINDERS["inv-sqrt"], [0.0], _SPLIT_STEPS,
+                         workers=1)
+
+
+class FileRecordingRemainder:
+    """1/sqrt(k), appending each contiguous block of indices it is asked
+    for to a file as (process, first index, count)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, k):
+        flat = np.sort(np.ravel(k))
+        if not np.array_equal(flat, np.arange(flat[0], flat[-1] + 1.0)):
+            raise ValueError("index block is not contiguous")
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()} {int(flat[0])} {flat.size}\n")
+        return 1.0 / np.sqrt(k)
+
+
+def test_exact_mean_scalar_parts_evaluate_each_index_once(tmp_path,
+                                                          monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    path = tmp_path / "indices.txt"
+    n = _SPLIT_STEPS + 17
+    exact_mean_recursion([[0.5]], FileRecordingRemainder(path), [0.0], n)
+    rows = [tuple(map(int, line.split()))
+            for line in path.read_text().splitlines()]
+    pids = {pid for pid, _, _ in rows}
+    assert len(pids) == 2 and os.getpid() in pids  # this process and a worker
+    stop = 0
+    for _, first, count in sorted(rows, key=lambda row: row[1]):
+        assert first == stop + 1
+        stop += count
+    assert stop == n
+
+
+def _spiked(bad, value):
+    """1/sqrt(k) with r_bad = value."""
+    return lambda k: np.where(k == bad, value, 1.0 / np.sqrt(k))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_exact_mean_scalar_raises_at_the_first_non_finite_step(value,
+                                                               monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    split = _SPLIT_STEPS + 5
+    worker = _part_edges(_chunks(split), split, _spiked(1, 1.0), 2)[1] * CHUNK
+    for bad, n, plan in ((50, 100, [49, 50, 100]),
+                         (CHUNK, 2 * CHUNK, [CHUNK - 1, 2 * CHUNK]),
+                         (worker + 12345, split, [split])):
+        with pytest.raises(DivergenceError) as exc:
+            exact_mean_recursion([[0.5]], _spiked(bad, value), [0.0], n,
+                                 checkpoints=plan)
+        assert exc.value.first_bad_index == bad
+        assert multiprocessing.active_children() == []
+    # the step loop raises the same error on the same schedule
+    with pytest.raises(DivergenceError) as exc:
+        exact_mean_recursion([[0.5, 0.0], [0.0, 0.5]],
+                             lambda k: [_spiked(50, value)(k)] * 2,
+                             [0.0, 0.0], 100)
+    assert exc.value.first_bad_index == 50
+
+
+def _constant_overflowing_at(k, a=0.5):
+    """The constant r whose weighted sum S_n = (r/a)(1/P_n - 1) passes the
+    largest double halfway between steps k - 1 and k (log 1/P_n from
+    lgamma); its relative rise over a step, about a/n, dwarfs both lgamma's
+    error and the summation's rounding."""
+    inv_p = [math.exp(math.lgamma(1 - a) + math.lgamma(n + 1)
+                      - math.lgamma(n + 1 - a)) for n in (k - 1, k)]
+    return a * sys.float_info.max / ((inv_p[0] + inv_p[1]) / 2 - 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_exact_mean_scalar_raises_where_the_carried_sum_overflows(cpus,
+                                                                  monkeypatch):
+    # every block's own sum stays finite; the carried sum passes the
+    # largest double in the first part's fourth chunk, then in the
+    # worker's part, while the mean (r/a)(1 - P_n) stays finite
+    _use_cpus(monkeypatch, 2)
+    n = _SPLIT_STEPS + 5
+    worker = _part_edges(_chunks(n), n, _spiked(1, 1.0), 2)[1] * CHUNK
+    _use_cpus(monkeypatch, cpus)
+    for bad in (3 * CHUNK + 4321, worker + 54321):
+        r = _constant_overflowing_at(bad)
+        with pytest.raises(DivergenceError) as exc:
+            exact_mean_recursion([[0.5]], lambda k: np.full(np.shape(k), r),
+                                 [0.0], n, checkpoints=[bad - 1, n])
+        assert exc.value.first_bad_index == bad
+        assert multiprocessing.active_children() == []
+
+
+def test_exact_mean_scalar_raises_a_workers_error_here(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    n = _SPLIT_STEPS
+    stop = _part_edges(_chunks(n), n, _spiked(1, 1.0), 2)[1] * CHUNK
+
+    def remainder(k):
+        if np.max(k) > stop:  # in the forked part only
+            raise FloatingPointError("remainder failed")
+        return 1.0 / np.sqrt(k)
+
+    with pytest.raises(FloatingPointError, match="remainder failed"):
+        exact_mean_recursion([[0.5]], remainder, [0.0], n)
+    assert multiprocessing.active_children() == []
 
 
 def test_linear_paths_hold_one_noise_block():

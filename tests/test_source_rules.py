@@ -185,10 +185,10 @@ def test_ignored_parameter_rule_catches_one():
         ("C.__call__", "theta"), ("C.__call__", "extra")]
 
 
-# the one function that may start processes; a module-level import would
-# also add its cost to every urnlab start-up
-PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
-PARALLEL_HOME = ("urnlab/verify.py", "_sharded")
+# the one function that may start processes or threads; a module-level
+# import would also add its cost to every urnlab start-up
+PARALLEL_MODULES = ("multiprocessing", "concurrent.futures", "threading")
+PARALLEL_HOME = ("urnlab/sa.py", "_sharded")
 
 
 def _parallel_imports(tree):
@@ -232,11 +232,14 @@ def test_pool_import_rule_catches_one():
         "def f():\n    from concurrent import futures\n"
         "def _sharded():\n    import multiprocessing\n"
         "    def g():\n        from concurrent.futures import ProcessPoolExecutor\n"
-        "import concurrency\n")
+        "import concurrency\n"
+        "def h():\n    from threading import Thread\n"
+        "import threadingly\n")
     assert _parallel_imports(tree) == [
         (None, "multiprocessing.pool"), ("f", "concurrent.futures"),
         ("_sharded", "multiprocessing"), ("g", "concurrent.futures"),
-        ("g", "concurrent.futures.ProcessPoolExecutor")]
+        ("g", "concurrent.futures.ProcessPoolExecutor"), ("h", "threading"),
+        ("h", "threading.Thread")]
 
 
 # a noise source makes its known draw and no more; one opened without it

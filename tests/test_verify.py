@@ -15,7 +15,8 @@ from urnlab.errors import (DivergenceError, InvalidArgumentError,
                            NonConvergenceError, NumericalOverflowError)
 from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
                            jordan_chain_spec, remainder_drive_spec)
-from urnlab.sa import GaussianNoise, LinearDrift, SAProcessSpec, run_sa
+from urnlab.sa import (GaussianNoise, LinearDrift, SAProcessSpec, run_sa,
+                       worker_count)
 from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
                         run_urn, urn_asymptotics)
 from urnlab.verify import (
@@ -28,7 +29,6 @@ from urnlab.verify import (
     path_convergence,
     rotation_fit,
     simulate,
-    worker_count,
 )
 from oracles import reference_sa
 
