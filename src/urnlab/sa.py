@@ -17,17 +17,19 @@ remainder schedule. The engines share the same frozen noise streams:
                         closed form over lanes of steps (a chunk is an
                         (L, B) array whose columns are runs of L steps):
                         log P is prefix-summed by row adds over B lanes, the
-                        weighted remainder sum is never prefix-summed. A
-                        long horizon runs in two parts of chunks, the second
-                        in a forked worker (the helper that shards verify's
-                        replicates, _sharded), which sends back one float
-                        per block; n = 1e8 takes about 0.6 s on two CPUs,
-                        0.9 s on one.
+                        weighted remainder sum is never prefix-summed. Each
+                        block of lanes is taken relative to P at its start
+                        and the mean is carried over the blocks, so a long
+                        horizon's chunks run in parts, one per usable CPU,
+                        all but the first in forked workers (_sharded,
+                        which also shards verify's replicates); n = 1e8
+                        takes about 0.6 s on two CPUs, 1.0 s on one.
 
 verify.simulate picks between run_sa and linear_paths. They agree on the
 same (seed, replicate) to float-summation error.
 """
 
+import array
 import bisect
 import dataclasses
 import hashlib
@@ -310,24 +312,12 @@ def _sharded(run, R, workers):
 # n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
 _LANE = 32
 _LANES = 1024
-# the two parts of a horizon with a remainder (see _part_edges): the second
-# recomputes the log P carry of the chunks before it, a third of their whole
-# work (3.2 of 9.4 ns per step on the inv-sqrt-log schedule), so a split at
-# 3/5 of the chunks evens the parts (3/5 = 3/5 / 3 + 2/5). The process
-# pool's round trip costs 10-20 ms (40-65 ms the first time in a process):
-# two parts lose at 2^21 steps (25-43 vs 24-26 ms in one), tie or win at
-# 2^22 (40-46 vs 40-54 ms) and win at 2^23 (69 vs 96 ms) on two CPUs
-_SPLIT = 3 / 5
+# a horizon with a remainder runs its chunks in parts (see
+# _mean_recursion_scalar) from this many steps on. The process pool's first
+# round trip in a process costs 20-30 ms: there, on two CPUs, two parts
+# lose at 2^21 steps (40-47 vs 19-27 ms in one), tie at 2^22 (40-58 vs
+# 36-52 ms) and tie or win at 2^23 (61-87 vs 74-108 ms)
 _SPLIT_STEPS = 1 << 22
-
-
-def _compensated(hi, lo, x):
-    """(hi, lo) + x as a new pair, Neumaier's compensated summation: lo
-    gathers the rounding error of every addition into hi."""
-    s = hi + x
-    if abs(hi) >= abs(x):
-        return s, lo + ((hi - s) + x)
-    return s, lo + ((x - s) + hi)
 
 
 def _log_p_lanes(a, jb, cb):
@@ -341,143 +331,114 @@ def _log_p_lanes(a, jb, cb):
     return np.cumsum(cb[-1])
 
 
-def _part_edges(chunks, n_max, remainder, workers):
-    """Chunk indices where the parts of the horizon start, and its end: two
-    parts split at _SPLIT of the chunks when `workers` and the usable CPUs
-    allow two. One part for a horizon too short to repay a fork, or with no
-    remainder (where the recompute would be the whole work)."""
-    if (remainder is None or n_max < _SPLIT_STEPS
-            or worker_count(workers, 2) < 2):
-        return [0, chunks]
-    return [0, round(chunks * _SPLIT), chunks]
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _first_bad_step(cb, scale, base, carried):
-    """The first step of a block at which the carried sum plus the block's
-    running sum of scaled terms r_k / (k P_k), in step order, is
-    non-finite; else the block's last."""
-    bad = ~np.isfinite(carried + np.cumsum((cb * scale).T))
-    return base + 1 + (int(bad.argmax()) if bad.any() else cb.size - 1)
-
-
-def _mean_chunks(a, remainder, n_max, lanes, first, stop, plan, carried=None):
-    """Chunks first..stop-1 of the scalar closed form, as (totals, marks):
-    totals holds each block of lanes' sum of r_k / (k P_k), in an array so
-    that a worker sends it back as one buffer, and marks holds
-    (block, k, P_k, prefix) for each checkpoint k, prefix its block's part
-    of that sum.
-
-    The log P carry into chunk `first` is recomputed from chunk 0 with the
-    same additions, so it is the same bit for bit in any part. `carried` is
-    the high part of the weighted sum carried into chunk `first`, where it
-    is known: the sum is then carried on as the caller does, and a
-    DivergenceError is raised at the first step where it is non-finite. A
-    part that does not know it (None) checks nothing; its caller does."""
+def _mean_chunks(a, remainder, n_max, lanes, first, stop, plan):
+    """Chunks first..stop-1 of the scalar closed form, each block of lanes
+    on its own: with lo and hi the steps before and at its end, blocks
+    holds (hi, P_hi/P_lo, sum_k (r_k/k) P_hi/P_k) per block, three doubles
+    each in one flat array (a worker sends it back as one buffer; a tuple
+    per block read 3.7 MiB more peak RSS in 4 s long-path benchmark runs on
+    a 2-core host), and marks maps a block to its checkpoints' (k,
+    P_k/P_lo, sum_{j<=k} (r_j/j) P_k/P_j)."""
     # j[i, b] = b*_LANE + i + 1: the chunk's step indices, exact
     j = np.ascontiguousarray(
         np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
-    c = np.empty_like(j)
-    logP, logP_lo = 0.0, 0.0
-    for _ in range(first):
-        logP, logP_lo = _compensated(logP, logP_lo,
-                                     float(_log_p_lanes(a, j, c)[-1]))
-        j += j.size
     done = first * j.size
+    j += done
+    c = np.empty_like(j)
     pi = bisect.bisect_right(plan, done)
-    totals, marks = [], []
+    blocks, marks = array.array("d"), {}
     while done < min(n_max, stop * j.size):
         whole, short = divmod(min(j.size, n_max - done), _LANE)
         for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
             if rows == 0 or b1 == b0:
                 continue
             jb, cb = j[:rows, b0:b1], c[:rows, b0:b1]
-            ends = _log_p_lanes(a, jb, cb)  # log P over the block to lane ends
-            # log P at each lane's start, the carry added last
-            start = (np.concatenate(([0.0], ends[:-1])) + logP_lo) + logP
+            ends = _log_p_lanes(a, jb, cb)  # log P / P_lo at lane ends
+            start = np.concatenate(([0.0], ends[:-1]))  # and at lane starts
             base = done + b0 * _LANE
             here = []  # read before cb is overwritten below
             while pi < len(plan) and plan[pi] <= base + cb.size:
                 b, i = divmod(plan[pi] - base - 1, rows)
-                here.append((plan[pi], b, i, np.exp(cb[i, b] + start[b])))
+                here.append((plan[pi], b, i, cb[i, b] + start[b]))
                 pi += 1
             total = 0.0
             if remainder is not None:
-                # cb becomes r_k / (k P_k) times P at the lane's start
+                # cb becomes r_k / k times P at the lane's start over P_k
                 np.exp(cb, out=cb)
                 cb *= jb
                 np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
-                scale = np.exp(-start)
                 sums = cb.sum(axis=0)
-                sums *= scale
-                total = float(sums.sum())
-                if carried is not None:
-                    if not math.isfinite(carried + total):
-                        k = _first_bad_step(cb, scale, base, carried)
-                        raise DivergenceError(
-                            f"mean became non-finite at step {k}",
-                            first_bad_index=k)
-                    carried += total
-            marks += [(len(totals), k, P, 0.0 if remainder is None else
-                       sums[:b].sum() + cb[:i + 1, b].sum() * scale[b])
-                      for k, b, i, P in here]
-            totals.append(total)
-            logP, logP_lo = _compensated(logP, logP_lo, float(ends[-1]))
+                total = float((sums * np.exp(ends[-1] - start)).sum())
+            for k, b, i, logp in here:
+                prefix = 0.0 if remainder is None else float(
+                    (sums[:b] * np.exp(logp - start[:b])).sum()
+                    + cb[:i + 1, b].sum() * math.exp(logp - start[b]))
+                marks.setdefault(len(blocks) // 3, []).append(
+                    (k, math.exp(logp), prefix))
+            blocks.extend((base + cb.size, math.exp(ends[-1]), total))
         done += j.size
         j += j.size
-    return np.array(totals), marks
+    return blocks, marks
+
+
+def _replay(a, remainder, x, lo, hi, plan):
+    """Steps lo+1..hi of the mean recursion x <- x (1 - a/k) + r_k/k from x,
+    one at a time, as (x at hi, [(k, x)] at the steps in plan); a
+    DivergenceError names the first step where x is non-finite."""
+    out = []
+    r = np.asarray(remainder(np.arange(lo + 1.0, hi + 1.0)), dtype=float)
+    for k, rk in enumerate(r.tolist(), lo + 1):
+        x = x * (1.0 - a / k) + rk / k
+        if not math.isfinite(x):
+            raise DivergenceError(f"mean became non-finite at step {k}",
+                                  first_bad_index=k)
+        if k in plan:
+            out.append((k, x))
+    return x, out
 
 
 def _mean_recursion_scalar(a, remainder, x0, n_max, plan, workers):
     """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k) in lanes.
 
-    Per block of lanes, log P_k is a prefix sum down each lane plus the
-    cumsum of the lane totals before it, plus the log P carried in. The
+    Per block of lanes, log P_k relative to the block's start is a prefix
+    sum down each lane plus the cumsum of the lane totals before it. The
     weighted sum is never prefix-summed: each lane's terms are summed
-    relative to P at the lane's start and scaled once, and only the block
-    total and the prefix at a checkpoint are formed. Both carries are
-    compensated. The chunk that ends the horizon is its whole lanes, then
-    one short lane, so the remainder sees each index 1..n_max once and none
-    beyond. Valid for 0 <= a < 1 so every factor (1 - a/k) stays positive.
+    relative to P at the lane's start, and the lane sums are scaled to P at
+    the block's end (or at a checkpoint). The chunk that ends the horizon
+    is its whole lanes, then one short lane, so the remainder sees each
+    index 1..n_max once and none beyond. Valid for 0 <= a < 1 so every
+    factor (1 - a/k) stays positive.
 
-    The chunks may be split into two consecutive parts (see _part_edges),
-    the first run here and the second in a forked worker; each part returns
-    one float per block and its checkpoints' prefixes, and the weighted sum
-    is carried over them here in block order: the same additions in the
-    same order at any part count. Where the carried sum becomes non-finite
-    a DivergenceError names the step.
+    No block depends on another, so the chunks run in contiguous parts
+    (_sharded, as verify's replicates), the first here and the others in
+    forked workers, and the mean itself is carried over the blocks here, in
+    order: m <- m P_hi/P_lo + sum. A block whose mean at its end or at a
+    checkpoint is non-finite is replayed step by step from the mean carried
+    into it; the replay's values stand, or it raises at its first
+    non-finite step.
     """
     out = [(0, np.array([x0]))] if plan[:1] == [0] else []
     lanes = min(_LANES, -(-n_max // _LANE))
     chunks = -(-n_max // (_LANE * lanes))
-    edges = _part_edges(chunks, n_max, remainder, workers)
+    if remainder is None or n_max < _SPLIT_STEPS:
+        workers = 1
 
     def part(shard):
-        p = int(shard[0])
-        # the first part knows the sum carried into it: none
-        return _mean_chunks(a, remainder, n_max, lanes, edges[p], edges[p + 1],
-                            plan, 0.0 if p == 0 else None)
+        return _mean_chunks(a, remainder, n_max, lanes, int(shard[0]),
+                            int(shard[-1]) + 1, plan)
 
-    S, S_lo = 0.0, 0.0  # sum of r_k / (k P_k)
-    before = []  # the carried sum before each block; chunk c's first is c
-    for totals, marks in _sharded(part, len(edges) - 1, len(edges) - 1):
-        first = len(before)
-        for total in totals.tolist():
-            before.append((S, S_lo))
-            S, S_lo = _compensated(S, S_lo, total)
-            if not math.isfinite(S):
-                # in the worker's part: its chunk again, here, with the sum
-                # carried into it, raises at the step (at the chunk's last,
-                # should an impure remainder not repeat its values)
-                c = min(len(before) - 1, chunks - 1)
-                _mean_chunks(a, remainder, n_max, lanes, c, c + 1, [],
-                             before[c][0])
-                k = min(n_max, (c + 1) * lanes * _LANE)
-                raise DivergenceError(f"mean became non-finite at step {k}",
-                                      first_bad_index=k)
-        for block, k, P, prefix in marks:
-            hi, lo = before[first + block]
-            out.append((k, np.array([P * (x0 + ((prefix + lo) + hi))])))
+    m, lo = x0, 0  # the mean at step lo
+    for blocks, marks in _sharded(part, chunks, workers):
+        for b in range(len(blocks) // 3):
+            hi, ratio, total = blocks[3 * b:3 * b + 3]
+            here = [(k, m * P + prefix) for k, P, prefix in marks.get(b, ())]
+            end = m * ratio + total
+            if not all(map(math.isfinite, [end] + [x for _, x in here])):
+                end, here = _replay(a, remainder, m, lo, int(hi),
+                                    [k for k, _ in here])
+            out += [(k, np.array([x])) for k, x in here]
+            m, lo = end, int(hi)
     return out
 
 
@@ -496,15 +457,19 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None,
     schedule must then be a pure elementwise function of an index array of
     any shape and order: it is called on each block's (steps, lanes) float
     array of step indices and sees each index 1..n_max exactly once and
-    none beyond. From _SPLIT_STEPS steps on, with a remainder, the horizon
-    runs in two parts when `workers` (a cap, as in verify.simulate) and the
-    usable CPUs allow, the second in a forked worker process, so the
-    schedule may run there: a side effect does not reach this process, and
-    an exception it raises is raised here. Call it with workers=1 from a
-    process that runs other threads, which a fork would not copy. The
-    values are the same bit for bit for any `workers`. A weighted sum that
-    becomes non-finite raises DivergenceError at its step, as the step loop
-    of the other cases does.
+    none beyond (a block whose mean turns non-finite is evaluated once
+    more, see below). From _SPLIT_STEPS steps on, with a remainder, the
+    chunks run in as many contiguous parts as `workers` (a cap, as in
+    verify.simulate) and the usable CPUs allow, all but the first in forked
+    worker processes, so the schedule may run there: a side effect does
+    not reach this process, and an exception it raises is raised here.
+    Call it with workers=1 from a process that runs other threads, which a
+    fork would not copy. The values are the same bit for bit for any
+    `workers`. A block whose mean comes out non-finite is replayed with the
+    step recursion from the mean carried into it: a finite mean is
+    returned, and a non-finite one raises DivergenceError at the step where
+    the step recursion first becomes non-finite, as the step loop of the
+    other cases does.
     """
     A = _check_square(A, "A").astype(float)
     d = A.shape[0]
@@ -512,6 +477,8 @@ def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None,
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     plan = _checkpoint_plan(checkpoints if checkpoints is not None else [n_max], n_max)
 
     if d == 1 and 0.0 <= A[0, 0] < 1.0:

@@ -212,6 +212,8 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
     if not isinstance(spec.adding_rule, DeterministicRule):
         raise InvalidArgumentError("batch engine requires a deterministic rule")
     n_max = int(n_max)
+    if n_max < 1:
+        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = [c for c in _checkpoint_plan(checkpoints, n_max) if c >= 1]
     repl = replicate_indices(replicates)
     R = repl.size

@@ -406,8 +406,7 @@ def golden_suite(config, workers=1):
     deterministic long-horizon checks run at their pinned scales (single
     paths to 2^22, exact means to 1e8, the damped decay to 1e7). `workers`
     caps the processes of each `simulate` and `exact_mean_recursion` call
-    and changes no value. The
-    report names every failing criterion.
+    and changes no value. The report names every failing criterion.
     """
     from .golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
                          remainder_drive_spec, rotation_spec)
@@ -479,7 +478,7 @@ def golden_suite(config, workers=1):
 
     # noise-free decay, clean power law: n^rho theta_n has settled by 1e6
     ms = exact_mean_recursion([[0.5]], None, decay_spec(0.5).theta0, 10 ** 7,
-                              checkpoints=[10 ** 6, 10 ** 7])
+                              checkpoints=[10 ** 6, 10 ** 7], workers=workers)
     vals = [n ** 0.5 * float(x[0]) for n, x in ms]
     ratio = vals[1] / vals[0]
     grade("decay-pure-rate", 0.99 <= ratio <= 1.01,

@@ -42,7 +42,7 @@ def test_bench_file_from_two_records(tmp_path):
     assert bench["command"] == ("python3 bench/run.py --workload W --seed S "
                                 "--seconds 20 --trace T")
     assert bench["workloads"] == {"verify-urn-seed0": {
-        "digests_equal": True,
+        "digests_changed": [],
         "failed": {"change": 1, "parent": 0},
         "metrics": {
             # lower is better for both, as BENCHMARK.json declares
@@ -59,6 +59,22 @@ def test_bench_file_from_two_records(tmp_path):
         "pairs": 1,
         "seed": 0}}
     assert "traced" not in bench
+
+
+def test_bench_file_names_the_calls_whose_digests_differ(tmp_path):
+    for side, mean in (("parent", "cd"), ("change", "ef")):
+        (tmp_path / side).mkdir()
+        for i in range(2):
+            rec = _record(0.5, 70.0, 4444, "ab")
+            rec["digests"]["mean"] = mean
+            (tmp_path / side / f"{i:02d}-verify-urn.json").write_text(
+                json.dumps(rec))
+    out = tmp_path / "BENCH.json"
+    assert _tool().main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "-o", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["workloads"]["verify-urn-seed0"]["digests_changed"] == [
+        "mean"]
 
 
 def _verdicts(tmp_path, parent_walls, change_walls):

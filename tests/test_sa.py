@@ -13,6 +13,7 @@ from urnlab.errors import (ChainBasisRequiredError, DivergenceError,
                            InvalidArgumentError, JordanIntegerEigenvalueError,
                            NumericalOverflowError)
 from urnlab.golden import InverseSqrtLogRemainder, remainder_drive_spec
+from urnlab import sa
 from urnlab.rng import BLOCK
 from urnlab.sa import (
     GaussianNoise,
@@ -23,7 +24,6 @@ from urnlab.sa import (
     _LANES,
     _SPLIT_STEPS,
     _block_weights,
-    _part_edges,
     exact_mean_recursion,
     linear_paths,
     run_sa,
@@ -290,8 +290,13 @@ def _chunks(n):
     return -(-n // CHUNK)
 
 
+def _worker_start(n):
+    """The first step of the second of two parts of a horizon of n steps."""
+    return int(np.array_split(np.arange(_chunks(n)), 2)[1][0]) * CHUNK + 1
+
+
 # (usable CPUs, workers) -> parts of a horizon with a remainder
-PART_COUNTS = {(1, 2): 1, (2, 2): 2, (3, 2): 2, (3, 1): 1, (3, 3): 2}
+PART_COUNTS = {(1, 2): 1, (2, 2): 2, (3, 2): 2, (3, 1): 1, (3, 3): 3}
 
 
 @pytest.mark.parametrize("kind", sorted(REMAINDERS))
@@ -302,17 +307,24 @@ def test_exact_mean_scalar_is_the_same_at_any_part_count(kind, end,
     n = _SPLIT_STEPS + {"inside-a-lane": 17, "chunk-end": CHUNK,
                         "one-past-a-chunk-end": 1}[end]
     remainder = REMAINDERS[kind]
-    # both sides of every chunk end, the part boundary among them
+    # both sides of every chunk end, the part boundaries among them
     plan = sorted({0, n} | {k for e in range(1, _chunks(n) + 1)
                             for k in (e * CHUNK - 1, e * CHUNK, e * CHUNK + 1)
                             if k <= n})
+    sharded, counts = sa._sharded, []
+
+    def counted(run, R, workers):
+        parts = sharded(run, R, workers)
+        counts.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(sa, "_sharded", counted)
     runs = []
     for (cpus, workers), parts in PART_COUNTS.items():
         _use_cpus(monkeypatch, cpus)
-        edges = _part_edges(_chunks(n), n, remainder, workers)
-        assert len(edges) - 1 == (1 if remainder is None else parts)
         runs.append(exact_mean_recursion([[0.5]], remainder, [0.25], n,
                                          checkpoints=plan, workers=workers))
+        assert counts.pop() == (1 if remainder is None else parts)
         assert multiprocessing.active_children() == []
     want = runs[0]
     assert [k for k, _ in want] == plan
@@ -331,6 +343,15 @@ def test_exact_mean_scalar_one_worker_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     exact_mean_recursion([[0.5]], REMAINDERS["inv-sqrt"], [0.0], _SPLIT_STEPS,
                          workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_exact_mean_refuses_workers_below_one(workers):
+    # at a horizon too short to split, and in the step loop of dim 2
+    for A in ([[0.5]], np.eye(2) / 2):
+        with pytest.raises(InvalidArgumentError, match="workers"):
+            exact_mean_recursion(A, None, np.zeros(len(A)), 1000,
+                                 workers=workers)
 
 
 class FileRecordingRemainder:
@@ -376,10 +397,9 @@ def test_exact_mean_scalar_raises_at_the_first_non_finite_step(value,
                                                                monkeypatch):
     _use_cpus(monkeypatch, 2)
     split = _SPLIT_STEPS + 5
-    worker = _part_edges(_chunks(split), split, _spiked(1, 1.0), 2)[1] * CHUNK
     for bad, n, plan in ((50, 100, [49, 50, 100]),
                          (CHUNK, 2 * CHUNK, [CHUNK - 1, 2 * CHUNK]),
-                         (worker + 12345, split, [split])):
+                         (_worker_start(split) + 12344, split, [split])):
         with pytest.raises(DivergenceError) as exc:
             exact_mean_recursion([[0.5]], _spiked(bad, value), [0.0], n,
                                  checkpoints=plan)
@@ -393,39 +413,65 @@ def test_exact_mean_scalar_raises_at_the_first_non_finite_step(value,
     assert exc.value.first_bad_index == 50
 
 
-def _constant_overflowing_at(k, a=0.5):
-    """The constant r whose weighted sum S_n = (r/a)(1/P_n - 1) passes the
-    largest double halfway between steps k - 1 and k (log 1/P_n from
-    lgamma); its relative rise over a step, about a/n, dwarfs both lgamma's
-    error and the summation's rounding."""
-    inv_p = [math.exp(math.lgamma(1 - a) + math.lgamma(n + 1)
-                      - math.lgamma(n + 1 - a)) for n in (k - 1, k)]
-    return a * sys.float_info.max / ((inv_p[0] + inv_p[1]) / 2 - 1)
+def _step_loop(a, r, n, plan):
+    """The plain float loop x <- x (1 - a/k) + r/k from 0 with a constant r:
+    its values at plan, and its first non-finite step (None if none)."""
+    x, want, out = 0.0, set(plan), []
+    for k in range(1, n + 1):
+        x = x * (1.0 - a / k) + r / k
+        if not math.isfinite(x):
+            return out, k
+        if k in want:
+            out.append(x)
+    return out, None
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_exact_mean_scalar_raises_where_the_carried_sum_overflows(cpus,
-                                                                  monkeypatch):
-    # every block's own sum stays finite; the carried sum passes the
-    # largest double in the first part's fourth chunk, then in the
-    # worker's part, while the mean (r/a)(1 - P_n) stays finite
-    _use_cpus(monkeypatch, 2)
-    n = _SPLIT_STEPS + 5
-    worker = _part_edges(_chunks(n), n, _spiked(1, 1.0), 2)[1] * CHUNK
+def _constant(r):
+    return lambda k: np.full(np.shape(k), r)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_exact_mean_scalar_carries_a_mean_whose_weighted_sum_overflows(
+        cpus, monkeypatch):
+    # the weighted sum S_n = (r/a)(1/P_n - 1) passes the largest double at
+    # step 2629, in the first part, while the mean (r/a)(1 - P_n) stays
+    # below 2e306 to the horizon's end, in the last part
     _use_cpus(monkeypatch, cpus)
-    for bad in (3 * CHUNK + 4321, worker + 54321):
-        r = _constant_overflowing_at(bad)
-        with pytest.raises(DivergenceError) as exc:
-            exact_mean_recursion([[0.5]], lambda k: np.full(np.shape(k), r),
-                                 [0.0], n, checkpoints=[bad - 1, n])
-        assert exc.value.first_bad_index == bad
-        assert multiprocessing.active_children() == []
+    n = _SPLIT_STEPS + 5
+    plan = [2628, 2629, _worker_start(n) + 54321, n]
+    want, bad = _step_loop(0.5, 1e306, n, plan)
+    assert bad is None and 1.99e306 < want[-1] < 2e306
+    got = exact_mean_recursion([[0.5]], _constant(1e306), [0.0], n,
+                               checkpoints=plan, workers=3)
+    assert [k for k, _ in got] == plan
+    np.testing.assert_allclose([x[0] for _, x in got], want, rtol=1e-10)
+    assert multiprocessing.active_children() == []
+
+
+def test_exact_mean_scalar_replays_a_block_whose_terms_overflow():
+    # 1 - a/1 = 0.001: r_1/(1 P_1) = 1e309 overflows at step 1, while the
+    # step loop ends at 1.001e306
+    plan = [1, 2, 1000]
+    want, bad = _step_loop(0.999, 1e306, 1000, plan)
+    assert bad is None and want[-1] == pytest.approx(1.001e306, rel=1e-4)
+    got = exact_mean_recursion([[0.999]], _constant(1e306), [0.0], 1000,
+                               checkpoints=plan)
+    np.testing.assert_allclose([x[0] for _, x in got], want, rtol=1e-10)
+
+
+def test_exact_mean_scalar_raises_where_the_step_loop_overflows():
+    # x_1 = 1.7e308 is finite; x_2 = 0.75 x_1 + r/2 = 2.125e308 is not,
+    # while r_1/(1 P_1) = 3.4e308 already overflows at step 1
+    assert _step_loop(0.5, 1.7e308, 100, [])[1] == 2
+    with pytest.raises(DivergenceError) as exc:
+        exact_mean_recursion([[0.5]], _constant(1.7e308), [0.0], 100)
+    assert exc.value.first_bad_index == 2
 
 
 def test_exact_mean_scalar_raises_a_workers_error_here(monkeypatch):
     _use_cpus(monkeypatch, 2)
     n = _SPLIT_STEPS
-    stop = _part_edges(_chunks(n), n, _spiked(1, 1.0), 2)[1] * CHUNK
+    stop = _worker_start(n) - 1
 
     def remainder(k):
         if np.max(k) > stop:  # in the forked part only

@@ -54,6 +54,13 @@ def test_run_urn_counts_sum_to_n():
     assert [st.n for st in traj.checkpoints] == [0, 1, 100, 500]
 
 
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_urn_engines_refuse_a_horizon_below_one(n_max):
+    for run in (run_urn, run_urn_batch):
+        with pytest.raises(InvalidArgumentError, match="n_max"):
+            run(friedman_spec(), n_max, 0, [], 1)
+
+
 def test_run_urn_total_mass_friedman():
     # every step adds one ball of the opposite color, so |Y_n| = |Y_0| + n
     traj = run_urn(friedman_spec(), 300, seed=9, checkpoints=[300])

@@ -19,6 +19,7 @@ from urnlab.sa import (GaussianNoise, LinearDrift, SAProcessSpec, run_sa,
                        worker_count)
 from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
                         run_urn, urn_asymptotics)
+from urnlab import verify
 from urnlab.verify import (
     MCConfig,
     golden_suite,
@@ -583,9 +584,18 @@ def test_mc_sample_defective_drift_needs_basis():
     assert np.allclose(s.errors[7], scaled, rtol=1e-9, atol=1e-12)
 
 
-def test_golden_suite_report():
+def test_golden_suite_report(monkeypatch):
     cfg = MCConfig(replicates=200, horizons=(2000, 10 ** 4), seed=0)
+    mean, caps = verify.exact_mean_recursion, []
+
+    def capped(*args, **kwargs):
+        caps.append(kwargs.get("workers"))
+        return mean(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "exact_mean_recursion", capped)
     rep = golden_suite(cfg)
+    # every exact mean is capped at the suite's own worker count
+    assert caps == [1, 1, 1]
     names = [c["name"] for c in rep.criteria]
     assert names == [
         "jordan-critical-variance",

@@ -8,9 +8,10 @@ in run order (e.g. `03-verify-urn.json`). Untraced records of one workload
 and seed form pairs: the i-th parent record with the i-th change record.
 For each pair group the file gives every end-to-end metric's parent and
 change medians, the parent's quartiles, and the number of pairs the change
-wins, with the better direction read from BENCHMARK.json; whether every
-artifact digest matches the parent's; and the failed operations on each
-side. Traced records give per-layer medians. Standard library only.
+wins, with the better direction read from BENCHMARK.json; the call
+labels whose artifact digest in any record differs from the first parent
+record's; and the failed operations on each side. Traced records give
+per-layer medians. Standard library only.
 
 Each end-to-end metric also carries the no-regression verdict against its
 `bound` in BENCHMARK.json:
@@ -115,7 +116,10 @@ def _paired(parent, change, end_to_end):
         }
     digests = parent[0]["digests"]
     return {
-        "digests_equal": all(r["digests"] == digests for r in parent + change),
+        "digests_changed": sorted(
+            {label for r in parent + change
+             for label in digests.keys() | r["digests"].keys()
+             if r["digests"].get(label) != digests.get(label)}),
         "failed": {"change": sum(len(r["failures"]) for r in change),
                    "parent": sum(len(r["failures"]) for r in parent)},
         "metrics": metrics,
