@@ -13,15 +13,17 @@ remainder schedule. The engines share the same frozen noise streams:
                         theta_n = theta_0 Phi(0, n) + sum_k dM_k Phi(k, n)/k
                         with Phi(k, n) = prod_{j=k+1..n} (I - A/j): one
                         weighted sum of the noise per segment;
-  exact_mean_recursion  noise-free mean iteration; in one dimension a
-                        closed form over lanes of steps (a chunk is an
-                        (L, B) array whose columns are runs of L steps):
-                        log P is prefix-summed by row adds over B lanes, the
-                        weighted remainder sum is never prefix-summed. Each
-                        block of lanes is taken relative to P at its start
-                        and the mean is carried over the blocks, so a long
-                        horizon's chunks run in parts, one per usable CPU,
-                        all but the first in forked workers (_sharded,
+  exact_mean_recursion  noise-free mean iteration of a 1x1 drift
+                        0 <= a < 1, a closed form over lanes of steps: the
+                        horizon is cut into segments at every chunk end and
+                        checkpoint, each an (L, B) array whose columns are
+                        runs of L steps, so log P is prefix-summed by row
+                        adds over B lanes and the weighted remainder sum is
+                        never prefix-summed. Each segment is taken relative
+                        to P at its start and the mean is carried over the
+                        segments, so a checkpoint is a segment's end and a
+                        long horizon's segments run in parts, one per usable
+                        CPU, all but the first in forked workers (_sharded,
                         which also shards verify's replicates); n = 1e8
                         takes about 0.6 s on two CPUs, 1.0 s on one.
 
@@ -29,8 +31,6 @@ verify.simulate picks between run_sa and linear_paths. They agree on the
 same (seed, replicate) to float-summation error.
 """
 
-import array
-import bisect
 import dataclasses
 import hashlib
 import math
@@ -259,8 +259,8 @@ def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
 
 def worker_count(workers, replicates):
     """Processes a batch runs on: the requested count, capped at the
-    replicates (or a horizon's parts) and at the CPUs this process may run
-    on."""
+    replicates (or a horizon's segments) and at the CPUs this process may
+    run on."""
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     return min(int(workers), int(replicates), len(os.sched_getaffinity(0)))
@@ -281,7 +281,7 @@ def _run_adopted(shard):
 
 def _sharded(run, R, workers):
     """[run(shard)] over contiguous shards of the replicates (or a horizon's
-    parts) 0..R-1, one shard per worker: the first runs in this process,
+    segments) 0..R-1, one shard per worker: the first runs in this process,
     the others in forked worker processes that are gone when this returns.
     run(shard) depends on its shard's indices alone, so no output depends
     on `workers`. A shard's exception is raised here, the lowest shard's
@@ -312,7 +312,7 @@ def _sharded(run, R, workers):
 # n = 2e7; (32, 2048) and (64, 1024) leave the cache (23-25 ns)
 _LANE = 32
 _LANES = 1024
-# a horizon with a remainder runs its chunks in parts (see
+# a horizon with a remainder runs its segments in parts (see
 # _mean_recursion_scalar) from this many steps on. The process pool's first
 # round trip in a process costs 20-30 ms: there, on two CPUs, two parts
 # lose at 2^21 steps (40-47 vs 19-27 ms in one), tie at 2^22 (40-58 vs
@@ -332,176 +332,135 @@ def _log_p_lanes(a, jb, cb):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _mean_chunks(a, remainder, n_max, lanes, first, stop, plan):
-    """Chunks first..stop-1 of the scalar closed form, each block of lanes
-    on its own: with lo and hi the steps before and at its end, blocks
-    holds (hi, P_hi/P_lo, sum_k (r_k/k) P_hi/P_k) per block, three doubles
-    each in one flat array (a worker sends it back as one buffer; a tuple
-    per block read 3.7 MiB more peak RSS in 4 s long-path benchmark runs on
-    a 2-core host), and marks maps a block to its checkpoints' (k,
-    P_k/P_lo, sum_{j<=k} (r_j/j) P_k/P_j)."""
-    # j[i, b] = b*_LANE + i + 1: the chunk's step indices, exact
-    j = np.ascontiguousarray(
-        np.arange(1.0, _LANE * lanes + 1.0).reshape(lanes, _LANE).T)
-    done = first * j.size
-    j += done
-    c = np.empty_like(j)
-    pi = bisect.bisect_right(plan, done)
-    blocks, marks = array.array("d"), {}
-    while done < min(n_max, stop * j.size):
-        whole, short = divmod(min(j.size, n_max - done), _LANE)
-        for rows, b0, b1 in ((_LANE, 0, whole), (short, whole, whole + 1)):
-            if rows == 0 or b1 == b0:
-                continue
-            jb, cb = j[:rows, b0:b1], c[:rows, b0:b1]
-            ends = _log_p_lanes(a, jb, cb)  # log P / P_lo at lane ends
-            start = np.concatenate(([0.0], ends[:-1]))  # and at lane starts
-            base = done + b0 * _LANE
-            here = []  # read before cb is overwritten below
-            while pi < len(plan) and plan[pi] <= base + cb.size:
-                b, i = divmod(plan[pi] - base - 1, rows)
-                here.append((plan[pi], b, i, cb[i, b] + start[b]))
-                pi += 1
-            total = 0.0
-            if remainder is not None:
-                # cb becomes r_k / k times P at the lane's start over P_k
-                np.exp(cb, out=cb)
-                cb *= jb
-                np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
-                sums = cb.sum(axis=0)
-                total = float((sums * np.exp(ends[-1] - start)).sum())
-            for k, b, i, logp in here:
-                prefix = 0.0 if remainder is None else float(
-                    (sums[:b] * np.exp(logp - start[:b])).sum()
-                    + cb[:i + 1, b].sum() * math.exp(logp - start[b]))
-                marks.setdefault(len(blocks) // 3, []).append(
-                    (k, math.exp(logp), prefix))
-            blocks.extend((base + cb.size, math.exp(ends[-1]), total))
-        done += j.size
-        j += j.size
-    return blocks, marks
+def _mean_segments(a, remainder, segments, width):
+    """(P_hi/P_lo, sum_{lo<k<=hi} (r_k/k) P_hi/P_k) for each segment (lo, hi]
+    of the scalar closed form, one row each (a worker sends them back as
+    one buffer). A segment is whole lanes or one short lane, of at most
+    `width` steps."""
+    out = np.empty((len(segments), 2))
+    # base[i, b] = b*_LANE + i, so a segment's indices are one scalar add
+    # (0.25 ns per step; adding the row and lane offsets by broadcast, 1.3)
+    base = np.ascontiguousarray(np.arange(float(width)).reshape(-1, _LANE).T)
+    j, c = np.empty(width), np.empty(width)
+    for s, (lo, hi) in enumerate(segments):
+        rows = min(hi - lo, _LANE)
+        jb, cb = j[:hi - lo].reshape(rows, -1), c[:hi - lo].reshape(rows, -1)
+        # jb[i, b] = lo + b*_LANE + i + 1: the segment's step indices, exact
+        np.add(base[:rows, :jb.shape[1]], lo + 1.0, out=jb)
+        ends = _log_p_lanes(a, jb, cb)  # log P / P_lo at lane ends
+        total = 0.0
+        if remainder is not None:
+            # cb becomes r_k / k times P at the lane's start over P_k
+            np.exp(cb, out=cb)
+            cb *= jb
+            np.divide(np.asarray(remainder(jb), dtype=float), cb, out=cb)
+            start = np.concatenate(([0.0], ends[:-1]))  # log P at lane starts
+            total = float((cb.sum(axis=0) * np.exp(ends[-1] - start)).sum())
+        out[s] = math.exp(ends[-1]), total
+    return out
 
 
-def _replay(a, remainder, x, lo, hi, plan):
+def _replay(a, remainder, x, lo, hi):
     """Steps lo+1..hi of the mean recursion x <- x (1 - a/k) + r_k/k from x,
-    one at a time, as (x at hi, [(k, x)] at the steps in plan); a
-    DivergenceError names the first step where x is non-finite."""
-    out = []
+    one at a time, to x at hi; a DivergenceError names the first step where
+    x is non-finite."""
     r = np.asarray(remainder(np.arange(lo + 1.0, hi + 1.0)), dtype=float)
     for k, rk in enumerate(r.tolist(), lo + 1):
         x = x * (1.0 - a / k) + rk / k
         if not math.isfinite(x):
             raise DivergenceError(f"mean became non-finite at step {k}",
                                   first_bad_index=k)
-        if k in plan:
-            out.append((k, x))
-    return x, out
+    return x
 
 
 def _mean_recursion_scalar(a, remainder, x0, n_max, plan, workers):
     """Closed form E theta_n = P_n x0 + P_n sum_k r_k/(k P_k) in lanes.
 
-    Per block of lanes, log P_k relative to the block's start is a prefix
-    sum down each lane plus the cumsum of the lane totals before it. The
-    weighted sum is never prefix-summed: each lane's terms are summed
-    relative to P at the lane's start, and the lane sums are scaled to P at
-    the block's end (or at a checkpoint). The chunk that ends the horizon
-    is its whole lanes, then one short lane, so the remainder sees each
-    index 1..n_max once and none beyond. Valid for 0 <= a < 1 so every
-    factor (1 - a/k) stays positive.
+    The horizon is cut into segments at every chunk end and checkpoint,
+    and each piece into its whole lanes and one short lane. Per segment,
+    log P_k relative to its start is a prefix sum down each lane plus the
+    cumsum of the lane totals before it. The weighted sum is never
+    prefix-summed: each lane's terms are summed relative to P at the lane's
+    start, and the lane sums are scaled to P at the segment's end. So the
+    remainder sees each index 1..n_max once and none beyond. Valid for
+    0 <= a < 1 so every factor (1 - a/k) stays positive.
 
-    No block depends on another, so the chunks run in contiguous parts
+    No segment depends on another, so the segments run in contiguous parts
     (_sharded, as verify's replicates), the first here and the others in
-    forked workers, and the mean itself is carried over the blocks here, in
-    order: m <- m P_hi/P_lo + sum. A block whose mean at its end or at a
-    checkpoint is non-finite is replayed step by step from the mean carried
-    into it; the replay's values stand, or it raises at its first
-    non-finite step.
+    forked workers, and the mean itself is carried over the segments here,
+    in order: m <- m P_hi/P_lo + sum. A checkpoint is a segment's end, and
+    its value the mean carried there. A segment whose mean is non-finite is
+    replayed step by step from the mean carried into it; the replay's value
+    stands, or it raises at its first non-finite step.
     """
-    out = [(0, np.array([x0]))] if plan[:1] == [0] else []
-    lanes = min(_LANES, -(-n_max // _LANE))
-    chunks = -(-n_max // (_LANE * lanes))
+    width = _LANE * min(_LANES, -(-n_max // _LANE))  # the steps of a chunk
+    cuts = sorted({*range(width, n_max, width), *plan, n_max} - {0})
+    segments = []
+    for lo, hi in zip([0] + cuts, cuts):
+        mid = hi - (hi - lo) % _LANE
+        segments += [(p, q) for p, q in ((lo, mid), (mid, hi)) if p < q]
     if remainder is None or n_max < _SPLIT_STEPS:
         workers = 1
 
     def part(shard):
-        return _mean_chunks(a, remainder, n_max, lanes, int(shard[0]),
-                            int(shard[-1]) + 1, plan)
+        return _mean_segments(a, remainder,
+                              segments[shard[0]:shard[-1] + 1], width)
 
-    m, lo = x0, 0  # the mean at step lo
-    for blocks, marks in _sharded(part, chunks, workers):
-        for b in range(len(blocks) // 3):
-            hi, ratio, total = blocks[3 * b:3 * b + 3]
-            here = [(k, m * P + prefix) for k, P, prefix in marks.get(b, ())]
-            end = m * ratio + total
-            if not all(map(math.isfinite, [end] + [x for _, x in here])):
-                end, here = _replay(a, remainder, m, lo, int(hi),
-                                    [k for k, _ in here])
-            out += [(k, np.array([x])) for k, x in here]
-            m, lo = end, int(hi)
+    want = set(plan)
+    out = [(0, np.array([x0]))] if 0 in want else []
+    m = x0  # the mean at step lo of the next segment
+    carries = np.concatenate(_sharded(part, len(segments), workers)).tolist()
+    for (lo, hi), (ratio, total) in zip(segments, carries):
+        end = m * ratio + total
+        m = end if math.isfinite(end) else _replay(a, remainder, m, lo, hi)
+        if hi in want:
+            out.append((hi, np.array([m])))
     return out
 
 
 def exact_mean_recursion(A, remainder, theta0, n_max, checkpoints=None,
                          workers=2):
-    """Mean path of the linear recursion:
-    E theta_{n+1} = E theta_n (I - A/(n+1)) + r_{n+1}/(n+1).
+    """Mean path of the scalar linear recursion with drift A = [[a]],
+    0 <= a < 1: E theta_{n+1} = E theta_n (1 - a/(n+1)) + r_{n+1}/(n+1).
 
     Returns [(n, E theta_n)] at the requested checkpoints (default: n_max
-    only). The one-dimensional case with A[0,0] in [0, 1) is the closed
+    only); any other drift raises InvalidArgumentError. It is the closed
     form E theta_n = P_n (theta0 + sum_k r_k/(k P_k)), P_n = prod (1 - a/k),
-    evaluated in lanes: chunks of _LANE * _LANES steps held as a
-    (_LANE, _LANES) array whose column b is the run of steps b*_LANE + 1 ..
-    (b + 1)*_LANE, small enough to stay in cache, so horizons up to 1e8
-    take about a second and memory does not grow with n_max. The remainder
-    schedule must then be a pure elementwise function of an index array of
-    any shape and order: it is called on each block's (steps, lanes) float
-    array of step indices and sees each index 1..n_max exactly once and
-    none beyond (a block whose mean turns non-finite is evaluated once
-    more, see below). From _SPLIT_STEPS steps on, with a remainder, the
-    chunks run in as many contiguous parts as `workers` (a cap, as in
-    verify.simulate) and the usable CPUs allow, all but the first in forked
-    worker processes, so the schedule may run there: a side effect does
-    not reach this process, and an exception it raises is raised here.
-    Call it with workers=1 from a process that runs other threads, which a
-    fork would not copy. The values are the same bit for bit for any
-    `workers`. A block whose mean comes out non-finite is replayed with the
-    step recursion from the mean carried into it: a finite mean is
-    returned, and a non-finite one raises DivergenceError at the step where
-    the step recursion first becomes non-finite, as the step loop of the
-    other cases does.
+    evaluated in lanes: the horizon is cut at every checkpoint and every
+    chunk of _LANE * _LANES steps, and each segment is held as a (steps,
+    lanes) array whose column b is the run of steps lo + b*_LANE + 1 ..
+    lo + (b + 1)*_LANE, then one short lane, small enough to stay in cache,
+    so horizons up to 1e8 take about a second and memory does not grow
+    with n_max. The remainder schedule must be a pure elementwise function
+    of an index array of any shape and order: it is called on each
+    segment's float array of step indices and sees each index 1..n_max
+    exactly once and none beyond (a segment whose mean turns non-finite is
+    evaluated once more, see below). From _SPLIT_STEPS steps on, with a
+    remainder, the segments run in as many contiguous parts as `workers` (a
+    cap, as in verify.simulate) and the usable CPUs allow, all but the
+    first in forked worker processes, so the schedule may run there: a side
+    effect does not reach this process, and an exception it raises is
+    raised here. Call it with workers=1 from a process that runs other
+    threads, which a fork would not copy. The values are the same bit for
+    bit for any `workers`. A segment whose mean comes out non-finite is
+    replayed with the step recursion from the mean carried into it: a
+    finite mean is returned, and a non-finite one raises DivergenceError at
+    the step where the step recursion first becomes non-finite.
     """
     A = _check_square(A, "A").astype(float)
-    d = A.shape[0]
-    x = _as_row(theta0, d, "theta0")
+    if A.shape != (1, 1) or not 0.0 <= A[0, 0] < 1.0:
+        got = f"a = {A[0, 0]:g}" if A.shape == (1, 1) else f"a {len(A)}x{len(A)} drift"
+        raise InvalidArgumentError(
+            f"exact_mean_recursion takes a 1x1 drift [[a]] with 0 <= a < 1, got {got}")
+    x = _as_row(theta0, 1, "theta0")
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     plan = _checkpoint_plan(checkpoints if checkpoints is not None else [n_max], n_max)
-
-    if d == 1 and 0.0 <= A[0, 0] < 1.0:
-        return _mean_recursion_scalar(float(A[0, 0]), remainder, float(x[0]),
-                                      n_max, plan, workers)
-
-    out = []
-    pi = 0
-    if pi < len(plan) and plan[pi] == 0:
-        out.append((0, x.copy()))
-        pi += 1
-    eye = np.eye(d)
-    for k in range(n_max):
-        np1 = k + 1.0
-        r = np.asarray(remainder(k + 1), dtype=float) if remainder is not None else 0.0
-        x = x @ (eye - A / np1) + r / np1
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"mean became non-finite at step {k + 1}", first_bad_index=k + 1)
-        if pi < len(plan) and plan[pi] == k + 1:
-            out.append((k + 1, x.copy()))
-            pi += 1
-    return out
+    return _mean_recursion_scalar(float(A[0, 0]), remainder, float(x[0]),
+                                  n_max, plan, workers)
 
 
 # ==== closed-form linear engine ====

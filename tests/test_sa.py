@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -127,30 +126,25 @@ def test_spec_rejects_noise_without_its_draw():
                       noise=lambda rng, k, theta: rng.take(1)[0])
 
 
-@pytest.mark.parametrize("A", [[[-400.0]], np.diag([-400.0, 1.0])])
-def test_exact_mean_names_the_first_non_finite_step(A):
-    # prod_{j <= k} (1 + 400/j) first exceeds the largest double at k = 684
-    # (its log is 0.20 below at 683, 0.26 above at 684); the second
-    # coordinate of the diagonal drift is exactly 0 from step 1 on, and
-    # would turn NaN at the next step as inf * 0
-    big = math.log(sys.float_info.max)
-    gain = [math.lgamma(k + 401) - math.lgamma(401) - math.lgamma(k + 1)
-            for k in (683, 684)]
-    assert gain[0] < big < gain[1]
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
-        exact_mean_recursion(A, None, np.ones(len(A)), 2000,
-                             checkpoints=[100, 2000])
-    assert exc.value.first_bad_index == 684
+@pytest.mark.parametrize("A", [[[-400.0]], [[1.0]], np.diag([-400.0, 1.0]),
+                               0.5 * np.eye(3)],
+                         ids=["negative", "one", "dim-2", "dim-3"])
+def test_exact_mean_refuses_drifts_outside_its_domain(A):
+    # the closed form needs every factor 1 - a/k positive; other drifts go
+    # through run_sa or linear_paths
+    with pytest.raises(InvalidArgumentError,
+                       match=r"1x1 drift \[\[a\]\] with 0 <= a < 1"):
+        exact_mean_recursion(A, None, np.ones(len(A)), 100)
 
 
 @pytest.mark.parametrize("A", [[[-400.0]], np.diag([-400.0, 1.0])])
 @pytest.mark.parametrize("simulated", [False, True])
 def test_drift_overflow_at_a_finite_state_is_not_a_divergence(A, simulated):
     # h = -400 theta passes the largest double at step 672, twelve steps
-    # before theta does (684, above): the float loop (dim 1) and the array
-    # loop both name step 672 as a numerical overflow, and so does
-    # simulate, whose linear engine gives non-finite output and falls back
-    # to run_sa. Where long double is no wider than double it still reads
+    # before theta = prod_{j <= k} (1 + 400/j) does (684): the float loop
+    # (dim 1) and the array loop both name step 672 as a numerical
+    # overflow, and so does simulate, whose linear engine gives non-finite
+    # output and falls back to run_sa. Where long double is no wider than double it still reads
     # as a divergence, which simulate records as a dropped replicate
     wide = np.finfo(np.longdouble).max > np.finfo(float).max
     spec = SAProcessSpec(dim=len(A), drift=LinearDrift(A), theta0=np.ones(len(A)))
@@ -171,17 +165,8 @@ def test_drift_overflow_at_a_finite_state_is_not_a_divergence(A, simulated):
 
 
 def test_exact_mean_zero_remainder():
-    out = exact_mean_recursion(np.eye(2), None, [0.0, 0.0], 50)
-    assert np.allclose(out[0][1], 0.0)
-
-
-def test_exact_mean_matches_oracle_generic():
-    rng = np.random.default_rng(1)
-    A = 0.3 * rng.standard_normal((3, 3)) + 0.5 * np.eye(3)
-    r = lambda n: np.array([1.0 / n, 0.0, 0.5 / n ** 2])
-    got = exact_mean_recursion(A, r, [1.0, 0.0, -1.0], 200, checkpoints=[200])
-    want = mean_recursion(A, r, 200, [1.0, 0.0, -1.0])
-    assert np.allclose(got[0][1], want, rtol=1e-12)
+    out = exact_mean_recursion([[0.5]], None, [0.0], 50)
+    assert [(n, x.tolist()) for n, x in out] == [(50, [0.0])]
 
 
 def test_exact_mean_scalar_fast_path_matches_loop():
@@ -241,14 +226,28 @@ class RecordingRemainder:
         return 1.0 / np.sqrt(k)
 
 
+def _inner_checkpoints(n):
+    """Checkpoints that cut the lanes of a horizon of n steps: strictly
+    inside a lane (two in one lane), at a lane end inside a chunk, and on
+    both sides of each chunk end, with n itself."""
+    marks = set()
+    for e in range(0, n // CHUNK + 1):
+        c = e * CHUNK
+        marks |= {c - 1, c, c + 1, c + 7, c + 8, c + 5 * _LANE}
+    return sorted({k for k in marks if 0 < k <= n} | {n})
+
+
 @pytest.mark.parametrize("n", [1, _LANE - 1, _LANE, _LANE + 1, CHUNK - 1,
                                CHUNK + 3 * _LANE + 7, 2 * CHUNK])
 def test_exact_mean_scalar_evaluates_each_index_once(n):
-    rec = RecordingRemainder()
-    exact_mean_recursion([[0.5]], rec, [0.0], n, checkpoints=[n])
-    seen = np.concatenate(rec.seen)
-    assert seen.size == n
-    assert np.array_equal(np.sort(seen), np.arange(1.0, n + 1.0))
+    # the checkpoints set the lane layout: each cut starts new lanes
+    for plan in ([n], _inner_checkpoints(n)):
+        rec = RecordingRemainder()
+        got = exact_mean_recursion([[0.5]], rec, [0.0], n, checkpoints=plan)
+        assert [k for k, _ in got] == plan
+        seen = np.concatenate(rec.seen)
+        assert seen.size == n
+        assert np.array_equal(np.sort(seen), np.arange(1.0, n + 1.0))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -291,7 +290,8 @@ def _chunks(n):
 
 
 def _worker_start(n):
-    """The first step of the second of two parts of a horizon of n steps."""
+    """The first step of the second of two parts of a horizon of n steps
+    checkpointed at n alone, whose segments are its chunks."""
     return int(np.array_split(np.arange(_chunks(n)), 2)[1][0]) * CHUNK + 1
 
 
@@ -307,10 +307,9 @@ def test_exact_mean_scalar_is_the_same_at_any_part_count(kind, end,
     n = _SPLIT_STEPS + {"inside-a-lane": 17, "chunk-end": CHUNK,
                         "one-past-a-chunk-end": 1}[end]
     remainder = REMAINDERS[kind]
-    # both sides of every chunk end, the part boundaries among them
-    plan = sorted({0, n} | {k for e in range(1, _chunks(n) + 1)
-                            for k in (e * CHUNK - 1, e * CHUNK, e * CHUNK + 1)
-                            if k <= n})
+    # both sides of every chunk end, the part boundaries among them, and
+    # cuts inside lanes and chunks, which move the segments between parts
+    plan = [0] + _inner_checkpoints(n)
     sharded, counts = sa._sharded, []
 
     def counted(run, R, workers):
@@ -347,11 +346,9 @@ def test_exact_mean_scalar_one_worker_never_forks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_exact_mean_refuses_workers_below_one(workers):
-    # at a horizon too short to split, and in the step loop of dim 2
-    for A in ([[0.5]], np.eye(2) / 2):
-        with pytest.raises(InvalidArgumentError, match="workers"):
-            exact_mean_recursion(A, None, np.zeros(len(A)), 1000,
-                                 workers=workers)
+    # at a horizon too short to split
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        exact_mean_recursion([[0.5]], None, [0.0], 1000, workers=workers)
 
 
 class FileRecordingRemainder:
@@ -405,12 +402,6 @@ def test_exact_mean_scalar_raises_at_the_first_non_finite_step(value,
                                  checkpoints=plan)
         assert exc.value.first_bad_index == bad
         assert multiprocessing.active_children() == []
-    # the step loop raises the same error on the same schedule
-    with pytest.raises(DivergenceError) as exc:
-        exact_mean_recursion([[0.5, 0.0], [0.0, 0.5]],
-                             lambda k: [_spiked(50, value)(k)] * 2,
-                             [0.0, 0.0], 100)
-    assert exc.value.first_bad_index == 50
 
 
 def _step_loop(a, r, n, plan):
@@ -546,9 +537,9 @@ def test_linear_paths_match_step_engine_complex():
 def test_linear_paths_noise_free_matches_mean():
     A = np.array([[0.7, 0.2], [0.0, 0.9]])
     got = linear_paths(A, [1.0, -1.0], 500, seed=0, checkpoints=[500], replicates=2)
-    want = exact_mean_recursion(A, None, [1.0, -1.0], 500)
-    assert np.allclose(got[0][1][0], want[0][1], rtol=1e-10)
-    assert np.allclose(got[0][1][1], want[0][1], rtol=1e-10)
+    want = mean_recursion(A, lambda k: 0.0, 500, [1.0, -1.0])
+    assert np.allclose(got[0][1][0], want, rtol=1e-10)
+    assert np.allclose(got[0][1][1], want, rtol=1e-10)
 
 
 def test_linear_paths_batching_invariance():
@@ -640,8 +631,8 @@ def test_linear_paths_jordan_integer_eigenvalue_refused():
     # beyond the horizon the factor never occurs
     got = linear_paths(A, [1.0, 1.0], 1, seed=0, checkpoints=[1],
                        basis=np.eye(2))
-    want = exact_mean_recursion(A, None, [1.0, 1.0], 1)
-    np.testing.assert_allclose(got[0][1][0], want[0][1], rtol=1e-12)
+    want = mean_recursion(A, lambda k: 0.0, 1, [1.0, 1.0])
+    np.testing.assert_allclose(got[0][1][0], want, rtol=1e-12)
 
 
 def _jordan_form(draw, lam, size):
