@@ -52,13 +52,6 @@ class EigenvalueGroup:
     algebraic_multiplicity: int
     block_sizes: tuple
 
-    def to_dict(self):
-        return {
-            "value": [self.value.real, self.value.imag],
-            "algebraic_multiplicity": self.algebraic_multiplicity,
-            "block_sizes": list(self.block_sizes),
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class SpectralProfile:
@@ -86,16 +79,6 @@ class SpectralProfile:
             tol = self.layer_tol
         return [g for g in self.groups if abs(g.value.real - target) <= tol]
 
-    def to_dict(self):
-        return {
-            "groups": [g.to_dict() for g in self.groups],
-            "rho": self.rho,
-            "nu": self.nu,
-            "lambda_sec": self.lambda_sec,
-            "dim": self.dim,
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class Regime:
@@ -109,26 +92,12 @@ class SlowComponent:
     frequency: float
     direction: np.ndarray
 
-    def to_dict(self):
-        return {
-            "value": [self.value.real, self.value.imag],
-            "frequency": self.frequency,
-            "direction": [[z.real, z.imag] for z in self.direction],
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class SlowDescriptor:
     components: tuple
     rho: float
     nu: int
-
-    def to_dict(self):
-        return {
-            "components": [c.to_dict() for c in self.components],
-            "rho": self.rho,
-            "nu": self.nu,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,16 +109,10 @@ class AsymptoticReport:
     as_rate_exponent: float
 
     def to_dict(self):
-        """The analyze.json payload, without its kind and provenance."""
-        return {
-            "regime": self.regime.tag.lower(),
-            "scaling": self.regime.scaling,
-            "profile": self.profile.to_dict(),
-            "covariance": None if self.covariance is None else self.covariance.tolist(),
-            "slow_descriptor": (None if self.slow_descriptor is None
-                                else self.slow_descriptor.to_dict()),
-            "as_rate_exponent": self.as_rate_exponent,
-        }
+        """The analyze.json payload, without its kind and provenance: the
+        fields, with the regime flattened to its tag and scaling."""
+        return dict(vars(self), regime=self.regime.tag.lower(),
+                    scaling=self.regime.scaling)
 
     def scale(self, n):
         """Normalisation of theta_n - theta* under this report's regime."""
@@ -181,6 +144,20 @@ def _cluster_indices(vals, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def _cluster_means(vals):
+    """Clusters of the complex array vals at CLUSTER_RTOL x max(1, max |v|),
+    each as (mean, indices) with an imaginary part within that tolerance
+    zeroed; returns (tolerance, clusters)."""
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(vals).max()))
+    clusters = []
+    for idx in _cluster_indices(list(vals), tol):
+        lam = complex(np.mean(vals[idx]))
+        if abs(lam.imag) <= tol:
+            lam = complex(lam.real, 0.0)
+        clusters.append((lam, idx))
+    return tol, clusters
 
 
 def _block_sizes(H, lam, mult):
@@ -229,17 +206,10 @@ def spectral_profile(H):
     """
     H = _check_square(H, "H").astype(float)
     d = H.shape[0]
-    w = np.linalg.eigvals(H)
-    scale = max(1.0, float(np.abs(w).max()))
-    tol = CLUSTER_RTOL * scale
+    tol, clusters = _cluster_means(np.linalg.eigvals(H))
 
     warnings = []
-    reps = []
-    for idx in _cluster_indices(list(w), tol):
-        lam = complex(np.mean(w[idx]))
-        if abs(lam.imag) <= tol:
-            lam = complex(lam.real, 0.0)
-        reps.append((lam, len(idx)))
+    reps = [(lam, len(idx)) for lam, idx in clusters]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             gap = abs(reps[i][0] - reps[j][0])
@@ -354,14 +324,8 @@ def _snap_block_form(Dh, T):
     J_hat = Tinv @ Dh.astype(complex) @ T
     d = Dh.shape[0]
 
-    diag = np.diag(J_hat)
-    scale = max(1.0, float(np.abs(diag).max()))
-    tol = CLUSTER_RTOL * scale
-    snapped = np.array(diag, dtype=complex)
-    for idx in _cluster_indices(list(diag), tol):
-        lam = complex(np.mean(diag[idx]))
-        if abs(lam.imag) <= tol:
-            lam = complex(lam.real, 0.0)
+    snapped = np.diag(J_hat).copy()
+    for lam, idx in _cluster_means(snapped)[1]:
         snapped[idx] = lam
 
     J_snap = np.diag(snapped)

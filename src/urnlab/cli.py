@@ -30,10 +30,10 @@ from .config import load_config, validate_config
 from .errors import ConfigError, DivergenceError, UrnlabError
 from .gauss import simulate_paths
 from .ode import flow_identity_residual, integrate_flow
-from .report import emit_report, provenance
+from .report import emit_report, object_fields, provenance
 from .sa import run_sa  # noqa: F401  (run_sa stays importable here)
 from .urn import urn_asymptotics, urn_eigenstructure
-from .verify import MCConfig, golden_suite, make_mc_report, mc_sample, simulate
+from .verify import golden_suite, make_mc_report, mc_sample, simulate
 
 _FORMAT_FLAG = {"json": ["json"], "csv": ["csv"], "both": ["json", "csv"]}
 
@@ -164,12 +164,12 @@ def _cmd_analyze(args):
     if kind == "ode":
         alpha, v, u, lambda_sec, nu = urn_eigenstructure(
             np.array(cfg.model["H"]))
-        payload = {"alpha": alpha, "v": v.tolist(), "u": u.tolist(),
+        payload = {"alpha": alpha, "v": v, "u": u,
                    "lambda_sec": lambda_sec, "nu": nu}
         matrix = None
     else:
         rep, matrix = _prediction(cfg, kind, "limit analysis")
-        payload = rep.to_dict()
+        payload = object_fields(rep)
     payload["kind"] = kind
     payload["provenance"] = provenance(cfg.digest(), cfg.run["seed"])
     out = _outdir(cfg)
@@ -262,10 +262,10 @@ def _cmd_ode(args):
         "steps": len(states) - 1,  # clock steps taken; the start is a state
         "identity_residual": flow_identity_residual(states, theta0, H,
                                                     structure),
-        "final_theta": states[-1].theta.tolist(),
+        "final_theta": states[-1].theta,
     }
     return _emit_run(cfg, manifest, tables,
-                     lambda: {"states": [st.to_dict() for st in states]})
+                     lambda: {"states": states})
 
 
 # ==== verification commands ====
@@ -275,7 +275,6 @@ def _cmd_verify(args):
     kind = _need_model(cfg, {"sa", "urn"}, "verify")
     n = _need_n(cfg)
     seed = cfg.run["seed"]
-    mc = MCConfig(replicates=cfg.run["replicates"], horizons=(n,), seed=seed)
     spec = cfg.build_model()
     rep, predicted = _prediction(cfg, kind, "verification")
     if predicted is None:
@@ -283,12 +282,12 @@ def _cmd_verify(args):
                           "has no limit covariance to verify against",
                           path="/model")
     # the sample is scaled with the regime the prediction came from
-    sample = mc_sample(spec, n, mc, analysis=rep,
+    sample = mc_sample(spec, n, cfg.run["replicates"], seed, analysis=rep,
                        basis=_chain_basis(cfg.analysis), workers=args.threads)
     tol = cfg.analysis["tolerances"]
     report = make_mc_report(sample, predicted,
                             rel_tol=tol["rel_frobenius"], p_min=tol["p_min"])
-    payload = report.to_dict()
+    payload = object_fields(report)
     payload["engine"] = sample.engine
     payload["provenance"] = provenance(cfg.digest(), seed)
     out = _outdir(cfg)
@@ -311,9 +310,8 @@ def _cmd_suite(args):
         horizons = (max(1, n // 10), n) if n >= 10 else (n,)
     else:
         horizons = (10 ** 4, 10 ** 5)
-    mc = MCConfig(replicates=R, horizons=horizons, seed=seed)
-    report = golden_suite(mc, workers=args.threads)
-    payload = report.to_dict()
+    report = golden_suite(R, horizons, seed, workers=args.threads)
+    payload = object_fields(report)
     payload["replicates"] = R
     payload["horizons"] = list(horizons)
     payload["provenance"] = provenance(cfg.digest(), seed)

@@ -29,9 +29,6 @@ class FlowState:
     s: float
     f: float
 
-    def to_dict(self):
-        return {"s": self.s, "f": self.f, "theta": self.theta.tolist()}
-
 
 def _step_blocks(H, delta):
     """(E, J) = (exp(H delta), integral_0^delta exp(H t) dt)."""

@@ -6,8 +6,13 @@ platform, so floats are rendered at a fixed 17 significant digits (enough
 to round-trip an IEEE double), object keys are sorted, and files are
 written as UTF-8 with unix newlines. Nothing time- or host-dependent may
 enter a report.
+
+This module alone knows the artifact format: an object with a to_dict
+method is encoded through it, any other dataclass instance by its fields,
+a complex value as [re, im], and an array as nested lists.
 """
 
+import dataclasses
 import json
 import math
 
@@ -23,6 +28,20 @@ def format_float(x):
     if not math.isfinite(v):
         raise InvalidArgumentError(f"non-finite value {v!r} in a report")
     return format(v, ".17g")
+
+
+def object_fields(obj):
+    """The JSON object an artifact object encodes to, one level deep: its
+    to_dict() when it has one, else a dataclass instance's fields by name."""
+    if isinstance(obj, type):
+        raise InvalidArgumentError(
+            f"cannot serialize the class {obj.__name__} in a report")
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise InvalidArgumentError(
+        f"cannot serialize {type(obj).__name__} in a report")
 
 
 def _encode(x, pad, out):
@@ -70,8 +89,11 @@ def _encode(x, pad, out):
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
         return
-    raise InvalidArgumentError(
-        f"cannot serialize {type(x).__name__} in a report")
+    # after the float, list and dict checks, which the bulk of a report hits
+    if isinstance(x, (complex, np.complexfloating)):
+        _encode([x.real, x.imag], pad, out)
+        return
+    _encode(object_fields(x), pad, out)
 
 
 def canonical_json(obj):
@@ -110,11 +132,11 @@ def _csv(table):
 
 def emit_report(report, format, path):
     """Write one artifact, the only way one reaches disk: "json" for any
-    report structure (objects with a to_dict method are unwrapped), "csv"
-    for a matrix or a (header, rows) table. IO errors propagate untouched."""
+    structure canonical_json encodes (dataclasses and to_dict objects at any
+    depth included), "csv" for a matrix or a (header, rows) table. IO
+    errors propagate untouched."""
     if format == "json":
-        data = report.to_dict() if hasattr(report, "to_dict") else report
-        write_text(path, canonical_json(data) + "\n")
+        write_text(path, canonical_json(report) + "\n")
     elif format == "csv":
         write_text(path, _csv(report))
     else:

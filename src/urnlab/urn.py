@@ -406,22 +406,13 @@ class UrnAsymptotics:
         return np.concatenate([np.full(d, self.alpha * n), np.full(d, float(n))])
 
     def to_dict(self):
-        """The analyze.json payload, without its kind and provenance."""
-        return {
-            "alpha": self.alpha,
-            "v": self.v.tolist(),
-            "u": self.u.tolist(),
-            "lambda_sec": self.lambda_sec,
-            "nu": self.nu,
-            "regime": self.regime.tag.lower(),
-            "scaling": self.regime.scaling,
-            "Dh_star": self.Dh_star.tolist(),
-            "Gamma": self.Gamma.tolist(),
-            "sigma_tilde": None if self.Sigma_tilde is None else self.Sigma_tilde.tolist(),
-            "slow_descriptor": (None if self.slow_descriptor is None
-                                else self.slow_descriptor.to_dict()),
-            "warnings": list(self.warnings),
-        }
+        """The analyze.json payload, without its kind and provenance: the
+        fields, with the regime flattened to its tag and scaling and
+        Sigma_tilde named sigma_tilde."""
+        payload = dict(vars(self), regime=self.regime.tag.lower(),
+                       scaling=self.regime.scaling)
+        payload["sigma_tilde"] = payload.pop("Sigma_tilde")
+        return payload
 
 
 def _slow_urn_descriptor(H, v, profile, lambda_sec, nu):

@@ -23,21 +23,6 @@ from .urn import UrnSpec, DeterministicRule, run_urn, run_urn_batch, urn_asympto
 
 
 @dataclasses.dataclass(frozen=True)
-class MCConfig:
-    replicates: int
-    horizons: tuple
-    seed: int
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise InvalidArgumentError("replicates must be >= 1")
-        hs = tuple(int(h) for h in self.horizons)
-        if not hs or any(b <= a for a, b in zip(hs, hs[1:])) or hs[0] < 1:
-            raise InvalidArgumentError("horizons must be increasing and >= 1")
-        object.__setattr__(self, "horizons", hs)
-
-
-@dataclasses.dataclass(frozen=True)
 class MCSample:
     """Scaled errors at one horizon, divergence accounting, engine record."""
 
@@ -62,17 +47,6 @@ class MCReport:
     ks_results: tuple
     verdict: dict
 
-    def to_dict(self):
-        return {
-            "horizon": self.horizon,
-            "empirical_mean": self.empirical_mean.tolist(),
-            "empirical_cov": self.empirical_cov.tolist(),
-            "predicted_cov": self.predicted_cov.tolist(),
-            "rel_frobenius": self.rel_frobenius,
-            "ks_results": list(self.ks_results),
-            "verdict": self.verdict,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class RateFit:
@@ -81,16 +55,6 @@ class RateFit:
     cauchy_gaps: tuple
     converged: bool
     tolerance: float
-
-    def to_dict(self):
-        return {
-            "checkpoints": [[int(n), np.asarray(x).tolist()]
-                            for n, x in self.checkpoints],
-            "fitted_exponent": self.fitted_exponent,
-            "cauchy_gaps": list(self.cauchy_gaps),
-            "converged": self.converged,
-            "tolerance": self.tolerance,
-        }
 
 
 def _joined(parts):
@@ -199,8 +163,9 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     return _joined([p for p, _ in parts]), record
 
 
-def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
-    """Scaled errors over config.replicates trajectories at one horizon.
+def mc_sample(model, horizon, replicates, seed, analysis=None, basis=None,
+              workers=1):
+    """Scaled errors over `replicates` trajectories at one horizon.
 
     The errors are scaled with the regime of the caller's analysis (an
     AsymptoticReport or UrnAsymptotics). Without one, urn_asymptotics or,
@@ -210,8 +175,7 @@ def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
     caps its processes and changes no value). Divergent
     replicates are dropped and counted; more than 1% of them is a failure.
     """
-    horizon = int(horizon)
-    R = config.replicates
+    horizon, R = int(horizon), int(replicates)
     if isinstance(model, UrnSpec):
         if analysis is None:
             analysis = urn_asymptotics(model)
@@ -234,7 +198,7 @@ def mc_sample(model, horizon, config, analysis=None, basis=None, workers=1):
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
     scale = analysis.scale(horizon)
 
-    paths, engine = simulate(model, horizon, config.seed, [horizon], R,
+    paths, engine = simulate(model, horizon, seed, [horizon], R,
                              basis=basis, workers=workers)
     final = paths[-1][1:]  # (theta,) or (Y, N)
     theta = (np.hstack(final) / analysis.divisor(horizon)
@@ -389,29 +353,25 @@ class SuiteReport:
     failures: tuple
     note: str
 
-    def to_dict(self):
-        return {
-            "criteria": [dict(c) for c in self.criteria],
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "note": self.note,
-        }
 
-
-def golden_suite(config, workers=1):
+def golden_suite(replicates, horizons, seed, workers=1):
     """Run the four showcase recursions and grade their documented
     behaviors.
 
-    Monte Carlo effort (replicates, horizons, seed) comes from config; the
-    deterministic long-horizon checks run at their pinned scales (single
-    paths to 2^22, exact means to 1e8, the damped decay to 1e7). `workers`
+    Monte Carlo effort is `replicates` at each of the increasing
+    `horizons`, from `seed`; the deterministic long-horizon checks run at
+    their pinned scales (single paths to 2^22, exact means to 1e8, the
+    damped decay to 1e7). `workers`
     caps the processes of each `simulate` and `exact_mean_recursion` call
     and changes no value. The report names every failing criterion.
     """
     from .golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
                          remainder_drive_spec, rotation_spec)
 
-    horizons = config.horizons
+    horizons = tuple(int(h) for h in horizons)
+    if not horizons or horizons[0] < 1 or any(
+            b <= a for a, b in zip(horizons, horizons[1:])):
+        raise InvalidArgumentError("horizons must be increasing and >= 1")
     h_last = horizons[-1]
     criteria = []
 
@@ -423,30 +383,28 @@ def golden_suite(config, workers=1):
     # powers, so each gets its own scaling before the variance check
     spec = jordan_chain_spec(0.5)
     pred = np.array([[0.0, 0.0], [0.0, 1.0 / 3.0]])
-    var_first = var_second = None
     ratios = []
-    report = None
     for h in horizons:
-        s = mc_sample(spec, h, config, basis=JORDAN_CHAIN_BASIS,
+        s = mc_sample(spec, h, replicates, seed, basis=JORDAN_CHAIN_BASIS,
                       workers=workers)
         X = s.errors
         var_first = float(np.var(X[:, 0] * math.log(h), ddof=1))
         var_second = float(np.var(X[:, 1], ddof=1))
         ratios.append(3.0 * var_second)
-        report = make_mc_report(s, pred, rel_tol=0.25, p_min=0.0)
     trend_ok = len(ratios) < 2 or abs(ratios[-1] - 1.0) <= abs(ratios[-2] - 1.0)
     grade("jordan-critical-variance",
           abs(var_first - 1.0) <= 0.15
           and abs(var_second - 1.0 / 3.0) <= 0.25 / 3.0 and trend_ok,
           horizon=h_last, var_first=var_first, var_second=var_second,
-          scaled_second_ratios=ratios, report=report.to_dict())
+          scaled_second_ratios=ratios,
+          report=make_mc_report(s, pred, rel_tol=0.25, p_min=0.0))
 
     # same drift below the critical line: scaled path settles on a random
     # limit, so dyadic gaps shrink while independent streams disagree
     spec_slow = jordan_chain_spec(0.3)
     # rows are independent: replicate 0's is the path, the 20 finals the spread
     n_path = 1 << 22
-    pts, _ = simulate(spec_slow, n_path, config.seed,
+    pts, _ = simulate(spec_slow, n_path, seed,
                       [1 << k for k in range(10, 23)], 20,
                       basis=JORDAN_CHAIN_BASIS, workers=workers)
     fit_first = path_convergence(
@@ -459,12 +417,12 @@ def golden_suite(config, workers=1):
           fit_first.converged and fit_second.converged and spread > 0.0,
           final_gaps=[fit_first.cauchy_gaps[-1], fit_second.cauchy_gaps[-1]],
           stream_variance=spread,
-          rate_fits=[fit_first.to_dict(), fit_second.to_dict()])
+          rate_fits=[fit_first, fit_second])
 
     # complex pair: no normalizing constant exists, so grade the phase fit
     # and boundedness of the scaled path instead of a limit value
     spec_rot = rotation_spec(0.3)
-    pts, _ = simulate(spec_rot, n_path, config.seed,
+    pts, _ = simulate(spec_rot, n_path, seed,
                       [1 << k for k in range(7, 23)], 1)
     scaled = [(n, n ** 0.3 * x[0]) for n, x in pts]
     fit = rotation_fit([(n, v[0]) for n, v in scaled], 0.3)
@@ -490,7 +448,7 @@ def golden_suite(config, workers=1):
     # log-corrected series n^rho theta_n / log n grows
     rho = 0.5
     damped = decay_spec(rho, damped=True)
-    pts, _ = simulate(damped, 10 ** 7, config.seed,
+    pts, _ = simulate(damped, 10 ** 7, seed,
                       [10 ** k for k in range(4, 8)], 1)
     cps = [(n, float(x[0, 0])) for n, x in pts]
     rise_series = [n ** rho * th / math.log(n) for n, th in cps]
@@ -530,12 +488,12 @@ def golden_suite(config, workers=1):
           scaled_means=series)
 
     # no remainder: the scaled sample should pass a normality check
-    s = mc_sample(remainder_drive_spec("zero"), h_last, config,
+    s = mc_sample(remainder_drive_spec("zero"), h_last, replicates, seed,
                   workers=workers)
     stat, p = ks_normal(s.errors[:, 0], 0.0, 1.0)
     rep = make_mc_report(s, np.array([[1.0]]), rel_tol=0.15, p_min=0.01)
     grade("remainder-zero-normality", p > 0.01,
-          ks_statistic=stat, p_value=p, report=rep.to_dict())
+          ks_statistic=stat, p_value=p, report=rep)
 
     failures = tuple(c["name"] for c in criteria if not c["passed"])
     return SuiteReport(

@@ -43,7 +43,6 @@ from urnlab.ode import flow_identity_residual, integrate_flow
 from urnlab.sa import exact_mean_recursion, linear_paths, run_sa
 from urnlab.urn import run_urn, run_urn_batch, urn_asymptotics
 from urnlab.verify import (
-    MCConfig,
     ks_normal,
     make_mc_report,
     mc_sample,
@@ -108,10 +107,9 @@ def test_critical_chain_monte_carlo_variances():
     """Sampled variances of the two differently-scaled coordinates of the
     defective critical drift, R = 2000 at n = 1e4 and 1e5."""
     spec = jordan_chain_spec(0.5)
-    cfg = MCConfig(replicates=2000, horizons=(10 ** 4, 10 ** 5), seed=2)
     stats = {}
-    for h in cfg.horizons:
-        X = mc_sample(spec, h, cfg, basis=JORDAN_CHAIN_BASIS).errors
+    for h in (10 ** 4, 10 ** 5):
+        X = mc_sample(spec, h, 2000, 2, basis=JORDAN_CHAIN_BASIS).errors
         stats[h] = (float(np.var(X[:, 0] * math.log(h), ddof=1)),
                     float(np.var(X[:, 1], ddof=1)))
     (v1a, v2a), (v1b, v2b) = stats[10 ** 4], stats[10 ** 5]
@@ -219,8 +217,7 @@ def test_deterministic_remainders_move_the_mean():
     series = [math.sqrt(n / math.log(n)) * float(x[0]) for n, x in ms]
     escaping = all(b > a for a, b in zip(series, series[1:]))
 
-    cfg = MCConfig(replicates=2000, horizons=(10 ** 5,), seed=0)
-    s = mc_sample(remainder_drive_spec("zero"), 10 ** 5, cfg)
+    s = mc_sample(remainder_drive_spec("zero"), 10 ** 5, 2000, 0)
     _, p = ks_normal(s.errors[:, 0], 0.0, 1.0)
     _line("remainder drives",
           0.9 <= mean_ratio <= 1.05 and escaping and p > 0.01,
@@ -241,8 +238,7 @@ def test_friedman_proportions_converge():
 def test_friedman_fluctuations_match_lyapunov():
     spec = friedman_urn()
     pred = urn_asymptotics(spec).Sigma_tilde
-    cfg = MCConfig(replicates=2000, horizons=(10 ** 4,), seed=8)
-    s = mc_sample(spec, 10 ** 4, cfg)
+    s = mc_sample(spec, 10 ** 4, 2000, 8)
     rep = make_mc_report(s, pred, rel_tol=0.15, p_min=0.005)
     v = rep.verdict
     _line("friedman fluctuations", v["passed"],

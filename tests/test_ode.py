@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from urnlab.errors import AssumptionViolationError, InvalidArgumentError
 from urnlab.ode import FlowState, flow_identity_residual, integrate_flow
+from urnlab.report import canonical_json
 from urnlab.urn import urn_eigenstructure
 from oracles import FlowError, check_attraction, flow_rhs, rk4_flow
 
@@ -126,7 +129,8 @@ def test_bad_arguments():
 
 def test_states_are_serializable():
     st = FlowState(np.array([0.5, 0.5]), 1.0, 1.0)
-    assert st.to_dict() == {"s": 1.0, "f": 1.0, "theta": [0.5, 0.5]}
+    assert json.loads(canonical_json(st)) == {
+        "s": 1.0, "f": 1.0, "theta": [0.5, 0.5]}
 
 
 # ==== against the RK4 reference ====

@@ -1,6 +1,7 @@
 """Canonical serialization: stable bytes, fixed float text, CSV tables,
 all written through emit_report."""
 
+import dataclasses
 import json
 import math
 
@@ -53,6 +54,65 @@ def test_canonical_json_rejects_odd_values():
         canonical_json({1: "x"})
     with pytest.raises(InvalidArgumentError):
         canonical_json({"v": float("nan")})
+
+
+@dataclasses.dataclass(frozen=True)
+class Group:
+    value: complex
+    block_sizes: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class Profile:
+    groups: tuple
+    rho: float
+    matrix: np.ndarray
+    note: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Renamed:
+    Sigma: np.ndarray
+
+    def to_dict(self):
+        return {"sigma": self.Sigma}
+
+
+def test_canonical_json_encodes_dataclasses_by_field():
+    p = Profile(groups=(Group(1.5 + 0j, (2, 1)), Group(0.5 - 1j, (1,))),
+                rho=0.5, matrix=np.eye(2))
+    assert json.loads(canonical_json(p)) == {
+        "groups": [{"value": [1.5, 0], "block_sizes": [2, 1]},
+                   {"value": [0.5, -1], "block_sizes": [1]}],
+        "rho": 0.5, "matrix": [[1, 0], [0, 1]], "note": None}
+    # a field is encoded as the plain structure it holds would be
+    assert canonical_json(Group(1.5 + 0j, (2, 1))) == canonical_json(
+        {"value": [1.5, 0.0], "block_sizes": [2, 1]})
+
+
+def test_canonical_json_encodes_complex_values_as_pairs():
+    assert canonical_json(1.5 - 2j) == "[\n  1.5,\n  -2\n]"
+    assert canonical_json(np.complex128(0.25 + 1j)) == canonical_json([0.25, 1.0])
+    assert json.loads(canonical_json({
+        "z": np.complex64(2 + 0.5j),
+        "v": np.array([1 + 1j, 0.5 - 0.25j]),
+        "m": np.array([[1j, 2.0]]),
+    })) == {"z": [2, 0.5], "v": [[1, 1], [0.5, -0.25]],
+            "m": [[[0, 1], [2, 0]]]}
+    with pytest.raises(InvalidArgumentError):
+        canonical_json(complex(math.inf, 0.0))
+
+
+def test_canonical_json_prefers_to_dict_over_fields():
+    r = Renamed(np.eye(1))
+    assert json.loads(canonical_json(r)) == {"sigma": [[1]]}
+    assert json.loads(canonical_json({"r": [r]})) == {"r": [{"sigma": [[1]]}]}
+
+
+def test_canonical_json_refuses_dataclass_classes():
+    for cls in (Group, Renamed):
+        with pytest.raises(InvalidArgumentError, match="class"):
+            canonical_json({"k": cls})
 
 
 def csv_bytes(tmp_path, table):

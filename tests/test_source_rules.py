@@ -1,9 +1,9 @@
 """Rules the package source keeps: no handler that swallows every error,
 only the typed errors of urnlab.errors raised and each of them raised
 somewhere, no parameter that is accepted and then ignored, no import that
-is never read, pools only where replicates are sharded, no noise source
-without its known draw, one artifact writer, and a start-up that imports
-no scipy.
+is never read, no to_dict that only restates its dataclass's fields,
+pools only where replicates are sharded, no noise source without its known
+draw, one artifact writer, and a start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A built-in error
@@ -230,6 +230,63 @@ def test_unused_import_rule_catches_one():
     # module-level
     assert _unused_imports(source) == [
         (1, "os"), (2, "osp"), (4, "PI"), (6, "BlockSource")]
+
+
+# report encodes a dataclass by its fields, so a to_dict that only restates
+# them is a second copy of the artifact format
+def _restating_serializers(tree):
+    """(class, line) for every to_dict of a dataclass whose returned dict
+    literal, or dict(...) call, has exactly the class's field names."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            continue
+        fields = {stmt.target.id for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and "ClassVar" not in ast.unparse(stmt.annotation)}
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "to_dict"):
+                continue
+            for ret in ast.walk(fn):
+                value = ret.value if isinstance(ret, ast.Return) else None
+                if isinstance(value, ast.Dict):
+                    keys = [k.value if isinstance(k, ast.Constant) else None
+                            for k in value.keys]
+                elif (isinstance(value, ast.Call) and not value.args
+                      and ast.unparse(value.func) == "dict"):
+                    keys = [kw.arg for kw in value.keywords]
+                else:
+                    continue
+                if None not in keys and sorted(keys) == sorted(fields):
+                    found.append((cls.name, ret.lineno))
+    return found
+
+
+def test_no_field_restating_to_dict_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(SRC)}:{line}:{name}.to_dict"
+             for path in files
+             for name, line in _restating_serializers(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_restating_serializer_rule_catches_one():
+    tree = ast.parse(
+        "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n    y: tuple\n"
+        "    def to_dict(self):\n        return {'y': list(self.y), 'x': self.x}\n"
+        "@dataclass\nclass B:\n    x: int\n    K: ClassVar[int] = 1\n"
+        "    def to_dict(self):\n        return dict(x=self.x)\n"
+        "@dataclass\nclass C:\n    x: int\n    y: int\n"
+        "    def to_dict(self):\n        return {'x': self.x, 'why': self.y}\n"
+        "@dataclass\nclass D:\n    x: int\n    y: int\n"
+        "    def to_dict(self):\n        return {'x': self.x, **{'y': 1}}\n"
+        "class E:\n    x: int\n"
+        "    def to_dict(self):\n        return {'x': self.x}\n")
+    # a renamed key, a spread and a plain class are not restatements
+    assert _restating_serializers(tree) == [("A", 6), ("B", 12)]
 
 
 # the one function that may start processes or threads; a module-level

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from urnlab.errors import (
     DivergenceError,
     InvalidArgumentError,
 )
+from urnlab.report import canonical_json
 from urnlab.rng import BLOCK, TILE
 from oracles import reference_urn
 from urnlab.urn import (
@@ -522,7 +524,7 @@ def test_spec_rejects_bad_shapes():
 
 def test_asymptotics_report_serializes():
     rep = urn_asymptotics(friedman_spec())
-    d = rep.to_dict()
+    d = json.loads(canonical_json(rep))
     assert d["v"] == [0.5, 0.5]
     assert d["regime"] == "standard" and d["scaling"] == "√n"
     assert d["sigma_tilde"] == rep.Sigma_tilde.tolist()
@@ -544,7 +546,7 @@ def _near_pair_urns():
 def test_asymptotics_report_carries_profile_warnings(H, h_warnings):
     spec = UrnSpec(d=H.shape[0], Y0=np.ones(H.shape[0]),
                    adding_rule=DeterministicRule(H))
-    rep = urn_asymptotics(spec).to_dict()
+    rep = json.loads(canonical_json(urn_asymptotics(spec)))
     from_h = spectral_profile(H / rep["alpha"]).warnings
     from_dh = spectral_profile(np.array(rep["Dh_star"])).warnings
     assert len(from_h) == h_warnings

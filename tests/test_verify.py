@@ -21,7 +21,6 @@ from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
                         run_urn, urn_asymptotics)
 from urnlab import verify
 from urnlab.verify import (
-    MCConfig,
     golden_suite,
     compare_covariance,
     ks_normal,
@@ -31,6 +30,7 @@ from urnlab.verify import (
     rotation_fit,
     simulate,
 )
+from urnlab.report import canonical_json
 from oracles import reference_sa
 
 
@@ -48,16 +48,15 @@ def linear_spec(a=1.0, noise=True):
 # ==== config and accounting ====
 
 def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        MCConfig(replicates=0, horizons=(10,), seed=1)
-    with pytest.raises(InvalidArgumentError):
-        MCConfig(replicates=5, horizons=(10, 10), seed=1)
+    with pytest.raises(InvalidArgumentError, match="replicates"):
+        mc_sample(linear_spec(), 10, 0, 1)
+    with pytest.raises(InvalidArgumentError, match="increasing"):
+        golden_suite(5, (10, 10), 1)
 
 
 def test_zero_noise_rows_identical():
     spec = linear_spec(noise=False)
-    cfg = MCConfig(replicates=5, horizons=(100,), seed=3)
-    s = mc_sample(spec, 100, cfg)
+    s = mc_sample(spec, 100, 5, 3)
     assert s.errors.shape == (5, 1)
     assert np.all(s.errors == s.errors[0])
     assert s.excluded == 0
@@ -65,17 +64,15 @@ def test_zero_noise_rows_identical():
 
 def test_mc_sample_deterministic():
     spec = linear_spec()
-    cfg = MCConfig(replicates=50, horizons=(500,), seed=9)
-    a = mc_sample(spec, 500, cfg)
-    b = mc_sample(spec, 500, cfg)
+    a = mc_sample(spec, 500, 50, 9)
+    b = mc_sample(spec, 500, 50, 9)
     assert np.array_equal(a.errors, b.errors)
 
 
 def test_scalar_sa_variance_near_one():
     # h(t)=t, Gamma=1: Var sqrt(n) theta_n -> 1/(2-1) = 1
     spec = linear_spec()
-    cfg = MCConfig(replicates=4000, horizons=(10000,), seed=17)
-    s = mc_sample(spec, 10000, cfg)
+    s = mc_sample(spec, 10000, 4000, 17)
     var = s.errors[:, 0].var(ddof=1)
     se = math.sqrt(2.0 / 4000)
     assert abs(var - 1.0) < 3.0 * se
@@ -86,26 +83,23 @@ def test_divergent_replicates_fail_hard():
     spec = SAProcessSpec(dim=1, drift=lambda t: -t * 1e160,
                          theta0=np.array([1.0]),
                          theta_star=np.array([0.0]))
-    cfg = MCConfig(replicates=10, horizons=(10,), seed=1)
     with np.errstate(over="ignore"):
         with pytest.raises(NonConvergenceError):
-            mc_sample(spec, 10, cfg, analysis=STANDARD)
+            mc_sample(spec, 10, 10, 1, analysis=STANDARD)
 
 
 def test_nonlinear_needs_regime():
     spec = SAProcessSpec(dim=1, drift=lambda t: t, theta0=np.array([1.0]),
                          theta_star=np.array([0.0]))
-    cfg = MCConfig(replicates=3, horizons=(10,), seed=1)
     with pytest.raises(InvalidArgumentError):
-        mc_sample(spec, 10, cfg)
+        mc_sample(spec, 10, 3, 1)
 
 
 def test_urn_sample_dimensions():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
                    adding_rule=DeterministicRule(H))
-    cfg = MCConfig(replicates=64, horizons=(256,), seed=5)
-    s = mc_sample(spec, 256, cfg)
+    s = mc_sample(spec, 256, 64, 5)
     assert s.errors.shape == (64, 4)
     assert s.excluded == 0
 
@@ -119,9 +113,8 @@ def test_mc_sample_propagates_drift_errors():
 
     spec = SAProcessSpec(dim=1, drift=drift, theta0=np.array([1.0]),
                          theta_star=np.array([0.0]))
-    cfg = MCConfig(replicates=5, horizons=(10,), seed=1)
     with pytest.raises(TypeError):
-        mc_sample(spec, 10, cfg, analysis=STANDARD)
+        mc_sample(spec, 10, 5, 1, analysis=STANDARD)
 
 
 def test_linear_refusal_is_a_fallback_not_divergence():
@@ -131,7 +124,7 @@ def test_linear_refusal_is_a_fallback_not_divergence():
                          theta0=np.array([1.0]),
                          noise=GaussianNoise(np.array([[1.0]])),
                          theta_star=np.array([0.0]))
-    s = mc_sample(spec, 2000, MCConfig(replicates=20, horizons=(2000,), seed=0))
+    s = mc_sample(spec, 2000, 20, 0)
     assert s.excluded == 0
     assert s.engine == {"name": "linear", "dropped": [], "fallback": None}
     for r in range(20):
@@ -143,8 +136,7 @@ def test_linear_refusal_is_a_fallback_not_divergence():
     spec = SAProcessSpec(dim=2, drift=LinearDrift([[2.0, 1.0], [0.0, 2.0]]),
                          theta0=np.ones(2), noise=GaussianNoise(np.eye(2)),
                          theta_star=np.zeros(2))
-    s = mc_sample(spec, 500, MCConfig(replicates=4, horizons=(500,), seed=0),
-                  basis=np.eye(2))
+    s = mc_sample(spec, 500, 4, 0, basis=np.eye(2))
     assert s.excluded == 0
     assert s.engine == {"name": "step", "dropped": [], "fallback": {
         "from": "linear", "code": "jordan-integer-eigenvalue"}}
@@ -473,23 +465,21 @@ def test_mc_report_friedman_cov():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = UrnSpec(d=2, Y0=np.array([1.0, 1.0]),
                    adding_rule=DeterministicRule(H))
-    cfg = MCConfig(replicates=600, horizons=(4000,), seed=29)
     analysis = urn_asymptotics(spec)
-    s = mc_sample(spec, 4000, cfg, analysis=analysis)
+    s = mc_sample(spec, 4000, 600, 29, analysis=analysis)
     pred = analysis.Sigma_tilde
     rep = make_mc_report(s, pred, rel_tol=0.3, p_min=0.002)
     assert rep.rel_frobenius <= 0.3
     assert rep.verdict["passed"]
     w = np.linalg.eigvalsh(rep.empirical_cov)
     assert w.min() >= -1e-12
-    d = rep.to_dict()
+    d = json.loads(canonical_json(rep))
     assert d["horizon"] == 4000
 
 
 def test_mc_report_flags_mismatch():
     spec = linear_spec()
-    cfg = MCConfig(replicates=500, horizons=(2000,), seed=31)
-    s = mc_sample(spec, 2000, cfg)
+    s = mc_sample(spec, 2000, 500, 31)
     rep = make_mc_report(s, np.array([[25.0]]), rel_tol=0.15, p_min=0.005)
     assert not rep.verdict["passed"]
 
@@ -573,8 +563,7 @@ def test_rotation_fit_validation():
 
 def test_mc_sample_defective_drift_needs_basis():
     spec = jordan_chain_spec(0.5)
-    cfg = MCConfig(replicates=40, horizons=(400,), seed=2)
-    s = mc_sample(spec, 400, cfg, basis=JORDAN_CHAIN_BASIS)
+    s = mc_sample(spec, 400, 40, 2, basis=JORDAN_CHAIN_BASIS)
     assert s.errors.shape == (40, 2)
     # the batch engine matches the stepper replicate by replicate
     from urnlab.sa import run_sa
@@ -585,7 +574,6 @@ def test_mc_sample_defective_drift_needs_basis():
 
 
 def test_golden_suite_report(monkeypatch):
-    cfg = MCConfig(replicates=200, horizons=(2000, 10 ** 4), seed=0)
     mean, caps = verify.exact_mean_recursion, []
 
     def capped(*args, **kwargs):
@@ -593,7 +581,7 @@ def test_golden_suite_report(monkeypatch):
         return mean(*args, **kwargs)
 
     monkeypatch.setattr(verify, "exact_mean_recursion", capped)
-    rep = golden_suite(cfg)
+    rep = golden_suite(200, (2000, 10 ** 4), 0)
     # every exact mean is capped at the suite's own worker count
     assert caps == [1, 1, 1]
     names = [c["name"] for c in rep.criteria]
@@ -626,4 +614,5 @@ def test_golden_suite_report(monkeypatch):
     assert "decay-damped-rates" not in rep.failures
     assert rep.passed == (len(rep.failures) == 0)
     assert "weak-convergence" in rep.note
-    json.dumps(rep.to_dict(), sort_keys=True)  # serializable as-is
+    d = json.loads(canonical_json(rep))  # serializable as-is
+    assert d["failures"] == list(rep.failures)
