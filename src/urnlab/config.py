@@ -362,9 +362,8 @@ class ConfigDocument:
         of the digest; the same run written to two directories produces
         byte-identical reports.
         """
-        doc = self.to_dict()
-        del doc["output"]
-        text = canonical_json(doc)
+        text = canonical_json({"model": self.model, "run": self.run,
+                               "analysis": self.analysis})
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def with_seed(self, seed):

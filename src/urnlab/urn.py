@@ -239,7 +239,8 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
                 np.maximum(Y, 0.0, out=acc)
                 for q in range(1, d):
                     np.add(accs[q], accs[q - 1], out=accs[q])
-                if np.fmin.reduce(s) <= 0.0:  # NaN-blind: no dead row missed
+                # NaN-blind: no dead row missed; no replicate, no reduction
+                if R and np.fmin.reduce(s) <= 0.0:
                     acc[:, s <= 0.0] = np.arange(1.0, d + 1.0)[:, None]
                 if d > 1:
                     t = np.multiply(U[j], s, out=U[j])

@@ -47,13 +47,14 @@ def test_bench_file_from_two_records(tmp_path):
         "metrics": {
             # lower is better for both, as BENCHMARK.json declares
             "peak_rss_mb": {"change_median": 60.0, "change_wins": 1,
-                            "parent_iqr": [70.0, 70.0],
+                            "gain": True, "parent_iqr": [70.0, 70.0],
                             "parent_median": 70.0, "parent_spread": 0.0,
                             "status": "within", "unit": "MiB",
                             "worse_by": -0.142857},
             # 25% slower is at the bound, not past it
             "wall_s": {"change_median": 0.625, "change_wins": 0,
-                       "parent_iqr": [0.5, 0.5], "parent_median": 0.5,
+                       "gain": False, "parent_iqr": [0.5, 0.5],
+                       "parent_median": 0.5,
                        "parent_spread": 0.0, "status": "within",
                        "unit": "s", "worse_by": 0.25}},
         "pairs": 1,
@@ -77,9 +78,10 @@ def test_bench_file_names_the_calls_whose_digests_differ(tmp_path):
         "mean"]
 
 
-def _verdicts(tmp_path, parent_walls, change_walls):
-    """wall_s (bound 0.25, lower is better) over paired runs: the parent's
-    and the change's, with peak_rss_mb equal on both sides."""
+def _wall(tmp_path, parent_walls, change_walls):
+    """The BENCH entry of wall_s (bound 0.25, lower is better) over paired
+    runs: the parent's and the change's, with peak_rss_mb equal on both
+    sides."""
     for side, walls in (("parent", parent_walls), ("change", change_walls)):
         (tmp_path / side).mkdir()
         for i, wall in enumerate(walls):
@@ -91,7 +93,12 @@ def _verdicts(tmp_path, parent_walls, change_walls):
     metrics = json.loads(out.read_text())["workloads"]["verify-urn-seed0"][
         "metrics"]
     assert metrics["peak_rss_mb"]["status"] == "within"
-    wall = metrics["wall_s"]
+    assert not metrics["peak_rss_mb"]["gain"]  # all ties
+    return metrics["wall_s"]
+
+
+def _verdicts(tmp_path, parent_walls, change_walls):
+    wall = _wall(tmp_path, parent_walls, change_walls)
     return wall["status"], wall["worse_by"], wall["parent_spread"]
 
 
@@ -122,3 +129,29 @@ def test_bench_file_verdict_for_a_higher_is_better_metric():
         0.3, 0.0, "worse")
     assert verdict([100.0] * 3, [130.0] * 3, False, 0.25) == (
         -0.3, 0.0, "within")
+
+
+# ten parent runs with quartiles 1.0 and 1.1 around a median of 1.05
+TEN = [0.9, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1, 1.1, 1.2]
+
+
+def test_bench_file_gain_met(tmp_path):
+    # the change wins 9 of 10 pairs (one tie) and its median, 0.8, lies
+    # 0.25 below the parent's, beyond the parent's IQR of 0.1
+    change = [0.8] * 9 + [1.2]
+    wall = _wall(tmp_path, TEN, change)
+    assert wall["change_wins"] == 9 and wall["gain"]
+
+
+def test_bench_file_gain_needs_nine_wins_in_ten(tmp_path):
+    # as large a gap, but only 8 wins: two pairs are ties
+    change = [0.8] * 8 + [1.1, 1.2]
+    wall = _wall(tmp_path, TEN, change)
+    assert wall["change_wins"] == 8 and not wall["gain"]
+
+
+def test_bench_file_gain_needs_a_gap_beyond_the_parent_iqr(tmp_path):
+    # every pair won, but the medians lie 0.06 apart, inside the IQR of 0.1
+    change = [w - 0.06 for w in TEN]
+    wall = _wall(tmp_path, TEN, change)
+    assert wall["change_wins"] == 10 and not wall["gain"]

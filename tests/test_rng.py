@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from urnlab.rng import (
     BLOCK,
     GROUP,
     REPL_SHIFT,
+    SLOTS,
     TILE,
     BlockSource,
     bulk_gaussians,
@@ -288,6 +291,71 @@ def test_vector_group_boundaries_match_scalar():
         rng = ScalarRng(8, s)
         assert uni[s].tolist() == [rng.uniform() for _ in range(BLOCK)]
         assert gau[s].tolist() == ScalarRng(8, s).gaussians(BLOCK)
+
+
+def test_wide_group_temporaries_stay_within_slots():
+    # at 1000 streams the work arrays hold 32 rows, not TILE: a gaussian
+    # call keeps about 3 MiB beside its output (11.3 MiB at TILE rows), a
+    # uniform one into a given `out` under 1 MiB (3.1 MiB at TILE rows)
+    S = 1000
+    states = stream_states(3, np.arange(S))
+    tracemalloc.start()
+    try:
+        g = bulk_gaussians(states.copy(), BLOCK)
+        gauss = tracemalloc.get_traced_memory()[1] - g.nbytes
+    finally:
+        tracemalloc.stop()
+    out = np.empty((BLOCK, S))
+    tracemalloc.start()
+    try:
+        bulk_uniforms(states, BLOCK, out=out)
+        uni = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gauss <= 16 * SLOTS * 8, gauss
+    assert uni <= 4 * SLOTS * 8, uni
+
+
+WIDTHS = [1, 3, 255, 256, 257, 1000, GROUP + 1]
+# counts across the ends of tiles (32, 127 and 128 rows at the wide
+# widths) and of polar rounds
+COUNTS = [1, 2, 31, 33, 127, 128, 129, 255, 257, 1001]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       S=st.sampled_from(WIDTHS),
+       slots=st.sampled_from(["1", "7", "S-1", "S", "300S"]),
+       tile=st.sampled_from([1, 128]),
+       count=st.sampled_from(COUNTS),
+       kind=st.sampled_from(["gaussian", "uniform"]),
+       takes=st.lists(st.sampled_from([1, 33, 129, BLOCK - 1, BLOCK]),
+                      min_size=1, max_size=3))
+@example(seed=1, S=GROUP + 1, slots="1", tile=128, count=129, kind="gaussian",
+         takes=[BLOCK - 1, 33])  # one-row rounds; a take crosses a block end
+@example(seed=2, S=1000, slots="S-1", tile=1, count=1001, kind="uniform",
+         takes=[33, BLOCK])
+def test_work_array_sizes_never_change_values(seed, S, slots, tile, count,
+                                              kind, takes):
+    # neither the generator's output tile nor the polar round size may
+    # change a value: every width and count gives the values the default
+    # SLOTS and TILE give, bit for bit
+    slots = {"1": 1, "7": 7, "S-1": S - 1, "S": S, "300S": 300 * S}[slots]
+    states = stream_states(seed, np.arange(S))
+
+    def draw():
+        src = BlockSource(seed, np.arange(S), kind, sum(takes))
+        return (bulk_uniforms(states.copy(), count),
+                bulk_gaussians(states.copy(), count),
+                np.concatenate([src.take(k) for k in takes], axis=1))
+
+    want = draw()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "SLOTS", slots)
+        mp.setattr(rng_module, "TILE", tile)
+        got = draw()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

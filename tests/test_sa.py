@@ -474,18 +474,28 @@ def test_exact_mean_scalar_raises_a_workers_error_here(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_linear_paths_without_replicates_return_empty_checkpoints():
+    out = linear_paths([[0.5, 0.0], [0.0, 0.6]], [0.0, 0.0], 300, 7,
+                       [100, 300], [], np.eye(2))
+    assert [n for n, _ in out] == [100, 300]
+    assert all(theta.shape == (0, 2) for _, theta in out)
+
+
 def test_linear_paths_hold_one_noise_block():
     # m = 1: every segment takes exactly one block, a whole fresh refill that
     # the source hands over uncopied; holding the slab or copying it would
-    # keep two or three blocks alive
-    R = 512
-    tracemalloc.start()
-    try:
-        linear_paths([[1.0]], [0.0], 3 * BLOCK, 0, [3 * BLOCK], R, [[1.0]])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * R * BLOCK * 8, peak
+    # keep two or three blocks alive. At 1000 replicates the generator's
+    # work arrays are capped at SLOTS values, so they add little (0.37
+    # blocks at TILE rows)
+    for R, blocks in ((512, 1.5), (1000, 1.15)):
+        tracemalloc.start()
+        try:
+            linear_paths([[1.0]], [0.0], 3 * BLOCK, 0, [3 * BLOCK], R,
+                         [[1.0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= blocks * R * BLOCK * 8, (R, peak)
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0, 7.5, 40.25, -2.5])

@@ -126,8 +126,8 @@ def test_batch_engine_matches_scalar_paths():
 def test_batch_engine_holds_one_block_and_its_slab():
     # the uniforms are stepped from the generator rows straight into the
     # slab: no block of them is held. What remains is the slab and the
-    # generator's (TILE, R) work arrays (three of them, plus margin), far
-    # below one block (16 MiB here)
+    # generator's work arrays (three of min(TILE, SLOTS // R) rows each,
+    # plus margin), far below one block (16 MiB here)
     R = 512
     tracemalloc.start()
     try:
@@ -136,6 +136,15 @@ def test_batch_engine_holds_one_block_and_its_slab():
     finally:
         tracemalloc.stop()
     assert peak <= (SLAB + 5 * TILE) * R * 8 < R * BLOCK * 8 / 4, peak
+
+
+def test_batch_engine_without_replicates_returns_empty_checkpoints():
+    # as linear_paths does: each checkpoint holds (0, d) arrays
+    out = run_urn_batch(friedman_spec(), 300, 7, [100, 300], [])
+    assert [n for n, _, _ in out] == [100, 300]
+    for _, Y, N in out:
+        assert Y.shape == N.shape == (0, 2)
+        assert N.dtype == np.int64
 
 
 def test_batch_engine_three_colors():

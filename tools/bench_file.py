@@ -23,6 +23,12 @@ Each end-to-end metric also carries the no-regression verdict against its
                    "unresolved" when parent_spread exceeds the bound and
                    not every change run beats every parent run; otherwise
                    "within"
+
+and the verdict on a claimed gain:
+
+    gain           true when the change wins at least 9 of every 10 pairs
+                   (ties count for neither side) and its median beats the
+                   parent's by more than the parent's interquartile range
 """
 
 import argparse
@@ -104,11 +110,15 @@ def _paired(parent, change, end_to_end):
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         worse_by, spread, status = _verdict(p, c, lower,
                                             end_to_end[name]["bound"])
+        pm, cm = statistics.median(p), statistics.median(c)
+        q1, q3 = _quartiles(p)
         metrics[name] = {
-            "change_median": _round(statistics.median(c)),
+            "change_median": _round(cm),
             "change_wins": wins,
-            "parent_iqr": [_round(q) for q in _quartiles(p)],
-            "parent_median": _round(statistics.median(p)),
+            "gain": 10 * wins >= 9 * len(p)
+                    and (pm - cm if lower else cm - pm) > q3 - q1,
+            "parent_iqr": [_round(q1), _round(q3)],
+            "parent_median": _round(pm),
             "parent_spread": _round(spread),
             "status": status,
             "unit": rec["unit"],
