@@ -31,7 +31,7 @@ from .errors import ConfigError, DivergenceError, UrnlabError
 from .gauss import simulate_paths
 from .ode import flow_identity_residual, integrate_flow
 from .report import emit_report, object_fields, provenance
-from .sa import run_sa  # noqa: F401  (run_sa stays importable here)
+from .sa import run_sa  # noqa: F401  (bench/ checks the cli.run_sa binding)
 from .urn import urn_asymptotics, urn_eigenstructure
 from .verify import golden_suite, make_mc_report, mc_sample, simulate
 

@@ -4,8 +4,7 @@ Four recursions with pinned parameters, each probing one regime boundary:
 a defective drift matrix whose coordinates converge at different rates, a
 complex-eigenvalue drift that rotates forever on the log-time scale, a
 noise-free scalar decay whose rate is dented by a slowly varying factor,
-and a critical scalar recursion driven by deterministic remainders. Two
-stock urn models round out the set.
+and a critical scalar recursion driven by deterministic remainders.
 """
 
 import functools
@@ -15,7 +14,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .sa import GaussianNoise, LinearDrift, SAProcessSpec
-from .urn import DeterministicRule, UrnSpec
 
 # start point of the damped decay model; loglog(1/x) is exactly 2 here
 DECAY_START = math.exp(-math.e ** 2)
@@ -202,22 +200,3 @@ def remainder_drive_spec(kind="zero"):
     return SAProcessSpec(dim=1, drift=LinearDrift([[0.5]]), theta0=[0.0],
                          noise=GaussianNoise([[1.0]]), remainder=schedules[kind],
                          theta_star=[0.0], label=f"remainder-{kind}")
-
-
-def friedman_urn(y0=(1.0, 1.0)):
-    """Two-color urn that always adds one ball of the opposite color."""
-    H = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
-                   adding_rule=DeterministicRule(H), label="friedman")
-
-
-def mixing_urn(off_diag, y0=(1.0, 1.0)):
-    """Symmetric two-color urn adding 1-a of the drawn color and a of the
-    other; the spectral gap 2a sets the convergence regime (a = 0.25 is
-    the critical boundary, smaller a is slower)."""
-    a = float(off_diag)
-    if not 0.0 < a < 1.0:
-        raise InvalidArgumentError(f"off_diag must lie in (0, 1), got {a}")
-    H = np.array([[1.0 - a, a], [a, 1.0 - a]])
-    return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
-                   adding_rule=DeterministicRule(H), label=f"mixing-{a:g}")

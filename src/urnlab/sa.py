@@ -5,10 +5,10 @@
 with pluggable drift h, martingale-difference noise, and deterministic
 remainder schedule. The engines share the same frozen noise streams:
 
-  run_sa                step reference loop, any drift; a dim-1 model without
-                        noise or remainder whose drift is linear or has a
-                        float entry point `scalar` runs in plain floats,
-                        with the same states bit for bit;
+  run_sa                step loop, any drift, over replicate rows in lockstep;
+                        a dim-1 model without noise or remainder whose drift
+                        is linear or has a float entry point `scalar` runs
+                        once in plain floats, bit for bit, tiled over rows;
   linear_paths          closed form for linear drift h = theta A,
                         theta_n = theta_0 Phi(0, n) + sum_k dM_k Phi(k, n)/k
                         with Phi(k, n) = prod_{j=k+1..n} (I - A/j): one
@@ -86,10 +86,6 @@ class GaussianNoise:
     def from_cov(cls, gamma):
         return cls(psd_factor(check_sym_psd(gamma, "Gamma")[None])[0])
 
-    def __call__(self, rng, k, theta):
-        z = rng.take(self.values_per_step)[0]
-        return z @ self.root
-
     def digest_parts(self):
         return self.root.tobytes().hex()
 
@@ -110,11 +106,10 @@ class LinearDrift:
 
 @dataclasses.dataclass(frozen=True)
 class SAProcessSpec:
-    """Problem statement for one recursion: dimension, drift, noise sampler
-    (callable (rng, step, theta) -> row, or None; it states
-    `values_per_step`, the gaussians it takes from the replicate's
-    one-row BlockSource `rng` per step), remainder schedule (callable
-    n -> row, or None), start point, and the optional known equilibrium."""
+    """Problem statement for one recursion: dimension, drift (callable on
+    a (d,) row), noise (a GaussianNoise whose root has d columns, or None),
+    remainder schedule (callable n -> row, or None), start point, and the
+    optional known equilibrium."""
 
     dim: int
     drift: object
@@ -126,8 +121,10 @@ class SAProcessSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _as_row(self.theta0, self.dim, "theta0"))
-        if self.noise is not None and not hasattr(self.noise, "values_per_step"):
-            raise InvalidArgumentError("noise sampler must state its values_per_step")
+        if self.noise is not None and not (isinstance(self.noise, GaussianNoise)
+                                           and self.noise.root.shape[1] == self.dim):
+            raise InvalidArgumentError("noise must be None or a GaussianNoise "
+                                       f"whose root has {self.dim} columns")
         if self.theta_star is not None:
             ts = _as_row(self.theta_star, self.dim, "theta_star")
             object.__setattr__(self, "theta_star", ts)
@@ -214,45 +211,81 @@ def _float_path(h, th, n_max, plan):
     return tuple(cps)
 
 
-def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
-    """Iterate the recursion once, step by step.
+def _step_rows(spec, n_max, seed, plan, repl):
+    """run_sa on the rows of repl: (len(plan), R, d) states, NaN on a
+    failed row, and {row: its error}."""
+    R, noise = repl.size, spec.noise
+    at = {k: i for i, k in enumerate(plan)}  # a checkpoint's index in out
+    out, failed = np.full((len(plan), R, spec.dim), np.nan), {}
+    h = _float_drift(spec)
+    if h is not None:  # one plain-float path, tiled over the rows
+        try:
+            out[:] = np.reshape([x for _, x in _float_path(
+                h, float(spec.theta0[0]), n_max, plan)], (-1, 1, 1))
+        except DivergenceError as exc:
+            failed = dict.fromkeys(range(R), exc)
+        return out, failed
+    drift = ((lambda th: _rowwise(th, spec.drift.matrix))
+             if isinstance(spec.drift, LinearDrift) else
+             lambda th: np.reshape([spec.drift(x) for x in th], (len(th), -1)))
+    rng = None if noise is None else BlockSource(
+        seed, repl, "gaussian", n_max * noise.values_per_step)
+    theta, zero = np.tile(spec.theta0, (R, 1)), np.zeros(spec.dim)
+    live = np.arange(R)  # the rows still stepping
+    rows = slice(None)  # those of the noise: every row, then the live ones
+    if 0 in at:
+        out[0] = theta
+    for k in range(1, n_max + 1):  # k converts to the double k exactly
+        if not live.size:
+            break
+        hv = drift(theta)
+        dm = zero if noise is None else _rowwise(
+            rng.take(noise.values_per_step), noise.root)[rows]
+        r = np.asarray(spec.remainder(k), dtype=float) if spec.remainder else zero
+        inc = dm + r
+        step = theta - hv / k + inc / k
+        if not np.isfinite(step).all():
+            keep = np.isfinite(step).all(axis=1)
+            for i in np.flatnonzero(~keep):
+                try:
+                    _raise_non_finite(k, spec.drift, theta[i],
+                                      np.broadcast_to(inc, step.shape)[i])
+                except (DivergenceError, NumericalOverflowError) as exc:
+                    failed[int(live[i])] = exc
+            step, live = step[keep], live[keep]
+            rows = live
+        theta = step
+        if k in at:
+            out[at[k], live] = theta
+    out[:, list(failed)] = np.nan
+    return out, failed
 
-    Deterministic given (spec, seed, replicate): noise comes from the frozen
-    per-replicate stream. Raises a divergence error naming the first step
-    index whose state is non-finite, or a NumericalOverflowError naming it
-    when only the drift overflowed there and the state it leads to is
-    finite.
-    """
+
+def run_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
+    """Iterate the recursion step by step, for one replicate index or, in
+    lockstep, for a sequence of them: one noise take and one remainder call
+    per step, the drift row by row, so no row depends on its batch. One
+    index returns its Trajectory, or raises a DivergenceError naming the
+    first step whose state is non-finite, or a NumericalOverflowError naming
+    it when only the drift overflowed there and the state it leads to is
+    finite. A sequence returns ([(n, (R, d) array)], dropped): a diverged
+    row is NaN throughout and listed in dropped, and the lowest row's
+    NumericalOverflowError is raised."""
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = _checkpoint_plan(checkpoint_plan, n_max)
-    h = _float_drift(spec)
-    if h is not None:
-        return Trajectory(_float_path(h, float(spec.theta0[0]), n_max, plan))
-    rng = None if spec.noise is None else BlockSource(
-        seed, [replicate], "gaussian", n_max * spec.noise.values_per_step)
-    theta = spec.theta0.copy()
-    zero = np.zeros(spec.dim)
-    cps = []
-    pi = 0
-    if pi < len(plan) and plan[pi] == 0:
-        cps.append((0, theta.copy()))
-        pi += 1
-    for k in range(n_max):
-        np1 = k + 1.0
-        hv = np.asarray(spec.drift(theta), dtype=float)
-        dm = np.asarray(spec.noise(rng, k + 1, theta), dtype=float) if spec.noise else zero
-        r = np.asarray(spec.remainder(k + 1), dtype=float) if spec.remainder else zero
-        inc = dm + r
-        step = theta - hv / np1 + inc / np1
-        if not np.all(np.isfinite(step)):
-            _raise_non_finite(k + 1, spec.drift, theta, inc)
-        theta = step
-        if pi < len(plan) and plan[pi] == k + 1:
-            cps.append((k + 1, theta.copy()))
-            pi += 1
-    return Trajectory(tuple(cps))
+    single = np.ndim(replicate) == 0
+    repl = replicate_indices([replicate] if single else replicate)
+    out, failed = _step_rows(spec, n_max, seed, plan, repl)
+    for _, exc in sorted(failed.items()):
+        if single or isinstance(exc, NumericalOverflowError):
+            raise exc
+    if single:
+        return Trajectory(tuple((k, x[0]) for k, x in zip(plan, out)))
+    return list(zip(plan, out)), [
+        {"replicate": int(repl[i]), "first_bad_index": exc.first_bad_index}
+        for i, exc in sorted(failed.items())]
 
 
 # ==== forked parts ====

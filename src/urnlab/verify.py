@@ -17,8 +17,8 @@ from .asymptotics import analyze
 from .errors import (ChainBasisRequiredError, DivergenceError,
                      InvalidArgumentError, JordanIntegerEigenvalueError,
                      NonConvergenceError)
-from .sa import (GaussianNoise, LinearDrift, SAProcessSpec, _checkpoint_plan,
-                 _sharded, exact_mean_recursion, linear_paths, run_sa)
+from .sa import (LinearDrift, SAProcessSpec, _checkpoint_plan, _sharded,
+                 exact_mean_recursion, linear_paths, run_sa)
 from .urn import UrnSpec, DeterministicRule, run_urn, run_urn_batch, urn_asymptotics
 
 
@@ -69,9 +69,9 @@ def _joined(parts):
 def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     """States of replicates 0..R-1 at the checkpoints, and the engine record.
 
-    linear_paths runs a linear drift with Gaussian or no noise and no
-    remainder (basis is forwarded for defective drifts), run_sa any other
-    recursion, run_urn_batch an urn with a deterministic rule when R > 1,
+    linear_paths runs a linear drift without remainder (basis is forwarded
+    for defective drifts), run_sa any other recursion, its replicates in
+    lockstep, run_urn_batch an urn with a deterministic rule when R > 1,
     run_urn any other urn (an urn takes no basis). If the linear engine
     refuses (defective drift without basis, Jordan block at an integer
     eigenvalue in 1..n) or its output is non-finite (the true path
@@ -123,8 +123,7 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     if not isinstance(model, SAProcessSpec):
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
 
-    if (isinstance(model.drift, LinearDrift) and model.remainder is None
-            and (model.noise is None or isinstance(model.noise, GaussianNoise))):
+    if isinstance(model.drift, LinearDrift) and model.remainder is None:
         root = None if model.noise is None else model.noise.root
 
         def linear(repl):
@@ -144,21 +143,7 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
                 return paths, dict(record, name="linear")
             record["fallback"] = {"from": "linear", "code": "non-finite"}
 
-    def step(repl):
-        paths = [(k, np.full((len(repl), model.dim), np.nan)) for k in plan]
-        dropped = []
-        for i, r in enumerate(repl.tolist()):
-            try:
-                traj = run_sa(model, n, seed, plan, replicate=r)
-            except DivergenceError as exc:  # the replicate's rows stay NaN
-                dropped.append({"replicate": r,
-                                "first_bad_index": exc.first_bad_index})
-                continue
-            for (_, x), (_, th) in zip(paths, traj.checkpoints):
-                x[i] = th
-        return paths, dropped
-
-    parts = _sharded(step, R, workers)
+    parts = _sharded(lambda repl: run_sa(model, n, seed, plan, repl), R, workers)
     record["dropped"] = [d for _, dropped in parts for d in dropped]
     return _joined([p for p, _ in parts]), record
 

@@ -6,8 +6,10 @@ code under test: plain Taylor series instead of scipy's expm, scipy
 integral, exact moment recursions instead of closed-form limits, a
 generator over python ints instead of the vectorized one, and adaptive
 RK4 on the urn mean flow instead of its closed-form clock steps. The
-generic array loop of run_sa, recording every increment, is the reference
-for its plain-float loop and for the closed-form linear engine.
+generic array loop of run_sa for one replicate, recording every increment,
+is the reference for its plain-float loop, its lockstep rows and the
+closed-form linear engine. The two stock urns the tests run (Friedman's and
+the symmetric mixing urn) are built here too.
 """
 
 import collections
@@ -21,7 +23,8 @@ from urnlab.errors import DivergenceError, InvalidArgumentError, RefinementError
 from urnlab.ode import FlowState
 from urnlab.rng import BLOCK, GAMMA, MASK64, REPL_SHIFT, _MIX1, _MIX2, BlockSource
 from urnlab.sa import _checkpoint_plan, _raise_non_finite
-from urnlab.urn import BernoulliDiagonalRule, UrnState, urn_eigenstructure
+from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
+                        UrnState, urn_eigenstructure)
 
 
 def taylor_expm(A, terms=30):
@@ -212,7 +215,7 @@ def reference_sa(spec, n_max, seed, checkpoint_plan, replicate=0):
     for k in range(n_max):
         np1 = k + 1.0
         hv = np.asarray(spec.drift(theta), dtype=float)
-        dm = np.asarray(spec.noise(rng, k + 1, theta), dtype=float) if spec.noise else zero
+        dm = rng.take(spec.noise.values_per_step)[0] @ spec.noise.root if spec.noise else zero
         r = np.asarray(spec.remainder(k + 1), dtype=float) if spec.remainder else zero
         inc = dm + r
         step = theta - hv / np1 + inc / np1
@@ -247,6 +250,25 @@ def replay(spec, traj):
         if want is not None and not np.array_equal(want, theta):
             raise InvalidArgumentError(f"replay diverged from checkpoint at n={k + 1}")
     return True
+
+
+def friedman_urn(y0=(1.0, 1.0)):
+    """Two-color urn that always adds one ball of the opposite color."""
+    H = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
+                   adding_rule=DeterministicRule(H), label="friedman")
+
+
+def mixing_urn(off_diag, y0=(1.0, 1.0)):
+    """Symmetric two-color urn adding 1-a of the drawn color and a of the
+    other; the spectral gap 2a sets the convergence regime (a = 0.25 is
+    the critical boundary, smaller a is slower)."""
+    a = float(off_diag)
+    if not 0.0 < a < 1.0:
+        raise InvalidArgumentError(f"off_diag must lie in (0, 1), got {a}")
+    H = np.array([[1.0 - a, a], [a, 1.0 - a]])
+    return UrnSpec(d=2, Y0=np.asarray(y0, dtype=float),
+                   adding_rule=DeterministicRule(H), label=f"mixing-{a:g}")
 
 
 def reference_urn(spec, n_max, seed, checkpoints, replicate=0):

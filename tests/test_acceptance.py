@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from oracles import check_attraction, quad_sandwich
+from oracles import check_attraction, friedman_urn, mixing_urn, quad_sandwich
 from urnlab.asymptotics import (
     clt_covariance,
     critical_covariance,
@@ -33,9 +33,7 @@ from urnlab.gauss import GaussProcessSpec, gaussian_variance, simulate_paths
 from urnlab.golden import (
     JORDAN_CHAIN_BASIS,
     decay_spec,
-    friedman_urn,
     jordan_chain_spec,
-    mixing_urn,
     remainder_drive_spec,
     rotation_spec,
 )

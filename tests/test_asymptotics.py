@@ -22,10 +22,9 @@ from urnlab.errors import (
     InvalidBasisError,
     RegimeError,
 )
-from urnlab.golden import friedman_urn, mixing_urn
 from urnlab.report import canonical_json
 from urnlab.urn import urn_asymptotics
-from oracles import quad_sandwich
+from oracles import friedman_urn, mixing_urn, quad_sandwich
 
 
 # ==== spectral profile ====

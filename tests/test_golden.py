@@ -15,16 +15,14 @@ from urnlab.golden import (
     InverseSqrtLogRemainder,
     LogDampedDrift,
     decay_spec,
-    friedman_urn,
     jordan_chain_spec,
-    mixing_urn,
     remainder_drive_spec,
     rotation_spec,
 )
 from urnlab.asymptotics import classify_regime, spectral_profile
 from urnlab.sa import LinearDrift, SAProcessSpec, _float_drift, run_sa
 from urnlab.urn import urn_eigenstructure
-from oracles import reference_sa
+from oracles import friedman_urn, mixing_urn, reference_sa
 
 
 # ==== spec constructors ====

@@ -527,14 +527,16 @@ def test_top_replicate_index_has_streams_of_its_own():
 
 def test_engines_refuse_a_negative_replicate_index():
     from urnlab.gauss import GaussProcessSpec, simulate_paths
-    from urnlab.golden import friedman_urn
-    from urnlab.sa import linear_paths
+    from oracles import friedman_urn
+    from urnlab.sa import LinearDrift, SAProcessSpec, linear_paths, run_sa
     from urnlab.urn import run_urn_batch
 
     spec = GaussProcessSpec(H=np.eye(1), gamma_root=np.eye(1), G1=np.zeros(1),
                             grid=np.array([1.0, 2.0]))
     calls = [lambda: run_urn_batch(friedman_urn(), 5, 0, [5], [-1]),
              lambda: linear_paths([[1.0]], [0.0], 5, 0, [5], [-1], [[1.0]]),
+             lambda: run_sa(SAProcessSpec(dim=1, drift=LinearDrift([[1.0]]),
+                                          theta0=[0.0]), 5, 0, [5], [-1]),
              lambda: simulate_paths(spec, 0, [-1])]
     for call in calls:
         with pytest.raises(InvalidArgumentError, match="index -1 is not"):

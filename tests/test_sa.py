@@ -120,10 +120,19 @@ def test_gaussian_noise_from_cov_rank_deficient():
 
 
 def test_spec_rejects_noise_without_its_draw():
-    # run_sa opens the replicate's stream with the sampler's exact draw
-    with pytest.raises(InvalidArgumentError, match="values_per_step"):
+    # run_sa opens the replicates' streams with the noise root's exact
+    # draw, so the noise is a GaussianNoise and not an arbitrary sampler
+    with pytest.raises(InvalidArgumentError, match="None or a GaussianNoise"):
         SAProcessSpec(dim=1, drift=LinearDrift([[1.0]]), theta0=[1.0],
                       noise=lambda rng, k, theta: rng.take(1)[0])
+
+
+def test_spec_rejects_a_noise_root_of_another_dimension():
+    # a one-column root on two coordinates would put one noise value on
+    # both of them in run_sa, while the linear engine refused it
+    with pytest.raises(InvalidArgumentError, match="root has 2 columns"):
+        SAProcessSpec(dim=2, drift=LinearDrift(np.eye(2)), theta0=[0.0, 0.0],
+                      noise=GaussianNoise([[1.0]]))
 
 
 @pytest.mark.parametrize("A", [[[-400.0]], [[1.0]], np.diag([-400.0, 1.0]),
@@ -481,6 +490,16 @@ def test_linear_paths_without_replicates_return_empty_checkpoints():
     assert all(theta.shape == (0, 2) for _, theta in out)
 
 
+@pytest.mark.parametrize("drift", [LinearDrift(np.eye(2)), lambda th: th ** 3],
+                         ids=["linear", "callable"])
+def test_run_sa_without_replicates_returns_empty_checkpoints(drift):
+    spec = SAProcessSpec(dim=2, drift=drift, theta0=[0.0, 0.0],
+                         noise=GaussianNoise(np.eye(2)))
+    paths, dropped = run_sa(spec, 300, 7, [0, 100, 300], [])
+    assert [n for n, _ in paths] == [0, 100, 300] and dropped == []
+    assert all(theta.shape == (0, 2) for _, theta in paths)
+
+
 def test_linear_paths_hold_one_noise_block():
     # m = 1: every segment takes exactly one block, a whole fresh refill that
     # the source hands over uncopied; holding the slab or copying it would
@@ -695,6 +714,65 @@ def test_linear_paths_match_run_sa_property(model, R, seed, cuts):
         for (na, xa), (nb, xb) in zip(ref, got):
             assert na == nb
             np.testing.assert_allclose(xb[r], xa, rtol=1e-9, atol=1e-12)
+
+
+def _run_or_error(run):
+    """run()'s checkpoints, or the divergence or overflow error it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run().checkpoints
+    except (DivergenceError, NumericalOverflowError) as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=linear_models(), form=st.sampled_from(["linear", "plain", "cubic"]),
+       noisy=st.booleans(), remainder=st.booleans(), R=st.integers(1, 4),
+       n=st.integers(1, 300), scale=st.sampled_from([1.0, 1e306]),
+       seed=st.integers(0, 2 ** 32))
+def test_run_sa_rows_match_reference_sa_property(model, form, noisy, remainder,
+                                                 R, n, scale, seed):
+    # the drift as a LinearDrift (one vector-matrix product per row), as a
+    # plain callable (one call per row), and with a cubic term that makes
+    # some noisy rows diverge or overflow the drift and not others; a start
+    # of 1e306 does so on the large eigenvalues. Without noise or remainder
+    # a dim-1 model takes the float loop, tiled
+    A, _, root = model
+    d = A.shape[0]
+    offset = np.linspace(0.5, -0.5, d)
+    drift = {"linear": LinearDrift(A), "plain": linear_drift(A),
+             "cubic": lambda th: th @ A - th ** 3}[form]
+    spec = SAProcessSpec(
+        dim=d, drift=drift, theta0=scale * np.linspace(1.0, -0.5, d),
+        noise=GaussianNoise(root) if noisy else None,
+        remainder=(lambda k: offset / math.sqrt(k)) if remainder else None)
+    plan = sorted({0, 1, n})
+    want = [_run_or_error(lambda: reference_sa(spec, n, seed, plan, replicate=r))
+            for r in range(R)]
+    for r, ref in enumerate(want):  # one index: the oracle's path or error
+        got = _run_or_error(lambda: run_sa(spec, n, seed, plan, replicate=r))
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+            assert vars(got) == vars(ref)
+        else:
+            assert all(k == k_ref and np.array_equal(x, th)
+                       for (k, x), (k_ref, th) in zip(got, ref))
+    overflow = [e for e in want if isinstance(e, NumericalOverflowError)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if overflow:  # the lowest row's
+            with pytest.raises(NumericalOverflowError) as exc:
+                run_sa(spec, n, seed, plan, list(range(R)))
+            assert exc.value.step == overflow[0].step
+            return
+        paths, dropped = run_sa(spec, n, seed, plan, np.arange(R))
+    assert dropped == [{"replicate": r, "first_bad_index": e.first_bad_index}
+                       for r, e in enumerate(want) if isinstance(e, Exception)]
+    assert [k for k, _ in paths] == plan
+    for r, ref in enumerate(want):
+        for (_, x), th in zip(paths, [np.full(d, np.nan)] * len(plan)
+                              if isinstance(ref, Exception) else
+                              [th for _, th in ref]):
+            assert np.array_equal(x[r], th, equal_nan=True)
 
 
 def test_spec_digest_distinguishes_content():

@@ -3,7 +3,8 @@ only the typed errors of urnlab.errors raised and each of them raised
 somewhere, no parameter that is accepted and then ignored, no import that
 is never read, no to_dict that only restates its dataclass's fields,
 pools only where replicates are sharded, no noise source without its known
-draw, one artifact writer, and a start-up that imports no scipy.
+draw, no run_sa called once per replicate in a loop, one artifact writer,
+and a start-up that imports no scipy.
 
 A catch-all turns a bug into a dropped replicate or a silent fallback, so
 src/ may catch only the errors a handler can act on. A built-in error
@@ -128,11 +129,6 @@ def test_unraised_error_rule_catches_one():
     assert _unraised_errors(errors, [src]) == ["Spare", "Loose"]
 
 
-# a sampler is called with the protocol's arguments whether it needs them or
-# not: noise samplers as (rng, step, theta)
-SAMPLER_PROTOCOLS = {("rng", "k", "theta")}
-
-
 def _unread_parameters(tree):
     """(qualified name, parameter) for every function parameter never read;
     a method's first parameter is not counted."""
@@ -153,11 +149,10 @@ def _unread_parameters(tree):
                          for d in child.decorator_list)
             if isinstance(node, ast.ClassDef) and not static:
                 params = params[1:]
-            exempt = child.name == "__call__" and tuple(params) in SAMPLER_PROTOCOLS
             read = {n.id for n in ast.walk(child)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found.extend((scope + child.name, p) for p in params
-                         if p not in read and not exempt)
+                         if p not in read)
             visit(child, scope + child.name + ".")
 
     visit(tree, "")
@@ -178,12 +173,11 @@ def test_ignored_parameter_rule_catches_one():
         "def f(a, b=1):\n    return a\n"
         "class C:\n"
         "    def g(self, x, *, chunk=2):\n        return x\n"
-        "    def __call__(self, rng, k, theta):\n        return rng\n"
-        "    def __call__(self, rng, k, theta, extra):\n        return rng\n")
-    # the second __call__ is not a protocol signature, so nothing is exempt
+        "    def __call__(self, rng, k, theta):\n        return rng\n")
+    # a callback's signature exempts no parameter either
     assert _unread_parameters(tree) == [
         ("f", "b"), ("C.g", "chunk"), ("C.__call__", "k"),
-        ("C.__call__", "theta"), ("C.__call__", "extra")]
+        ("C.__call__", "theta")]
 
 
 # an import nothing reads costs start-up time and hides what a module uses;
@@ -382,6 +376,50 @@ def test_undeclared_draw_rule_catches_one():
         "c = rng.BlockSource(seed, [3], kind='gaussian')\n"
         "d = BlockSource(seed, [3], kind='gaussian', total=n)\n")
     assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "BlockSource")]
+
+
+# run_sa steps any number of replicates in lockstep; a loop over single
+# replicates pays the per-step cost once per replicate
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _looped_step_calls(tree):
+    """(line, loop kind) for every call of run_sa inside a loop or a
+    comprehension, in line order; a call in nested loops is listed once
+    per loop."""
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, LOOPS):
+            continue
+        for node in ast.walk(loop):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "run_sa":
+                found.append((node.lineno, type(loop).__name__))
+    return sorted(found)
+
+
+def test_no_run_sa_in_loops_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(SRC)}:{line}:{kind}"
+             for path in files
+             for line, kind in _looped_step_calls(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_looped_step_rule_catches_one():
+    tree = ast.parse(
+        "for r in repl:\n    run_sa(spec, n, seed, plan, replicate=r)\n"
+        "paths = [sa.run_sa(spec, n, seed, plan, r) for r in repl]\n"
+        "while todo:\n    todo = g(lambda: run_sa(spec, n, seed, plan, todo))\n"
+        "rows = run_sa(spec, n, seed, plan, repl)\n"
+        "_sharded(lambda repl: run_sa(spec, n, seed, plan, repl), R, 2)\n"
+        "[run_urn(spec, n, seed, plan, r) for r in repl]\n")
+    # one call over all the replicates, sharded or not, passes
+    assert _looped_step_calls(tree) == [
+        (2, "For"), (3, "ListComp"), (5, "While")]
 
 
 # every artifact reaches disk through report.emit_report: one encoding of

@@ -13,8 +13,8 @@ import scipy.stats
 from urnlab.asymptotics import analyze
 from urnlab.errors import (DivergenceError, InvalidArgumentError,
                            NonConvergenceError, NumericalOverflowError)
-from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, friedman_urn,
-                           jordan_chain_spec, remainder_drive_spec)
+from urnlab.golden import (JORDAN_CHAIN_BASIS, decay_spec, jordan_chain_spec,
+                           remainder_drive_spec)
 from urnlab.sa import (GaussianNoise, LinearDrift, SAProcessSpec, run_sa,
                        worker_count)
 from urnlab.urn import (BernoulliDiagonalRule, DeterministicRule, UrnSpec,
@@ -31,7 +31,7 @@ from urnlab.verify import (
     simulate,
 )
 from urnlab.report import canonical_json
-from oracles import reference_sa
+from oracles import friedman_urn, reference_sa
 
 
 # a Standard analysis for the non-linear drifts, which mc_sample cannot analyse
@@ -285,6 +285,8 @@ WORKER_CASES = {
                        "linear", None),
     "lockstep-urn": (friedman_urn, 7, None, "lockstep-urn", None),
     "step-dropped": (_cubic_spec, 9, None, "step", None),
+    "step-remainder": (lambda: remainder_drive_spec("inv-sqrt-log"), 9, None,
+                       "step", None),
     "fallback-jordan-integer": (lambda: _linear_model([[1.0, 1.0], [0.0, 1.0]]),
                                 5, np.eye(2), "step", "jordan-integer-eigenvalue"),
 }
