@@ -12,7 +12,6 @@ the model dimension; noise is given as a covariance matrix and factored
 internally.
 """
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -349,11 +348,6 @@ class ConfigDocument:
     analysis: dict
     output: dict
     explicit: frozenset = frozenset()
-
-    def to_dict(self):
-        return copy.deepcopy({"model": self.model, "run": self.run,
-                              "analysis": self.analysis,
-                              "output": self.output})
 
     def digest(self):
         """Content hash of the result-determining sections.

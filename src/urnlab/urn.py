@@ -14,8 +14,9 @@ and noise covariance assembled from S1 = diag(v) - v^T v and the V_q. The
 second-largest real part lambda_sec of the (alpha-normalized) spectrum sets
 the regime through rho = 1 - lambda_sec.
 
-run_urn steps one path; run_urn_batch steps R paths of a deterministic rule
-in lockstep, their state stored colour-major, (d, R).
+run_urn steps one path; run_urn_batch steps R paths of any rule in lockstep,
+their state stored colour-major, (d, R). Both read how a rule draws from
+_draw_rows.
 """
 
 import dataclasses
@@ -119,33 +120,34 @@ class UrnTrajectory:
     checkpoints: tuple  # of UrnState
 
 
+def _draw_rows(rule, d):
+    """(hit, miss, p): how a rule draws. A draw of type k adds row k of hit,
+    or of miss when the rule's k-th uniform is at or above p. A
+    Bernoulli-diagonal rule hits with scale*I and misses with nothing; a
+    rule that draws nothing (p None) adds its mean. Any other is refused."""
+    if isinstance(rule, BernoulliDiagonalRule):
+        return rule.scale * np.eye(d), np.zeros((d, d)), rule.p
+    if rule.values_per_step == 0:
+        return rule.mean, rule.mean, None
+    raise InvalidArgumentError(f"urn engines cannot draw {type(rule).__name__}")
+
+
 def run_urn(spec, n_max, seed, checkpoints, replicate=0):
     """Simulate one urn path; deterministic given (spec, seed, replicate).
 
     A plain-float loop: each step takes the type's uniform, then the rule's
     values_per_step uniforms. The type is the first whose positive mass,
     accumulated in colour order, exceeds u*s (uniform when no mass is
-    positive); a deterministic rule adds row k of its matrix, a
-    Bernoulli-diagonal one row k of scale*I when its k-th uniform is below
-    p and nothing otherwise.
+    positive); the rule's row k is added as _draw_rows reads it.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = _checkpoint_plan(checkpoints, n_max)
-    rule = spec.adding_rule
     d = spec.d
-    m = rule.values_per_step
-    # rows as python floats (no numpy scalars); a draw adds hit[k] unless a
-    # Bernoulli-diagonal rule's k-th uniform is at or above p
-    if isinstance(rule, BernoulliDiagonalRule):
-        hit, p = (rule.scale * np.eye(d)).tolist(), rule.p
-    elif m == 0:  # a rule that draws nothing adds its mean
-        hit, p = rule.mean.tolist(), None
-    else:
-        raise InvalidArgumentError(f"run_urn cannot draw {type(rule).__name__}")
-    miss = [[0.0] * d] * d
-    step = 1 + m
+    hit, miss, p = _draw_rows(spec.adding_rule, d)
+    hit, miss = hit.tolist(), miss.tolist()  # python floats, no numpy scalars
+    step = 1 + spec.adding_rule.values_per_step
     src = BlockSource(seed, [replicate], "uniform", n_max * step)
     Y = [float(y) for y in spec.Y0]
     N = [0] * d
@@ -195,45 +197,49 @@ def run_urn(spec, n_max, seed, checkpoints, replicate=0):
 # the scalar loop; the check at each slab's end names the step
 @np.errstate(over="ignore", invalid="ignore")
 def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
-    """Vectorized paths for deterministic rules: all replicates advance in
-    lockstep, each consuming one uniform per step from its own stream.
+    """Vectorized paths: all replicates advance in lockstep, each taking
+    1 + values_per_step uniforms per step from its own stream, in run_urn's
+    order (the type's, then the rule's).
 
     The state is colour-major, (d, R), so a step is a few ufuncs over R
     that do the scalar loop's arithmetic: positive parts summed and
     accumulated in colour order (a numpy row sum goes pairwise from d = 8
     on), and k = #{i < d-1 : u*s >= acc_i}; a row with no positive mass
-    draws uniformly. Each replicate's path is run_urn's bit for bit. A
-    slab's draws are counted into N at its end. A slab that leaves any
-    replicate non-finite is replayed from its start for those replicates,
-    so the divergence names the first non-finite step, as run_urn does.
+    draws uniformly. The added row is column c of [hit | miss] (see
+    _draw_rows): c = k, or d + k when the drawn type's uniform is at or
+    above p. Each replicate's path is run_urn's bit for bit. A slab's draws
+    are counted into N at its end. A slab that leaves any replicate
+    non-finite is replayed from its start for those replicates, so the
+    divergence names the first non-finite step, as run_urn does.
 
     Returns [(n, Y array (R, d), N array (R, d))].
     """
-    if not isinstance(spec.adding_rule, DeterministicRule):
-        raise InvalidArgumentError("batch engine requires a deterministic rule")
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     plan = [c for c in _checkpoint_plan(checkpoints, n_max) if c >= 1]
     repl = replicate_indices(replicates)
     R = repl.size
-    src = BlockSource(seed, repl, "uniform", n_max)
     d = spec.d
-    DT = np.ascontiguousarray(spec.adding_rule.mean.T)  # DT[q] = D[:, q]
+    hit, miss, p = _draw_rows(spec.adding_rule, d)
+    step = 1 + spec.adding_rule.values_per_step
+    src = BlockSource(seed, repl, "uniform", n_max * step)
+    DT = np.ascontiguousarray(np.vstack([hit, miss]).T)  # DT[:, c]: row c
     Y = np.repeat(spec.Y0[:, None], R, axis=1)
     N = np.zeros((d, R), dtype=np.int64)
-    U = np.empty((SLAB, R))  # one row of uniforms per step
-    K = np.empty((SLAB, R), dtype=np.min_scalar_type(d - 1))  # drawn types
+    U = np.empty((SLAB * step, R))  # a step's uniforms are `step` rows
+    K = np.empty((SLAB, R), dtype=np.min_scalar_type(2 * d - 1))  # added rows
     acc = np.empty((d, R))
     accs, s = list(acc), acc[d - 1]
     k = np.zeros(R, dtype=np.intp)
+    cols = np.arange(R)
     start = np.empty_like(Y)  # Y at the slab's start
     out = []
     n = 0
     for stop in plan:
         while n < stop:  # a slab ends at the next checkpoint at the latest
             m = min(SLAB, stop - n)
-            src.take(m, out=U[:m].T)
+            src.take(m * step, out=U[:m * step].T)
             np.copyto(start, Y)
             for j in range(m):
                 np.maximum(Y, 0.0, out=acc)
@@ -243,16 +249,19 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
                 if R and np.fmin.reduce(s) <= 0.0:
                     acc[:, s <= 0.0] = np.arange(1.0, d + 1.0)[:, None]
                 if d > 1:
-                    t = np.multiply(U[j], s, out=U[j])
+                    t = np.multiply(U[j * step], s, out=U[j * step])
                     np.greater_equal(t, accs[0], out=k)
                     for a in accs[1:d - 1]:
                         k += t >= a
-                Y += DT.take(k, axis=1)  # colour q gains D[k, q]
-                K[j] = k
+                c = k if p is None else k + d * (U[j * step + 1 + k, cols] >= p)
+                Y += DT.take(c, axis=1)  # colour q gains row c's entry q
+                K[j] = c
             if not np.all(np.isfinite(Y)):
                 bad = n + _first_non_finite(start, Y, DT, K[:m])
                 raise DivergenceError(f"composition non-finite at step {bad}",
                                       first_bad_index=bad)
+            if p is not None:  # a miss of type q added row d + q
+                np.remainder(K[:m], d, out=K[:m])
             for q in range(d):
                 N[q] += np.count_nonzero(K[:m] == q, axis=0)
             n += m
@@ -262,8 +271,9 @@ def run_urn_batch(spec, n_max, seed, checkpoints, replicates):
 
 def _first_non_finite(start, Y, DT, K):
     """1-based slab step at which a replicate first became non-finite: the
-    replicates non-finite at the end re-add their drawn rows of D from the
-    slab's `start`. D is finite, so the others were finite throughout."""
+    replicates non-finite at the end re-add their added rows, columns K of
+    DT, from the slab's `start`. A non-finite entry stays non-finite under
+    any addition, so the others were finite throughout."""
     bad = ~np.isfinite(Y).all(axis=0)
     y, k = start[:, bad], K[:, bad]
     for j in range(len(K)):

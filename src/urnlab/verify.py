@@ -19,7 +19,7 @@ from .errors import (ChainBasisRequiredError, DivergenceError,
                      NonConvergenceError)
 from .sa import (LinearDrift, SAProcessSpec, _checkpoint_plan, _sharded,
                  exact_mean_recursion, linear_paths, run_sa)
-from .urn import UrnSpec, DeterministicRule, run_urn, run_urn_batch, urn_asymptotics
+from .urn import UrnSpec, run_urn, run_urn_batch, urn_asymptotics
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,14 +71,14 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
 
     linear_paths runs a linear drift without remainder (basis is forwarded
     for defective drifts), run_sa any other recursion, its replicates in
-    lockstep, run_urn_batch an urn with a deterministic rule when R > 1,
-    run_urn any other urn (an urn takes no basis). If the linear engine
-    refuses (defective drift without basis, Jordan block at an integer
-    eigenvalue in 1..n) or its output is non-finite (the true path
-    overflows), run_sa runs instead and the record names the fallback. A
-    replicate diverging on run_sa keeps NaN rows and is listed under
-    "dropped". A lockstep urn that becomes non-finite raises at the first
-    step where any replicate is, as run_urn does for one.
+    lockstep. An urn (it takes no basis) runs on run_urn at R = 1, where the
+    scalar loop is the faster, and on run_urn_batch at R > 1, whatever its
+    rule. If the linear engine refuses (defective drift without basis,
+    Jordan block at an integer eigenvalue in 1..n) or its output is
+    non-finite (the true path overflows), run_sa runs instead and the record
+    names the fallback. A replicate diverging on run_sa keeps NaN rows and
+    is listed under "dropped". A lockstep urn that becomes non-finite raises
+    at the first step where any replicate is, as run_urn does for one.
 
     The replicates are split into contiguous shards over at most `workers`
     processes (see sa.worker_count); each replicate reads its own noise
@@ -97,29 +97,25 @@ def simulate(model, n, seed, checkpoints, replicates, basis=None, workers=1):
     if isinstance(model, UrnSpec):
         if basis is not None:
             raise InvalidArgumentError("an urn simulation takes no chain basis")
-        if isinstance(model.adding_rule, DeterministicRule) and R > 1:
-            def lockstep(repl):
-                try:
-                    return run_urn_batch(model, n, seed, plan, repl)
-                except DivergenceError as exc:  # raised below, earliest first
-                    return exc
-            parts = _sharded(lockstep, R, workers)
-            bad = [p for p in parts if isinstance(p, DivergenceError)]
-            if bad:
-                raise min(bad, key=lambda exc: exc.first_bad_index)
-            paths = _joined(parts)
-            if origin:
-                paths.insert(0, (0, np.tile(model.Y0, (R, 1)),
-                                 np.zeros((R, model.d), dtype=np.int64)))
-            return paths, dict(record, name="lockstep-urn")
+        if R == 1:
+            cps = run_urn(model, n, seed, plan).checkpoints
+            return ([(c.n, c.Y[None], c.N[None]) for c in cps],
+                    dict(record, name="urn"))
 
-        def scalar(repl):
-            trajs = [run_urn(model, n, seed, plan, replicate=r).checkpoints
-                     for r in repl]
-            return [(k, np.array([t[i].Y for t in trajs]),
-                     np.array([t[i].N for t in trajs]))
-                    for i, k in enumerate(plan)]
-        return _joined(_sharded(scalar, R, workers)), dict(record, name="urn")
+        def lockstep(repl):
+            try:
+                return run_urn_batch(model, n, seed, plan, repl)
+            except DivergenceError as exc:  # raised below, earliest first
+                return exc
+        parts = _sharded(lockstep, R, workers)
+        bad = [p for p in parts if isinstance(p, DivergenceError)]
+        if bad:
+            raise min(bad, key=lambda exc: exc.first_bad_index)
+        paths = _joined(parts)
+        if origin:
+            paths.insert(0, (0, np.tile(model.Y0, (R, 1)),
+                             np.zeros((R, model.d), dtype=np.int64)))
+        return paths, dict(record, name="lockstep-urn")
     if not isinstance(model, SAProcessSpec):
         raise InvalidArgumentError(f"unsupported model type {type(model).__name__}")
 

@@ -378,15 +378,16 @@ def test_undeclared_draw_rule_catches_one():
     assert _undeclared_draws(tree) == [(1, "BlockSource"), (3, "BlockSource")]
 
 
-# run_sa steps any number of replicates in lockstep; a loop over single
-# replicates pays the per-step cost once per replicate
+# run_sa and run_urn_batch step any number of replicates in lockstep; a loop
+# of run_sa or run_urn over single replicates pays the per-step cost once
+# per replicate
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
 
 def _looped_step_calls(tree):
-    """(line, loop kind) for every call of run_sa inside a loop or a
-    comprehension, in line order; a call in nested loops is listed once
+    """(line, loop kind) for every call of run_sa or run_urn inside a loop or
+    a comprehension, in line order; a call in nested loops is listed once
     per loop."""
     found = []
     for loop in ast.walk(tree):
@@ -395,7 +396,7 @@ def _looped_step_calls(tree):
         for node in ast.walk(loop):
             func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "run_sa":
+            if name in ("run_sa", "run_urn"):
                 found.append((node.lineno, type(loop).__name__))
     return sorted(found)
 
@@ -419,7 +420,7 @@ def test_looped_step_rule_catches_one():
         "[run_urn(spec, n, seed, plan, r) for r in repl]\n")
     # one call over all the replicates, sharded or not, passes
     assert _looped_step_calls(tree) == [
-        (2, "For"), (3, "ListComp"), (5, "While")]
+        (2, "For"), (3, "ListComp"), (5, "While"), (8, "ListComp")]
 
 
 # every artifact reaches disk through report.emit_report: one encoding of

@@ -170,21 +170,29 @@ def assert_batch_matches_run_urn(spec, n, seed, checkpoints, R):
 
 @hst.composite
 def lockstep_runs(draw):
-    """A d = 2..9 rule with sevenths for entries (non-dyadic), nonnegative or
-    with removal, a start composition in thirds, and a run across slabs."""
-    d = draw(hst.integers(2, 9))
-    low = draw(hst.sampled_from([0, -7]))  # -7: rows may remove a ball
-    D = np.array(draw(hst.lists(hst.integers(low, 14), min_size=d * d,
-                                max_size=d * d)), dtype=float).reshape(d, d) / 7
+    """A d = 1..9 Bernoulli-diagonal rule with p in (0, 1) and a scale in
+    sevenths, or a d = 2..9 deterministic rule with sevenths for entries
+    (non-dyadic), nonnegative or with removal; a start composition in
+    thirds, and a run across slabs."""
+    if draw(hst.booleans()):
+        d = draw(hst.integers(1, 9))
+        rule = BernoulliDiagonalRule(
+            d, p=draw(hst.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            scale=draw(hst.integers(1, 70)) / 7)
+    else:
+        d = draw(hst.integers(2, 9))
+        low = draw(hst.sampled_from([0, -7]))  # -7: rows may remove a ball
+        D = np.array(draw(hst.lists(hst.integers(low, 14), min_size=d * d,
+                                    max_size=d * d)), dtype=float) / 7
+        rule = DeterministicRule(D.reshape(d, d))
     Y0 = np.array(draw(hst.lists(hst.integers(0, 9), min_size=d,
                                  max_size=d)), dtype=float) / 3
     n = draw(hst.integers(1, 600))
     checkpoints = draw(hst.lists(hst.integers(1, n), min_size=1, max_size=4))
-    spec = UrnSpec(d=d, Y0=Y0, adding_rule=DeterministicRule(D))
-    return spec, n, checkpoints
+    return UrnSpec(d=d, Y0=Y0, adding_rule=rule), n, checkpoints
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(run=lockstep_runs(), R=hst.integers(1, 4), seed=hst.integers(0, 2 ** 32))
 def test_batch_engine_matches_run_urn_property(run, R, seed):
     spec, n, checkpoints = run
@@ -211,11 +219,12 @@ def test_random_rule_runs_and_counts():
     st = traj.checkpoints[-1]
     assert int(st.N.sum()) == 400
     assert st.Y.sum() <= 2.0 + 2 * 400
-    # a random rule run_urn has no draw for is refused, not run as its mean
+    # a random rule no engine has a draw for is refused, not run as its mean
     other = UrnSpec(d=2, Y0=np.array([1.0, 1.0]), adding_rule=StatedRule(
         mean=rule.mean, V_q=rule.V_q, values_per_step=2))
-    with pytest.raises(InvalidArgumentError, match="cannot draw StatedRule"):
-        run_urn(other, 10, seed=2, checkpoints=[10])
+    for run in (run_urn, run_urn_batch):
+        with pytest.raises(InvalidArgumentError, match="cannot draw StatedRule"):
+            run(other, 10, 2, [10], 1)
 
 
 def test_removal_rule_survives_nonpositive_composition():
@@ -228,12 +237,15 @@ def test_removal_rule_survives_nonpositive_composition():
     assert int(st.N.sum()) == 50
 
 
-def test_divergence_reports_first_bad_step():
-    # p = 1: every draw adds 1e308 through the random rule's branch
+@pytest.mark.parametrize("run", [run_urn, run_urn_batch],
+                         ids=["run_urn", "run_urn_batch"])
+def test_divergence_reports_first_bad_step(run):
+    # p = 1: every draw adds 1e308 through the random rule's branch; the
+    # last argument is run_urn's replicate and run_urn_batch's R
     spec = UrnSpec(d=1, Y0=np.array([1.0]),
                    adding_rule=BernoulliDiagonalRule(1, p=1.0, scale=1e308))
     with pytest.raises(DivergenceError) as exc:
-        run_urn(spec, 10, seed=0, checkpoints=[10])
+        run(spec, 10, 0, [10], 3)
     assert exc.value.first_bad_index == 2
 
 

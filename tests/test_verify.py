@@ -231,7 +231,8 @@ def _bernoulli_urn():
 URN_ROUTES = {
     "lockstep": (friedman_urn, 3, "lockstep-urn"),
     "scalar": (friedman_urn, 1, "urn"),
-    "random-rule": (_bernoulli_urn, 2, "urn"),
+    "random-rule": (_bernoulli_urn, 2, "lockstep-urn"),
+    "random-rule-single": (_bernoulli_urn, 1, "urn"),
 }
 
 
@@ -284,6 +285,7 @@ WORKER_CASES = {
                                               [0.1, 0.0, 0.9]]), 13, None,
                        "linear", None),
     "lockstep-urn": (friedman_urn, 7, None, "lockstep-urn", None),
+    "lockstep-random-urn": (_bernoulli_urn, 7, None, "lockstep-urn", None),
     "step-dropped": (_cubic_spec, 9, None, "step", None),
     "step-remainder": (lambda: remainder_drive_spec("inv-sqrt-log"), 9, None,
                        "step", None),
